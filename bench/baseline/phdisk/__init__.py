@@ -1,0 +1,77 @@
+"""Pseudo-holomorphic function machinery on the unit disk.
+
+Polar spectral grids, the singular integral transforms of the theory
+(Cauchy, Beurling, reflection, Green potential), the similarity
+factorization w = e^s F, fixed-point solvers for the holomorphic
+parametrization / generalized M. Riesz / degenerate conductivity
+Dirichlet problems, and a diagnostics suite for the weight-theory
+inequalities.
+"""
+
+from .grid import (
+    BoundaryFunction,
+    Cone,
+    DiskGrid,
+    GridFunction,
+    MaskedValueError,
+    area_integral,
+    boundary_trace,
+    circle_norm,
+    hardy_norm,
+    laplacian,
+    lp_norm_disk,
+    make_grid,
+    nontangential_max,
+    sobolev_norm,
+    w12_norm,
+    wirtinger_derivatives,
+)
+from .transforms import (
+    DbarResiduals,
+    beurling,
+    cauchy,
+    cauchy_renormalized,
+    conjugate_function,
+    green_potential,
+    harmonic_conjugate,
+    harmonicity_defect,
+    poisson_extend,
+    reflect_transform,
+    riesz_extension,
+    solve_dbar,
+)
+from .similarity import (
+    Factorization,
+    alpha_from_pair,
+    beltrami_ratio,
+    factorize,
+    reconstruct,
+    residual_beltrami,
+)
+from .solvers import (
+    SolveReport,
+    SolverConfig,
+    SolverDivergence,
+    conductivity_residual,
+    parametrize_imag,
+    parametrize_real,
+    solve_conductivity,
+    solve_riesz,
+)
+from .diagnostics import (
+    ArcFamily,
+    DiagnosticReport,
+    ap_constant,
+    bmo_oscillation,
+    boundary_sobolev_seminorm,
+    c2_growth_curve,
+    equicontinuity_modulus,
+    exp_integrability_report,
+    jn_exp_check,
+    localized_oscillation_sup,
+    multiplier_ratio,
+    trace_convergence,
+)
+from .io import emit_slice, load, load_csv, load_phd1, save, save_csv, save_phd1
+
+__version__ = "0.1.0"

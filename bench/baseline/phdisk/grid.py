@@ -1,0 +1,544 @@
+"""Polar discretization of the closed unit disk.
+
+Nodes are the tensor product of uniform angles theta_k = 2*pi*k/n_theta
+(n_theta a power of two, so angular work is spectral) and radii
+r_j = j/n_r, j = 1..n_r.  The origin is excluded (coordinate singularity)
+and r = 1 is kept as an explicit boundary ring, so traces and Hardy-type
+suprema over interior circles are exact grid objects.
+
+Radial quadrature weights integrate f |-> int_0^1 f(r) r dr with the
+Jacobian folded in; the rule (composite Simpson, 3/8 closure for odd n_r)
+is exact for radial polynomials of degree <= 2, which the area-integral
+contract requires.  Functions may carry a mask for isolated singular
+nodes; integrals over masked nodes raise instead of silently skipping.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "DiskGrid",
+    "GridFunction",
+    "BoundaryFunction",
+    "Cone",
+    "MaskedValueError",
+    "make_grid",
+    "area_integral",
+    "lp_norm_disk",
+    "circle_norm",
+    "hardy_norm",
+    "wirtinger_derivatives",
+    "laplacian",
+    "sobolev_norm",
+    "w12_norm",
+    "boundary_trace",
+    "nontangential_max",
+]
+
+
+class MaskedValueError(ValueError):
+    """Raised when an operation meets masked (singular) nodes it cannot use."""
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def _simpson_coeffs(n_cells: int) -> np.ndarray:
+    """Newton-Cotes coefficients on nodes 0..n_cells, exact for cubics."""
+    if n_cells < 2:
+        raise ValueError("need at least 2 radial cells")
+    w = np.zeros(n_cells + 1)
+    if n_cells % 2 == 0:
+        w[0] = w[-1] = 1.0 / 3.0
+        w[1:-1:2] = 4.0 / 3.0
+        w[2:-1:2] = 2.0 / 3.0
+    elif n_cells == 3:
+        w[:] = [3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0]
+    else:
+        # Simpson on the first n_cells-3 cells, 3/8 rule on the last three.
+        head = _simpson_coeffs(n_cells - 3)
+        w[: n_cells - 2] = head
+        w[n_cells - 3] += 3.0 / 8.0
+        w[n_cells - 2 :] = [9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0]
+    return w
+
+
+class DiskGrid:
+    """Polar tensor grid on the disk of radius `outer_radius` (default 1).
+
+    Attributes
+    ----------
+    n_theta, n_r : grid sizes (angles, radii)
+    thetas : angles theta_k = 2*pi*k/n_theta
+    radii : radii r_j = outer_radius * j/n_r, j = 1..n_r (r=0 excluded)
+    radial_weights : weights w_j with sum_j w_j f(r_j) ~ int_0^R f(r) r dr
+    boundary_ring_index : index (n_r - 1) of the circle r = outer_radius
+    """
+
+    def __init__(self, n_theta: int, n_r: int, outer_radius: float = 1.0):
+        if not _is_power_of_two(n_theta) or n_theta < 8:
+            raise ValueError(
+                f"n_theta must be a power of two >= 8 (got {n_theta}); "
+                "angular transforms are spectral"
+            )
+        if n_r < 4:
+            raise ValueError(f"n_r must be >= 4 (got {n_r})")
+        if outer_radius < 1.0:
+            raise ValueError("outer_radius must be >= 1")
+        self.n_theta = int(n_theta)
+        self.n_r = int(n_r)
+        self.outer_radius = float(outer_radius)
+        self.thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        h = outer_radius / n_r
+        self.radial_step = h
+        self.radii = h * np.arange(1, n_r + 1)
+        # node j carries Simpson coefficient times h times the r dr Jacobian;
+        # the virtual node r=0 contributes nothing since the integrand f(r)*r
+        # vanishes there.
+        coeffs = _simpson_coeffs(n_r)
+        self.radial_weights = coeffs[1:] * h * self.radii
+        self.boundary_ring_index = n_r - 1
+        self.mode_numbers = np.fft.fftfreq(n_theta, 1.0 / n_theta).astype(int)
+        for arr in (self.thetas, self.radii, self.radial_weights, self.mode_numbers):
+            arr.setflags(write=False)
+
+    def nodes_z(self) -> np.ndarray:
+        """Complex node positions, shape (n_r, n_theta)."""
+        return self.radii[:, None] * np.exp(1j * self.thetas[None, :])
+
+    def area_weights(self) -> np.ndarray:
+        """Per-node quadrature weights for int f dm, shape (n_r, n_theta)."""
+        dtheta = 2.0 * np.pi / self.n_theta
+        return np.broadcast_to(
+            self.radial_weights[:, None] * dtheta, (self.n_r, self.n_theta)
+        )
+
+    def interior_weights_upto(self, r_max: float) -> tuple[np.ndarray, int]:
+        """Radial weights for the subdisk r <= r_max (largest node K below it).
+
+        Returns (weights over nodes 0..K, K).  Used for norms on D_{0.9},
+        where one-sided rim stencils are excluded by contract.
+        """
+        K = int(math.floor(r_max / self.radial_step + 1e-12))
+        K = min(K, self.n_r)
+        if K < 4:
+            raise ValueError("r_max too small for this grid")
+        coeffs = _simpson_coeffs(K)
+        return coeffs[1:] * self.radial_step * self.radii[:K], K
+
+    def same_as(self, other: "DiskGrid") -> bool:
+        return (
+            self.n_theta == other.n_theta
+            and self.n_r == other.n_r
+            and self.outer_radius == other.outer_radius
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover
+        extra = f", outer_radius={self.outer_radius}" if self.outer_radius != 1.0 else ""
+        return f"DiskGrid(n_theta={self.n_theta}, n_r={self.n_r}{extra})"
+
+
+def make_grid(n_theta: int, n_r: int, outer_radius: float = 1.0) -> DiskGrid:
+    """Build the polar grid; rejects non-power-of-two n_theta."""
+    return DiskGrid(n_theta, n_r, outer_radius)
+
+
+def _check_same_grid(a, b):
+    if not a.grid.same_as(b.grid):
+        raise ValueError("grid mismatch between operands")
+
+
+class GridFunction:
+    """Complex samples of a function on a DiskGrid, optionally masked."""
+
+    def __init__(self, grid: DiskGrid, values: np.ndarray, mask: np.ndarray | None = None):
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (grid.n_r, grid.n_theta):
+            raise ValueError(
+                f"values shape {values.shape} does not match grid "
+                f"({grid.n_r}, {grid.n_theta})"
+            )
+        self.grid = grid
+        self.values = values
+        if mask is None and not np.all(np.isfinite(values)):
+            mask = ~np.isfinite(values)
+        self.mask = None if mask is None or not np.any(mask) else np.asarray(mask, bool)
+        if self.mask is not None:
+            self.values = np.where(self.mask, 0.0, self.values)
+
+    @classmethod
+    def from_function(cls, grid: DiskGrid, fn) -> "GridFunction":
+        """Sample fn(z); non-finite values become masked nodes."""
+        with np.errstate(all="ignore"):
+            vals = np.asarray(fn(grid.nodes_z()), dtype=complex)
+        vals = np.broadcast_to(vals, (grid.n_r, grid.n_theta)).copy()
+        return cls(grid, vals)
+
+    @classmethod
+    def constant(cls, grid: DiskGrid, c: complex) -> "GridFunction":
+        return cls(grid, np.full((grid.n_r, grid.n_theta), c, dtype=complex))
+
+    @classmethod
+    def zeros(cls, grid: DiskGrid) -> "GridFunction":
+        return cls(grid, np.zeros((grid.n_r, grid.n_theta), dtype=complex))
+
+    def is_masked(self) -> bool:
+        return self.mask is not None
+
+    def require_unmasked(self, what: str) -> np.ndarray:
+        if self.mask is not None:
+            raise MaskedValueError(f"{what} over masked nodes is not defined")
+        return self.values
+
+    def angular_modes(self) -> np.ndarray:
+        """Per-radius Fourier coefficients, shape (n_r, n_theta), FFT order."""
+        self.require_unmasked("angular transform")
+        return np.fft.fft(self.values, axis=1) / self.grid.n_theta
+
+    def with_values(self, values: np.ndarray, mask=None) -> "GridFunction":
+        return GridFunction(self.grid, values, mask)
+
+    # small arithmetic surface; operands must share the grid
+    def __add__(self, other):
+        if isinstance(other, GridFunction):
+            _check_same_grid(self, other)
+            return GridFunction(self.grid, self.values + other.values, _join(self, other))
+        return GridFunction(self.grid, self.values + other, self.mask)
+
+    def __sub__(self, other):
+        if isinstance(other, GridFunction):
+            _check_same_grid(self, other)
+            return GridFunction(self.grid, self.values - other.values, _join(self, other))
+        return GridFunction(self.grid, self.values - other, self.mask)
+
+    def __mul__(self, other):
+        if isinstance(other, GridFunction):
+            _check_same_grid(self, other)
+            return GridFunction(self.grid, self.values * other.values, _join(self, other))
+        return GridFunction(self.grid, self.values * other, self.mask)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return GridFunction(self.grid, -self.values, self.mask)
+
+    def conj(self) -> "GridFunction":
+        return GridFunction(self.grid, np.conj(self.values), self.mask)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        m = ", masked" if self.mask is not None else ""
+        return f"GridFunction({self.grid!r}{m})"
+
+
+def _join(a: GridFunction, b: GridFunction):
+    if a.mask is None and b.mask is None:
+        return None
+    out = np.zeros(a.values.shape, bool)
+    if a.mask is not None:
+        out |= a.mask
+    if b.mask is not None:
+        out |= b.mask
+    return out
+
+
+class BoundaryFunction:
+    """Complex samples on the unit circle at angles theta_k = 2*pi*k/n_theta."""
+
+    def __init__(self, values: np.ndarray, mask: np.ndarray | None = None):
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 1 or not _is_power_of_two(values.size) or values.size < 8:
+            raise ValueError("boundary values must be 1-D with power-of-two length >= 8")
+        self.values = values
+        self.n_theta = values.size
+        self.thetas = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        if mask is None and not np.all(np.isfinite(values)):
+            mask = ~np.isfinite(values)
+        self.mask = None if mask is None or not np.any(mask) else np.asarray(mask, bool)
+        if self.mask is not None:
+            self.values = np.where(self.mask, 0.0, self.values)
+        self.mode_numbers = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
+        self._modes = None
+
+    @classmethod
+    def from_function(cls, n_theta: int, fn) -> "BoundaryFunction":
+        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        with np.errstate(all="ignore"):
+            vals = np.asarray(fn(thetas), dtype=complex)
+        return cls(np.broadcast_to(vals, (n_theta,)).copy())
+
+    @classmethod
+    def zeros(cls, n_theta: int) -> "BoundaryFunction":
+        return cls(np.zeros(n_theta, dtype=complex))
+
+    def require_unmasked(self, what: str) -> np.ndarray:
+        if self.mask is not None:
+            raise MaskedValueError(f"{what} over masked boundary nodes is not defined")
+        return self.values
+
+    def modes(self) -> np.ndarray:
+        """Cached Fourier coefficients (DFT of values / n_theta), FFT order."""
+        if self._modes is None:
+            self.require_unmasked("Fourier transform")
+            self._modes = np.fft.fft(self.values) / self.n_theta
+        return self._modes
+
+    def mean(self) -> complex:
+        """Arclength mean (1/2pi) int_T."""
+        self.require_unmasked("mean")
+        return complex(np.mean(self.values))
+
+    def integral(self) -> complex:
+        """Arclength integral int_T (measure 2*pi in total)."""
+        self.require_unmasked("integral")
+        return complex(np.sum(self.values) * 2.0 * np.pi / self.n_theta)
+
+    def lp_norm(self, p: float) -> float:
+        """L^p(T) norm with respect to (unnormalized) arclength."""
+        v = self.require_unmasked("L^p norm")
+        dtheta = 2.0 * np.pi / self.n_theta
+        return float(np.sum(np.abs(v) ** p * dtheta) ** (1.0 / p))
+
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.require_unmasked("sup norm"))))
+
+    def __add__(self, other):
+        if isinstance(other, BoundaryFunction):
+            return BoundaryFunction(self.values + other.values)
+        return BoundaryFunction(self.values + other)
+
+    def __sub__(self, other):
+        if isinstance(other, BoundaryFunction):
+            return BoundaryFunction(self.values - other.values)
+        return BoundaryFunction(self.values - other)
+
+    def __mul__(self, other):
+        if isinstance(other, BoundaryFunction):
+            return BoundaryFunction(self.values * other.values)
+        return BoundaryFunction(self.values * other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return BoundaryFunction(-self.values)
+
+
+@dataclass(frozen=True)
+class Cone:
+    """Non-tangential approach region Gamma_{xi,gamma}.
+
+    The region is the union of the closed disk of radius sin(gamma) and the
+    bounded component of the open cone with vertex `vertex`, half-opening
+    `gamma`, symmetric about the ray through the origin, minus that disk.
+    """
+
+    vertex: complex
+    gamma: float
+
+    def __post_init__(self):
+        if not (0.0 < self.gamma < np.pi / 2):
+            raise ValueError("gamma must lie in (0, pi/2)")
+        if abs(abs(self.vertex) - 1.0) > 1e-12:
+            raise ValueError("cone vertex must lie on the unit circle")
+
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        s = math.sin(self.gamma)
+        xi = self.vertex
+        core = np.abs(z) <= s + 1e-15
+        d = xi - z
+        dn = np.abs(d)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosang = np.real(d * np.conj(xi)) / np.where(dn == 0, 1.0, dn)
+        in_cone = (dn > 0) & (cosang >= math.cos(self.gamma) - 1e-15)
+        # bounded component: the segment [vertex, z] stays outside D_{sin g}
+        seg = z - xi
+        seg2 = np.abs(seg) ** 2
+        t = np.clip(
+            -np.real(xi * np.conj(seg)) / np.where(seg2 == 0, 1.0, seg2), 0.0, 1.0
+        )
+        dist0 = np.abs(xi + t * seg)
+        return core | (in_cone & (dist0 > s))
+
+
+def area_integral(f: GridFunction) -> complex:
+    """Quadrature for int_D f dm; masked or non-finite nodes raise."""
+    v = f.require_unmasked("area integral")
+    return complex(np.sum(v * f.grid.area_weights()))
+
+
+def lp_norm_disk(f: GridFunction, p: float, r_max: float | None = None) -> float:
+    """L^p area norm, optionally restricted to the subdisk r <= r_max.
+
+    The restricted quadrature uses a closed composite rule on the radial
+    nodes below r_max, so "D_{0.9}" means the disk of the largest grid
+    radius not exceeding 0.9.
+    """
+    v = f.require_unmasked("L^p norm")
+    dtheta = 2.0 * np.pi / f.grid.n_theta
+    if r_max is None:
+        w = f.grid.radial_weights
+        vv = v
+    else:
+        w, K = f.grid.interior_weights_upto(r_max)
+        vv = v[:K]
+    return float(np.sum(np.abs(vv) ** p * w[:, None] * dtheta) ** (1.0 / p))
+
+
+def circle_norm(f: GridFunction, rho: float, p: float) -> float:
+    """(int_{T_rho} |f|^p |dxi|)^{1/p} on a grid circle, arclength measure.
+
+    The trapezoid rule in theta is accurate only when the angular step
+    2 pi/n_theta is small next to the circle's distance to any boundary
+    singularity of f.  For f = (z-1)^{-1/2} (p = 2) on the last interior
+    ring rho = 1 - 1/n_r, the relative error of the squared norm measured
+    15-19% at n_theta = n_r, 0.3% at 4 n_r, 4e-5 at 8 n_r and 1e-8 at 16 n_r
+    (n_r = 64 to 256); use n_theta >= 8 n_r for such f.
+    """
+    g = f.grid
+    j = int(round(rho / g.radial_step)) - 1
+    if j < 0 or j >= g.n_r or abs(g.radii[j] - rho) > 1e-12:
+        raise ValueError(f"rho={rho} is not a grid radius")
+    if f.mask is not None and np.any(f.mask[j]):
+        raise MaskedValueError("circle norm over masked nodes is not defined")
+    dtheta = 2.0 * np.pi / g.n_theta
+    return float(np.sum(np.abs(f.values[j]) ** p * rho * dtheta) ** (1.0 / p))
+
+
+def hardy_norm(f: GridFunction, p: float) -> float:
+    """Discrete Hardy norm: max of circle_norm over interior grid radii.
+
+    The open-disk supremum is approximated over r_j < 1 only; refinement
+    studies stand in for the continuum sup.  Each circle norm carries the
+    angular accuracy condition of circle_norm.  For holomorphic f the
+    circle means increase with rho, so the sup is taken on the last
+    interior ring, at distance 1/n_r from T; if f is singular at a point
+    of T this needs n_theta >= 8 n_r.
+    """
+    g = f.grid
+    best = 0.0
+    for j in range(g.n_r - 1):
+        best = max(best, circle_norm(f, g.radii[j], p))
+    return best
+
+
+def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
+    """Finite-difference weights for the given derivative order on integer offsets."""
+    n = len(offsets)
+    V = np.vander(offsets.astype(float), n, increasing=True).T
+    rhs = np.zeros(n)
+    rhs[order] = math.factorial(order)
+    return np.linalg.solve(V, rhs)
+
+
+# fourth-order radial differentiation stencils (one-sided closures at the rim)
+_FD_INTERIOR = _fd_weights(np.arange(-2, 3), 1)
+_FD_FORWARD = _fd_weights(np.arange(0, 5), 1)
+_FD_SKEW1 = _fd_weights(np.arange(-1, 4), 1)
+_FD2_INTERIOR = _fd_weights(np.arange(-2, 3), 2)
+_FD2_FORWARD = _fd_weights(np.arange(0, 6), 2)
+_FD2_SKEW1 = _fd_weights(np.arange(-1, 5), 2)
+
+
+def _apply_radial_stencils(values, interior, forward, skew, mirror_sign) -> np.ndarray:
+    """Apply a 5-point interior stencil with one-sided rim closures.
+
+    mirror_sign is -1 for odd-order derivatives (reversed stencils flip
+    sign) and +1 for even orders.
+    """
+    n_r = values.shape[0]
+    if n_r < max(5, len(forward)):
+        raise ValueError("radial stencils need a deeper grid")
+    out = np.empty_like(values)
+    nf = len(forward)
+    out[0] = np.tensordot(forward, values[0:nf], axes=(0, 0))
+    out[1] = np.tensordot(skew, values[0 : len(skew)], axes=(0, 0))
+    core = np.lib.stride_tricks.sliding_window_view(values, 5, axis=0)
+    out[2:-2] = np.einsum("s,jks->jk", interior, core)
+    out[-2] = mirror_sign * np.tensordot(skew[::-1], values[-len(skew) :], axes=(0, 0))
+    out[-1] = mirror_sign * np.tensordot(forward[::-1], values[-nf:], axes=(0, 0))
+    return out
+
+
+def _radial_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    return _apply_radial_stencils(values, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0) / h
+
+
+def _radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    return (
+        _apply_radial_stencils(values, _FD2_INTERIOR, _FD2_FORWARD, _FD2_SKEW1, 1.0)
+        / h**2
+    )
+
+
+def wirtinger_derivatives(f: GridFunction) -> tuple[GridFunction, GridFunction]:
+    """(d f, dbar f) via spectral d_theta and 4th-order radial differences."""
+    v = f.require_unmasked("differentiation")
+    g = f.grid
+    dr = _radial_derivative(v, g.radial_step)
+    modes = np.fft.fft(v, axis=1)
+    dtheta = np.fft.ifft(1j * g.mode_numbers[None, :] * modes, axis=1)
+    inv_r = 1.0 / g.radii[:, None]
+    phase = np.exp(-1j * g.thetas)[None, :]
+    d = 0.5 * phase * (dr - 1j * inv_r * dtheta)
+    dbar = 0.5 * np.conj(phase) * (dr + 1j * inv_r * dtheta)
+    return f.with_values(d), f.with_values(dbar)
+
+
+def laplacian(f: GridFunction) -> GridFunction:
+    """Polar Laplacian d_rr + d_r/r + d_{theta theta}/r^2, spectral in theta."""
+    v = f.require_unmasked("Laplacian")
+    g = f.grid
+    modes = np.fft.fft(v, axis=1)
+    dtt = np.fft.ifft(-(g.mode_numbers[None, :] ** 2.0) * modes, axis=1)
+    drr = _radial_second_derivative(v, g.radial_step)
+    dr = _radial_derivative(v, g.radial_step)
+    r = g.radii[:, None]
+    return f.with_values(drr + dr / r + dtt / r**2)
+
+
+def sobolev_norm(f: GridFunction, p: float) -> float:
+    """||f||_{L^p} + ||d f||_{L^p} + ||dbar f||_{L^p} with area quadrature."""
+    d, dbar = wirtinger_derivatives(f)
+    return lp_norm_disk(f, p) + lp_norm_disk(d, p) + lp_norm_disk(dbar, p)
+
+
+def w12_norm(f: GridFunction) -> float:
+    """Discrete W^{1,2} norm; the solvers' convergence metric."""
+    return sobolev_norm(f, 2.0)
+
+
+def boundary_trace(f: GridFunction) -> BoundaryFunction:
+    """Values on the boundary ring j = n_r; isolated masks propagate."""
+    j = f.grid.boundary_ring_index
+    mask = None if f.mask is None else f.mask[j]
+    if mask is not None and np.all(mask):
+        raise MaskedValueError("boundary ring is fully masked")
+    return BoundaryFunction(f.values[j].copy(), mask)
+
+
+def nontangential_max(f: GridFunction, gamma: float) -> BoundaryFunction:
+    """Non-tangential maximal function M_gamma f on the boundary nodes.
+
+    For each xi the maximum of |f| over interior grid nodes inside the
+    approach cone Gamma_{xi,gamma}.  Raises if some cone captures no node
+    (grid too coarse for this gamma).
+    """
+    v = np.abs(f.require_unmasked("maximal function"))
+    g = f.grid
+    z = g.nodes_z()[: g.n_r - 1].ravel()
+    vals = v[: g.n_r - 1].ravel()
+    out = np.empty(g.n_theta)
+    for k, theta in enumerate(g.thetas):
+        cone = Cone(complex(np.exp(1j * theta)), gamma)
+        sel = cone.contains(z)
+        if not np.any(sel):
+            raise ValueError(
+                "empty cone at the grid resolution; use a finer grid or larger gamma"
+            )
+        out[k] = float(np.max(vals[sel]))
+    return BoundaryFunction(out.astype(complex))

@@ -1,0 +1,147 @@
+"""Grid file formats.
+
+PHD1 binary: magic "PHD1", little-endian u32 n_r, u32 n_theta, then
+n_r * n_theta complex values as interleaved little-endian float64
+(re, im), row-major by radius.  Boundary functions use n_r = 1.  Masked
+nodes round-trip as NaN pairs.
+
+CSV alternative: header "r,theta,re,im", one row per node in the same
+order; masked nodes carry nan fields.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+import numpy as np
+
+from .grid import BoundaryFunction, GridFunction, make_grid
+
+__all__ = ["save_phd1", "load_phd1", "save_csv", "load_csv", "save", "load", "emit_slice"]
+
+MAGIC = b"PHD1"
+
+
+def _payload(f) -> tuple[int, int, np.ndarray]:
+    if isinstance(f, GridFunction):
+        vals = f.values.copy()
+        if f.mask is not None:
+            vals[f.mask] = complex(np.nan, np.nan)
+        return f.grid.n_r, f.grid.n_theta, vals
+    if isinstance(f, BoundaryFunction):
+        vals = f.values.copy()
+        if f.mask is not None:
+            vals[f.mask] = complex(np.nan, np.nan)
+        return 1, f.n_theta, vals.reshape(1, -1)
+    raise TypeError(f"cannot serialize {type(f).__name__}")
+
+
+def save_phd1(path, f) -> None:
+    n_r, n_theta, vals = _payload(f)
+    flat = np.empty(n_r * n_theta * 2, dtype="<f8")
+    flat[0::2] = vals.real.ravel()
+    flat[1::2] = vals.imag.ravel()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(np.array([n_r, n_theta], dtype="<u4").tobytes())
+        fh.write(flat.tobytes())
+
+
+def load_phd1(path):
+    """Load a PHD1 file; n_r = 1 payloads come back as BoundaryFunction."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not a PHD1 file")
+    n_r, n_theta = np.frombuffer(raw[4:12], dtype="<u4")
+    n_r, n_theta = int(n_r), int(n_theta)
+    flat = np.frombuffer(raw[12:], dtype="<f8")
+    if flat.size != 2 * n_r * n_theta:
+        raise ValueError(f"{path}: truncated payload")
+    vals = (flat[0::2] + 1j * flat[1::2]).reshape(n_r, n_theta)
+    if n_r == 1:
+        return BoundaryFunction(vals[0].copy())
+    return GridFunction(make_grid(n_theta, n_r), vals.copy())
+
+
+def save_csv(path, f) -> None:
+    n_r, n_theta, vals = _payload(f)
+    radii = np.ones(1) if n_r == 1 else make_grid(n_theta, n_r).radii
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["r", "theta", "re", "im"])
+        for j in range(n_r):
+            for k in range(n_theta):
+                wr.writerow(
+                    [repr(float(radii[j])), repr(float(thetas[k])),
+                     repr(float(vals[j, k].real)), repr(float(vals[j, k].imag))]
+                )
+
+
+def load_csv(path):
+    rows = []
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd)
+        if [c.strip() for c in header] != ["r", "theta", "re", "im"]:
+            raise ValueError(f"{path}: expected header r,theta,re,im")
+        for row in rd:
+            rows.append([float(x) for x in row])
+    arr = np.asarray(rows)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    radii = np.unique(arr[:, 0])
+    thetas = np.unique(arr[:, 1])
+    n_r, n_theta = len(radii), len(thetas)
+    if n_r * n_theta != len(arr):
+        raise ValueError(f"{path}: nodes do not form a tensor grid")
+    vals = (arr[:, 2] + 1j * arr[:, 3]).reshape(n_r, n_theta)
+    if n_r == 1:
+        return BoundaryFunction(vals[0].copy())
+    return GridFunction(make_grid(n_theta, n_r), vals.copy())
+
+
+def save(path, f) -> None:
+    if str(path).endswith(".csv"):
+        save_csv(path, f)
+    else:
+        save_phd1(path, f)
+
+
+def load(path):
+    if str(path).endswith(".csv"):
+        return load_csv(path)
+    return load_phd1(path)
+
+
+def emit_slice(f: GridFunction, along: str, value: float, path) -> None:
+    """1-D CSV slice along a grid radius or a grid angle.
+
+    Columns: coordinate, re, im, abs, flag ("masked" at masked nodes).
+    """
+    g = f.grid
+    if along == "radius":
+        j = int(round(value / g.radial_step)) - 1
+        if j < 0 or j >= g.n_r or abs(g.radii[j] - value) > 1e-12:
+            raise ValueError(f"radius {value} is not on the grid")
+        coords = g.thetas
+        vals = f.values[j]
+        masks = f.mask[j] if f.mask is not None else np.zeros(g.n_theta, bool)
+    elif along == "angle":
+        dtheta = 2.0 * np.pi / g.n_theta
+        k = int(round(value / dtheta))
+        if k < 0 or k >= g.n_theta or abs(g.thetas[k] - value) > 1e-12:
+            raise ValueError(f"angle {value} is not on the grid")
+        coords = g.radii
+        vals = f.values[:, k]
+        masks = f.mask[:, k] if f.mask is not None else np.zeros(g.n_r, bool)
+    else:
+        raise ValueError("along must be 'radius' or 'angle'")
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["coordinate", "re", "im", "abs", "flag"])
+        for c, v, m in zip(coords, vals, masks):
+            wr.writerow(
+                [repr(float(c)), repr(float(v.real)), repr(float(v.imag)),
+                 repr(float(abs(v))), "masked" if m else ""]
+            )

@@ -1,0 +1,444 @@
+"""Fixed-point solvers for the constructive boundary problems.
+
+Existence in the theory comes from a compactness argument that gives no
+algorithm; here each problem is solved by damped Picard iteration on the
+contraction-shaped map the construction suggests, with the step halved
+whenever the increment grows and an explicit failure if the floor is hit
+while increments keep growing.  Nothing is asserted about rates: reports
+carry the whole increment history and the engaged damping level.
+
+The three problems:
+
+ * parametrize_imag: s with dbar(e^s F) = alpha conj(e^s F),
+   tr Im s = psi, int_T Re s = lambda (inner map: Green potential of
+   4 Im d(beta e^{-2i phi})),
+ * parametrize_real: same equation with tr Re s = psi, int_T Im s =
+   lambda (outer boundary map nested over the inner one),
+ * solve_riesz: w with Re tr w = psi, int_T Im tr w = c (alternating
+   factorization/extension construction), plus its conductivity wrapper.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .grid import (
+    BoundaryFunction,
+    GridFunction,
+    boundary_trace,
+    hardy_norm,
+    lp_norm_disk,
+    w12_norm,
+    wirtinger_derivatives,
+)
+from .similarity import beltrami_ratio, reconstruct, residual_beltrami
+from .transforms import (
+    cauchy,
+    conjugate_function,
+    green_potential,
+    poisson_extend,
+    reflect_transform,
+    riesz_extension,
+)
+
+__all__ = [
+    "SolverConfig",
+    "SolveReport",
+    "SolverDivergence",
+    "parametrize_imag",
+    "parametrize_real",
+    "solve_riesz",
+    "solve_conductivity",
+    "conductivity_residual",
+]
+
+DAMPING_FLOOR = 1.0 / 64.0
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    tol: float = 1e-8
+    max_iter: int = 200
+    damping: float = 1.0
+    zero_threshold: float | None = None
+    p: float = 2.0
+    gamma: float = math.pi / 4.0
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if not (0.0 < self.damping <= 1.0):
+            raise ValueError("damping must lie in (0, 1]")
+
+
+@dataclass
+class SolveReport:
+    iterations: int = 0
+    increment_history: list = field(default_factory=list)
+    residual_beltrami: float = 0.0
+    boundary_mismatch: float = 0.0
+    normalization_defects: dict = field(default_factory=dict)
+    measured_constant: float = 0.0
+    converged: bool = False
+    damping_final: float = 1.0
+    extra: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "iterations": self.iterations,
+            "increment_history": list(self.increment_history),
+            "residual_beltrami": self.residual_beltrami,
+            "boundary_mismatch": self.boundary_mismatch,
+            "normalization_defects": dict(self.normalization_defects),
+            "measured_constant": self.measured_constant,
+            "converged": self.converged,
+            "damping_final": self.damping_final,
+            **({"extra": dict(self.extra)} if self.extra else {}),
+        }
+
+
+class SolverDivergence(RuntimeError):
+    """Fixed point not reached within max_iter at minimum damping."""
+
+    def __init__(self, message: str, report: SolveReport):
+        super().__init__(message)
+        self.report = report
+
+
+def _picard(state, apply_map, diff_norm, cfg: SolverConfig):
+    """Damped Picard loop shared by all solvers.
+
+    Returns (state, history, converged, tau).  The step is halved when
+    the increment grows; persistent growth at the floor raises.
+    """
+    tau = cfg.damping
+    history: list[float] = []
+    prev = math.inf
+    bad_at_floor = 0
+    for _ in range(cfg.max_iter):
+        target = apply_map(state)
+        new_state = state * (1.0 - tau) + target * tau
+        inc = diff_norm(new_state, state)
+        if inc > prev:
+            if tau > DAMPING_FLOOR:
+                tau = max(tau / 2.0, DAMPING_FLOOR)
+                new_state = state * (1.0 - tau) + target * tau
+                inc = diff_norm(new_state, state)
+            else:
+                bad_at_floor += 1
+        history.append(inc)
+        state = new_state
+        if inc < cfg.tol:
+            return state, history, True, tau
+        if bad_at_floor >= 5:
+            return state, history, False, tau
+        prev = inc
+    return state, history, False, tau
+
+
+def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
+    if float(np.max(np.abs(psi.values.imag))) > 1e-10:
+        raise ValueError(f"{name} must be real-valued")
+    return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
+
+
+def _holo_with_real_trace(psi, lam_imag_integral, grid):
+    """Holomorphic A, tr Re A = psi, int_T Im A = lam_imag_integral."""
+    A = riesz_extension(psi, grid)
+    return A + GridFunction.constant(grid, 1j * lam_imag_integral / (2.0 * np.pi))
+
+
+def _assemble_s(m: GridFunction, phi2: np.ndarray, grid) -> GridFunction:
+    """s = m + holomorphic correction chosen so that Im s = phi2."""
+    tau = BoundaryFunction(
+        (phi2[grid.boundary_ring_index] - boundary_trace(m).values.imag).astype(complex)
+    )
+    tau_t = conjugate_function(tau)
+    corr = poisson_extend(tau, grid) * 1j - poisson_extend(tau_t, grid)
+    return m + corr
+
+
+def _green_map(beta: GridFunction, phi: GridFunction) -> GridFunction:
+    """G(phi) = P(4 Im d(beta e^{-2i phi})) on real phi."""
+    g = beta.with_values(beta.values * np.exp(-2j * phi.values.real))
+    dg, _ = wirtinger_derivatives(g)
+    return green_potential(g.with_values(4.0 * dg.values.imag.astype(complex)))
+
+
+def _instrument(s_norm, alpha, psi, lam):
+    denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
+    return s_norm / denom if denom > 0 else 0.0
+
+
+def parametrize_imag(
+    alpha: GridFunction,
+    F: GridFunction,
+    psi: BoundaryFunction,
+    lam: float,
+    cfg: SolverConfig | None = None,
+    initial_s: GridFunction | None = None,
+) -> tuple[GridFunction, SolveReport]:
+    """Sobolev factor s with w = e^s F pseudo-holomorphic, tr Im s = psi,
+    int_T Re s = lam.
+
+    The boundary data and the holomorphic factor are absorbed first
+    (replace F by e^{iA} F and alpha by alpha conj(F')/F'), leaving the
+    homogeneous fixed point phi = G(phi) for phi = Im s'.
+    """
+    cfg = cfg or SolverConfig()
+    psi = _require_real(psi, "psi")
+    grid = alpha.grid
+    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
+        raise ValueError("F must not be identically zero")
+    A = _holo_with_real_trace(psi, -lam, grid)
+    with np.errstate(under="ignore"):
+        Fp = F.with_values(np.exp(1j * A.values) * F.values)
+    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
+
+    if initial_s is None:
+        phi0 = GridFunction.zeros(grid)
+    else:
+        phi0 = GridFunction(grid, (initial_s.values.imag - A.values.real).astype(complex))
+    phi, history, converged, tau = _picard(
+        phi0,
+        lambda p: _green_map(beta, p),
+        lambda a, b: w12_norm(a - b),
+        cfg,
+    )
+    phi2 = phi.values.real
+    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi2)))
+    s_prime = _assemble_s(m, phi2, grid)
+    s = s_prime + A * 1j
+    w = reconstruct(s, F)
+
+    tr_s = boundary_trace(s)
+    mismatch = BoundaryFunction((tr_s.values.imag - psi.values.real).astype(complex)).lp_norm(2.0)
+    mean_def = abs(
+        float(np.sum(tr_s.values.real)) * 2.0 * np.pi / grid.n_theta - lam
+    )
+    report = SolveReport(
+        iterations=len(history),
+        increment_history=history,
+        residual_beltrami=residual_beltrami(w, alpha),
+        boundary_mismatch=mismatch,
+        normalization_defects={"im_trace": mismatch, "re_mean": mean_def},
+        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
+        converged=converged,
+        damping_final=tau,
+    )
+    if not converged:
+        raise SolverDivergence("parametrize_imag did not converge", report)
+    return s, report
+
+
+def parametrize_real(
+    alpha: GridFunction,
+    F: GridFunction,
+    psi: BoundaryFunction,
+    lam: float,
+    cfg: SolverConfig | None = None,
+    initial_s: GridFunction | None = None,
+) -> tuple[GridFunction, SolveReport]:
+    """Variant prescribing tr Re s = psi and int_T Im s = lam.
+
+    Outer Picard iteration on the zero-mean boundary function
+    u = Im tr s'; each evaluation of the boundary map nests the inner
+    Green fixed point (warm-started across outer steps).
+    """
+    cfg = cfg or SolverConfig()
+    psi = _require_real(psi, "psi")
+    grid = alpha.grid
+    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
+        raise ValueError("F must not be identically zero")
+    A = _holo_with_real_trace(psi, lam, grid)
+    with np.errstate(under="ignore"):
+        Fp = F.with_values(np.exp(A.values) * F.values)
+    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
+
+    if initial_s is None:
+        u = BoundaryFunction.zeros(grid.n_theta)
+    else:
+        u0 = (initial_s - A).values.imag[grid.boundary_ring_index]
+        u = BoundaryFunction((u0 - np.mean(u0)).astype(complex))
+
+    inner_state = {"phi2": GridFunction.zeros(grid)}
+
+    def inner_fixed_point(u_b: BoundaryFunction) -> GridFunction:
+        Eu = poisson_extend(u_b, grid)
+        phi, history, ok, _ = _picard(
+            inner_state["phi2"],
+            lambda p: Eu + _green_map(beta, p),
+            lambda a, b: w12_norm(a - b),
+            cfg,
+        )
+        if not ok:
+            raise SolverDivergence(
+                "inner parametrization fixed point diverged",
+                SolveReport(iterations=len(history), increment_history=history),
+            )
+        inner_state["phi2"] = phi
+        return phi
+
+    def boundary_map(u_b: BoundaryFunction) -> BoundaryFunction:
+        phi = inner_fixed_point(u_b)
+        m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi.values.real)))
+        tr = boundary_trace(m)
+        tr0 = tr - tr.mean()
+        re = BoundaryFunction(tr0.values.real.astype(complex))
+        return BoundaryFunction(tr0.values.imag.astype(complex)) - conjugate_function(re)
+
+    def u_diff(a: BoundaryFunction, b: BoundaryFunction) -> float:
+        # sum (1+|n|) |du_n|^2 is the W^{1,2}(D) norm (squared, up to the
+        # usual constants) of the harmonic extension of the boundary
+        # increment, which is the leading term of the s increment
+        d = (a - b).modes()
+        n = np.abs(a.mode_numbers)
+        return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d) ** 2)))
+
+    u, history, converged, tau = _picard(u, boundary_map, u_diff, cfg)
+
+    phi = inner_fixed_point(u)
+    phi2 = phi.values.real
+    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi2)))
+    s_prime = _assemble_s(m, phi2, grid)
+    s = s_prime + A
+    w = reconstruct(s, F)
+
+    tr_s = boundary_trace(s)
+    mismatch = BoundaryFunction((tr_s.values.real - psi.values.real).astype(complex)).lp_norm(2.0)
+    mean_def = abs(float(np.sum(tr_s.values.imag)) * 2.0 * np.pi / grid.n_theta - lam)
+    report = SolveReport(
+        iterations=len(history),
+        increment_history=history,
+        residual_beltrami=residual_beltrami(w, alpha),
+        boundary_mismatch=mismatch,
+        normalization_defects={"re_trace": mismatch, "im_mean": mean_def},
+        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
+        converged=converged,
+        damping_final=tau,
+    )
+    if not converged:
+        raise SolverDivergence("parametrize_real did not converge", report)
+    return s, report
+
+
+def solve_riesz(
+    alpha: GridFunction,
+    psi: BoundaryFunction,
+    c: float,
+    cfg: SolverConfig | None = None,
+    initial_s: GridFunction | None = None,
+) -> tuple[GridFunction, BoundaryFunction, SolveReport]:
+    """Generalized M. Riesz problem: w with Re w_T = psi, int_T Im w_T = c.
+
+    Alternates the real_on_T factorization update s = C(beta) - R(beta)
+    with the boundary reconstruction of the holomorphic factor from
+    e^{-h} psi and its conjugate (h = Re tr s), damping as configured.
+    Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
+    generalized conjugate function.
+    """
+    cfg = cfg or SolverConfig()
+    psi = _require_real(psi, "psi")
+    grid = alpha.grid
+    dtheta = 2.0 * np.pi / grid.n_theta
+    if psi.lp_norm(2.0) == 0.0 and c == 0.0:
+        w = GridFunction.zeros(grid)
+        return w, BoundaryFunction.zeros(grid.n_theta), SolveReport(converged=True)
+
+    def holo_factor(s: GridFunction) -> GridFunction:
+        h = boundary_trace(s).values.real
+        eh = np.exp(h)
+        phi = BoundaryFunction((np.exp(-h) * psi.values.real).astype(complex))
+        phit = conjugate_function(phi)
+        c0 = (c - float(np.sum(eh * phit.values.real)) * dtheta) / (
+            float(np.sum(eh)) * dtheta
+        )
+        FT = BoundaryFunction(phi.values.real + 1j * (phit.values.real + c0))
+        return poisson_extend(FT, grid)
+
+    def riesz_map(s: GridFunction) -> GridFunction:
+        w = reconstruct(s, holo_factor(s))
+        beta = beltrami_ratio(w, alpha, cfg.zero_threshold)
+        return cauchy(beta) - reflect_transform(beta)
+
+    s0 = initial_s if initial_s is not None else GridFunction.zeros(grid)
+    s, history, converged, tau = _picard(
+        s0, riesz_map, lambda a, b: w12_norm(a - b), cfg
+    )
+
+    F = holo_factor(s)
+    w = reconstruct(s, F)
+    psi_sharp = BoundaryFunction(boundary_trace(w).values.imag.astype(complex))
+    tr_s = boundary_trace(s)
+    defects = {
+        "im_trace_sup": float(np.max(np.abs(tr_s.values.imag))),
+        "re_mean": abs(float(np.sum(tr_s.values.real)) * dtheta),
+    }
+    mismatch = BoundaryFunction(
+        (boundary_trace(w).values.real - psi.values.real).astype(complex)
+    ).lp_norm(cfg.p)
+    denom = psi.lp_norm(cfg.p) + abs(c)
+    report = SolveReport(
+        iterations=len(history),
+        increment_history=history,
+        residual_beltrami=residual_beltrami(w, alpha),
+        boundary_mismatch=mismatch,
+        normalization_defects=defects,
+        measured_constant=hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0,
+        converged=converged,
+        damping_final=tau,
+    )
+    if not converged:
+        raise SolverDivergence("solve_riesz did not converge", report)
+    return w, psi_sharp, report
+
+
+def conductivity_residual(sigma: GridFunction, u: GridFunction) -> float:
+    """||div(sigma grad u)||_{L^2(D_0.9)} via 4 Re d(sigma dbar u), u real."""
+    _, dbar_u = wirtinger_derivatives(u.with_values(u.values.real.astype(complex)))
+    flux = sigma.values.real * dbar_u.values
+    d_flux, _ = wirtinger_derivatives(u.with_values(flux))
+    return lp_norm_disk(u.with_values(4.0 * d_flux.values.real.astype(complex)), 2.0, r_max=0.9)
+
+
+def solve_conductivity(
+    sigma: GridFunction,
+    psi: BoundaryFunction,
+    cfg: SolverConfig | None = None,
+) -> tuple[GridFunction, GridFunction, GridFunction, SolveReport]:
+    """Dirichlet problem div(sigma grad u) = 0 with weighted boundary data.
+
+    Reduces to the Riesz problem through w = sigma^{1/2} u + i sigma^{-1/2} v
+    and alpha = dbar log sigma^{1/2}; the conjugate-flux gauge is c = 0.
+    Returns (u, v, w, report); the report adds the PDE residual and the
+    weighted boundary match of the trace-limit clause.
+    """
+    cfg = cfg or SolverConfig()
+    psi = _require_real(psi, "psi")
+    sv = sigma.require_unmasked("conductivity").real
+    if np.any(sv <= 0.0):
+        raise ValueError("sigma must be strictly positive on the grid")
+    grid = sigma.grid
+    log_half = GridFunction(grid, 0.5 * np.log(sv).astype(complex))
+    _, alpha = wirtinger_derivatives(log_half)
+    sqrt_sigma = np.sqrt(sv)
+    psi_w = BoundaryFunction(
+        (sqrt_sigma[grid.boundary_ring_index] * psi.values.real).astype(complex)
+    )
+    w, _, report = solve_riesz(alpha, psi_w, 0.0, cfg)
+    u = GridFunction(grid, (w.values.real / sqrt_sigma).astype(complex))
+    v = GridFunction(grid, (sqrt_sigma * w.values.imag).astype(complex))
+    weighted = BoundaryFunction(
+        (
+            sqrt_sigma[grid.boundary_ring_index] * u.values.real[grid.boundary_ring_index]
+            - psi_w.values.real
+        ).astype(complex)
+    ).lp_norm(cfg.p)
+    report.extra = {
+        "pde_residual": conductivity_residual(sigma, u),
+        "weighted_boundary_match": weighted,
+    }
+    return u, v, w, report
