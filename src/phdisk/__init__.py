@@ -6,7 +6,25 @@ factorization w = e^s F, fixed-point solvers for the holomorphic
 parametrization / generalized M. Riesz / degenerate conductivity
 Dirichlet problems, and a diagnostics suite for the weight-theory
 inequalities.
+
+The environment variable PHDISK_THREADS caps the numeric thread pools
+(OMP, OpenBLAS, MKL) unless those are set explicitly; it is applied here,
+before any submodule imports numpy.
 """
+
+import os
+
+
+def _apply_thread_cap() -> str | None:
+    cap = os.environ.get("PHDISK_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+    return cap
+
+
+# before any submodule import: they load numpy, which reads the pool sizes
+_apply_thread_cap()
 
 from .grid import (
     BoundaryFunction,

@@ -9,20 +9,21 @@ Commands: transform, factorize, solve-dbar, solve-beltrami, solve-riesz,
 solve-conductivity, diagnose, selftest.  Every run writes report.json
 (config echo, version stamp, solver/diagnostic report) into the output
 directory; grid outputs are PHD1 with a CSV fallback via
-{"format": "csv"}.  Exit codes: 0 success, 1 validation error, 2 solver
+{"format": "csv"}, which grids on D_R (transform cauchy2) need.  Exit codes: 0 success, 1 validation error, 2 solver
 non-convergence.  Errors are machine-readable JSON on stderr.
 
 The environment variable PHDISK_THREADS caps the numeric thread pools;
-it is applied before the numeric stack is imported.
+the package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+
+from . import __version__, _apply_thread_cap
 
 COMMANDS = (
     "transform",
@@ -34,18 +35,6 @@ COMMANDS = (
     "diagnose",
     "selftest",
 )
-
-# kept literal: importing the package here would load numpy before the
-# PHDISK_THREADS cap is applied
-_VERSION = "0.1.0"
-
-
-def _apply_thread_cap() -> str | None:
-    cap = os.environ.get("PHDISK_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    return cap
 
 
 class ConfigError(ValueError):
@@ -152,7 +141,6 @@ def _run_selftest(verbose: bool) -> dict:
 
 
 def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
-    # numeric imports deferred so the thread cap applies first
     import numpy as np
 
     from . import diagnostics, io as io_mod, similarity, solvers, transforms
@@ -345,7 +333,7 @@ def main(argv=None) -> int:
 
     payload = {
         "command": args.command,
-        "version": _VERSION,
+        "version": __version__,
         "config": cfg,
         "threads_cap": cap,
         **report,

@@ -5,8 +5,13 @@ n_r * n_theta complex values as interleaved little-endian float64
 (re, im), row-major by radius.  Boundary functions use n_r = 1.  Masked
 nodes round-trip as NaN pairs.
 
+PHD1 has no field for the outer radius, so it holds unit-disk grids
+only; grids on D_R (R > 1) are saved as CSV.
+
 CSV alternative: header "r,theta,re,im", one row per node in the same
-order; masked nodes carry nan fields.
+order; masked nodes carry nan fields.  The r column holds the true radii
+R j/n_r, so the loader recovers R from the largest one; boundary
+functions are written at r = 1.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ def _payload(f) -> tuple[int, int, np.ndarray]:
 
 
 def save_phd1(path, f) -> None:
+    if isinstance(f, GridFunction) and f.grid.outer_radius != 1.0:
+        raise ValueError(
+            f"PHD1 holds unit-disk grids only (outer radius {f.grid.outer_radius}); "
+            "save as CSV to keep the radius"
+        )
     n_r, n_theta, vals = _payload(f)
     flat = np.empty(n_r * n_theta * 2, dtype="<f8")
     flat[0::2] = vals.real.ravel()
@@ -66,7 +76,7 @@ def load_phd1(path):
 
 def save_csv(path, f) -> None:
     n_r, n_theta, vals = _payload(f)
-    radii = np.ones(1) if n_r == 1 else make_grid(n_theta, n_r).radii
+    radii = np.ones(1) if n_r == 1 else f.grid.radii
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -95,10 +105,17 @@ def load_csv(path):
     n_r, n_theta = len(radii), len(thetas)
     if n_r * n_theta != len(arr):
         raise ValueError(f"{path}: nodes do not form a tensor grid")
+    R = max(float(radii[-1]), 1.0)
+    for name, got, want in (
+        ("radii", radii, R * np.arange(1, n_r + 1) / n_r),
+        ("angles", thetas, 2.0 * np.pi * np.arange(n_theta) / n_theta),
+    ):
+        if np.any(np.abs(got - want) > 1e-12 * np.abs(want)):
+            raise ValueError(f"{path}: {name} do not lie on a polar grid")
     vals = (arr[:, 2] + 1j * arr[:, 3]).reshape(n_r, n_theta)
     if n_r == 1:
         return BoundaryFunction(vals[0].copy())
-    return GridFunction(make_grid(n_theta, n_r), vals.copy())
+    return GridFunction(make_grid(n_theta, n_r, outer_radius=R), vals.copy())
 
 
 def save(path, f) -> None:

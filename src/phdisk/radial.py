@@ -12,7 +12,8 @@ vary by many orders of magnitude across a single radial cell for large
 exponents, so node-based quadrature of the product is hopeless.  Instead
 each cell carries the local cubic interpolant of f and the kernel is
 integrated exactly against it (moments computed by Gauss-Legendre after
-an exponential substitution that flattens the kernel).  Cumulation uses
+an exponential substitution that flattens the kernel; one routine serves
+whole cells and the partial cells at off-node radii).  Cumulation uses
 recurrences whose scaling factors are powers of ratios <= 1, so nothing
 overflows no matter the exponent.
 """
@@ -25,52 +26,57 @@ _GL_NODES = 48
 _Y_CAP = 45.0  # kernel factor e^{-y}; beyond this the tail is below 3e-20
 
 _GL_REF = np.polynomial.legendre.leggauss(_GL_NODES)
+_Q = np.arange(4.0)
 
 
-def _inner_moments(n_cells: int, a: int) -> np.ndarray:
-    """nu_q(i) = int_0^1 x^q ((i+x)/(i+1))^a dx for cells i=0..n_cells-1."""
-    out = np.empty((n_cells, 4))
-    if a == 0:
-        out[:] = 1.0 / np.arange(1, 5)
-        return out
-    # cell 0 has rho = h*x, kernel (x/1)^a exactly
-    out[0] = 1.0 / (np.arange(4) + a + 1.0)
-    i = np.arange(1, n_cells, dtype=float)
-    ymax = np.minimum(a * np.log((i + 1.0) / i), _Y_CAP)
-    xr, wr = _GL_REF
-    y = 0.5 * ymax[:, None] * (xr[None, :] + 1.0)
-    wy = 0.5 * ymax[:, None] * wr[None, :]
-    x = np.maximum((i[:, None] + 1.0) * np.exp(-y / a) - i[:, None], 0.0)
-    base = np.exp(-y) * ((i[:, None] + 1.0) / a) * np.exp(-y / a) * wy
-    xq = np.ones_like(x)
-    for q in range(4):
-        out[1:, q] = np.sum(xq * base, axis=1)
-        xq = xq * x
-    return out
+def _moments(i, x0, x1, e, inner: bool) -> np.ndarray:
+    """nu_q = int_{x0}^{x1} x^q K(x) dx, q = 0..3, x local in cell i.
 
-
-def _outer_moments(n_cells: int, b: int) -> np.ndarray:
-    """nu'_q(i) = int_0^1 x^q (i/(i+x))^b dx for cells i=1..n_cells-1.
-
-    Row 0 (the cell touching the origin) is never used by outer
-    integrals and is left as zeros.
+    K = ((i+x)/(i+x1))^e for inner integrals and ((i+x0)/(i+x))^e for
+    outer ones: 1 at one end of [x0, x1] and decaying away from it.  The
+    substitution y = e |log((i+x)/anchor)| flattens K to e^{-y}, and
+    Gauss-Legendre runs in y up to _Y_CAP.  Closed forms cover e = 0 and
+    the inner cell touching the origin (i + x0 = 0), where K = (x/x1)^e.
+    Cells, bounds and exponents broadcast; q is a trailing axis.
     """
-    out = np.zeros((n_cells, 4))
-    if b == 0:
-        out[1:] = 1.0 / np.arange(1, 5)
-        return out
-    i = np.arange(1, n_cells, dtype=float)
-    ymax = np.minimum(b * np.log((i + 1.0) / i), _Y_CAP)
+    i, x0, x1, e = (np.asarray(v, dtype=float)[..., None] for v in (i, x0, x1, e))
+    lo, hi = i + x0, i + x1
+    origin = lo == 0.0
+    es = np.where(e > 0.0, e, 1.0)
     xr, wr = _GL_REF
-    y = 0.5 * ymax[:, None] * (xr[None, :] + 1.0)
-    wy = 0.5 * ymax[:, None] * wr[None, :]
-    x = np.minimum(i[:, None] * np.expm1(y / b), 1.0)
-    base = np.exp(-y) * (i[:, None] / b) * np.exp(y / b) * wy
-    xq = np.ones_like(x)
-    for q in range(4):
-        out[1:, q] = np.sum(xq * base, axis=1)
-        xq = xq * x
-    return out
+    half = 0.5 * np.minimum(es * np.log(hi / np.where(origin, hi, lo)), _Y_CAP)
+    # three node buffers, filled in place in the operation order of the
+    # formulas noted; ratio = (i+x)/anchor = e^{-+y/e}
+    base = half * -(xr + 1.0)  # -y
+    if inner:  # x = max(hi ratio - i, x0), |dx/dy| = (hi/e) ratio
+        ratio = base / es
+        np.exp(ratio, out=ratio)
+        x = hi * ratio
+        x -= i
+        np.maximum(x, x0, out=x)
+        jac = hi / es
+    else:  # x = min(lo expm1(y/e) + x0, x1), |dx/dy| = (lo/e) ratio
+        ratio = base / -es
+        x = np.expm1(ratio)
+        x *= lo
+        x += x0
+        np.minimum(x, x1, out=x)
+        np.exp(ratio, out=ratio)
+        jac = lo / es
+    np.exp(base, out=base)  # base = e^{-y} |dx/dy| w_y
+    base *= jac
+    base *= ratio
+    base *= np.multiply(half, wr, out=ratio)
+    nu = np.empty(base.shape[:-1] + (4,))
+    nu[..., 0] = np.add.reduce(base, axis=-1)
+    nu[..., 1] = np.add.reduce(np.multiply(x, base, out=ratio), axis=-1)
+    x2 = np.multiply(x, x, out=ratio)
+    np.multiply(x2, x, out=x)
+    nu[..., 2] = np.add.reduce(np.multiply(x2, base, out=x2), axis=-1)
+    nu[..., 3] = np.add.reduce(np.multiply(x, base, out=x), axis=-1)
+    if inner:
+        nu = np.where(origin, x1 ** (_Q + 1.0) / (_Q + e + 1.0), nu)
+    return np.where(e == 0.0, (x1 ** (_Q + 1.0) - x0 ** (_Q + 1.0)) / (_Q + 1.0), nu)
 
 
 def _stencil_data(n_r: int):
@@ -103,8 +109,10 @@ class RadialEngine:
         self.a_max = a_max
         self.h = 1.0 / n_r
         self.gather, self.coeff_maps = _stencil_data(n_r)
-        self.inner = np.stack([_inner_moments(n_r, a) for a in range(a_max + 1)])
-        self.outer = np.stack([_outer_moments(n_r, b) for b in range(a_max + 1)])
+        cells = np.arange(n_r, dtype=float)
+        self.inner = np.stack([_moments(cells, 0.0, 1.0, a, True) for a in range(a_max + 1)])
+        self.outer = np.stack([_moments(cells, 0.0, 1.0, b, False) for b in range(a_max + 1)])
+        self.outer[:, 0] = 0.0  # the cell touching the origin has no outer part
 
     def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
         """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r)."""
@@ -187,100 +195,32 @@ class RadialEngine:
     # Arbitrary-target evaluation, used by the renormalized transform where
     # the evaluation radii do not coincide with the source nodes.
 
-    def _partial_inner(self, coeffs, exps, cell: int, xstar: float) -> np.ndarray:
-        """int_{rho_cell}^{r*} prof (rho/r*)^a drho, r* = (cell + xstar) h."""
-        xr, wr = _GL_REF
-        a = exps.astype(float)
-        i = float(cell)
-        out = np.zeros(coeffs.shape[0], dtype=coeffs.dtype)
-        for m in range(coeffs.shape[0]):
-            am = a[m]
-            if am == 0:
-                xs = 0.5 * xstar * (xr + 1.0)
-                ws = 0.5 * xstar * wr
-                ker = np.ones_like(xs)
-            else:
-                if i == 0.0:
-                    # kernel (x/xstar)^a on [0, xstar]
-                    xs = 0.5 * xstar * (xr + 1.0)
-                    ws = 0.5 * xstar * wr
-                    with np.errstate(divide="ignore"):
-                        ker = np.exp(am * (np.log(np.maximum(xs, 1e-300)) - np.log(xstar)))
-                else:
-                    ymax = min(am * np.log((i + xstar) / i), _Y_CAP)
-                    y = 0.5 * ymax * (xr + 1.0)
-                    wy = 0.5 * ymax * wr
-                    xs = np.maximum((i + xstar) * np.exp(-y / am) - i, 0.0)
-                    ws = ((i + xstar) / am) * np.exp(-y / am) * wy
-                    ker = np.exp(-y)
-            poly = sum(coeffs[m, cell, q] * xs**q for q in range(4))
-            out[m] = self.h * np.sum(poly * ker * ws)
-        return out
-
-    def _partial_outer(self, coeffs, exps, cell: int, xstar: float) -> np.ndarray:
-        """int_{r*}^{rho_{cell+1}} prof (r*/rho)^b drho, r* = (cell + xstar) h."""
-        xr, wr = _GL_REF
-        b = exps.astype(float)
-        i = float(cell)
-        out = np.zeros(coeffs.shape[0], dtype=coeffs.dtype)
-        for m in range(coeffs.shape[0]):
-            bm = b[m]
-            if bm == 0:
-                xs = xstar + 0.5 * (1.0 - xstar) * (xr + 1.0)
-                ws = 0.5 * (1.0 - xstar) * wr
-                ker = np.ones_like(xs)
-            else:
-                ymax = min(bm * np.log((i + 1.0) / (i + xstar)), _Y_CAP)
-                y = 0.5 * ymax * (xr + 1.0)
-                wy = 0.5 * ymax * wr
-                xs = np.minimum((i + xstar) * np.exp(y / bm) - i, 1.0)
-                ws = ((i + xstar) / bm) * np.exp(y / bm) * wy
-                ker = np.exp(-y)
-            poly = sum(coeffs[m, cell, q] * xs**q for q in range(4))
-            out[m] = self.h * np.sum(poly * ker * ws)
-        return out
+    def _partial(self, profiles, exps, targets, inner: bool):
+        """Each target's cell and local position x, and h int prof K over
+        [0, x] (inner) or [x, 1] (outer) of that cell, (M, targets)."""
+        pos = np.asarray(targets, dtype=float) / self.h
+        cell = np.minimum(np.floor(pos + 1e-9).astype(int), self.n_r - 1)
+        x = pos - cell
+        x0, x1 = (0.0, x) if inner else (x, 1.0)
+        nu = _moments(cell, x0, x1, exps[:, None], inner)
+        coeffs = self.cell_coeffs(profiles)[:, cell]
+        return cell, x, self.h * np.einsum("mkq,mkq->mk", coeffs, nu)
 
     def cumulative_in_at(self, profiles, exps, targets) -> np.ndarray:
         """S at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        S_nodes = self.cumulative_in(profiles, exps)
-        coeffs = self.cell_coeffs(profiles)
-        a = exps[:, None].astype(float)
-        out = np.empty((profiles.shape[0], len(targets)), dtype=profiles.dtype)
-        for k, r in enumerate(targets):
-            pos = r / self.h
-            cell = min(int(np.floor(pos + 1e-9)), self.n_r - 1)
-            xstar = pos - cell
-            if xstar < 1e-9:
-                out[:, k] = S_nodes[:, cell - 1] if cell >= 1 else 0.0
-                continue
-            part = self._partial_inner(coeffs, exps, cell, xstar)
-            if cell >= 1:
-                scale = np.power(cell / (cell + xstar), a[:, 0])
-                out[:, k] = scale * S_nodes[:, cell - 1] + part
-            else:
-                out[:, k] = part
-        return out
+        S = self.cumulative_in(profiles, exps)
+        cell, x, part = self._partial(profiles, exps, targets, inner=True)
+        prev = np.where(cell >= 1, S[:, cell - 1], 0.0)
+        scale = np.power(cell / (cell + x), exps[:, None].astype(float))
+        return np.where(x < 1e-9, prev, scale * prev + part)
 
     def cumulative_out_at(self, profiles, exps, targets) -> np.ndarray:
         """T at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        T_nodes = self.cumulative_out(profiles, exps)
-        coeffs = self.cell_coeffs(profiles)
-        b = exps[:, None].astype(float)
-        out = np.empty((profiles.shape[0], len(targets)), dtype=profiles.dtype)
-        for k, r in enumerate(targets):
-            pos = r / self.h
-            cell = min(int(np.floor(pos + 1e-9)), self.n_r - 1)
-            xstar = pos - cell
-            if xstar < 1e-9 and cell >= 1:
-                out[:, k] = T_nodes[:, cell - 1]
-                continue
-            part = self._partial_outer(coeffs, exps, cell, xstar)
-            if cell + 1 <= self.n_r - 1:
-                scale = np.power((cell + xstar) / (cell + 1.0), b[:, 0])
-                out[:, k] = part + scale * T_nodes[:, cell]
-            else:
-                out[:, k] = part
-        return out
+        T = self.cumulative_out(profiles, exps)
+        cell, x, part = self._partial(profiles, exps, targets, inner=False)
+        scale = np.power((cell + x) / (cell + 1.0), exps[:, None].astype(float))
+        # T[:, -1] = 0, so the last cell needs no special case
+        return np.where((x < 1e-9) & (cell >= 1), T[:, cell - 1], part + scale * T[:, cell])
 
 
 _ENGINES: dict[tuple[int, int], RadialEngine] = {}

@@ -21,6 +21,7 @@ The three problems:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +69,16 @@ class SolverConfig:
     gamma: float = math.pi / 4.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
+        if not self.p >= 1.0:
+            raise ValueError("p must be >= 1")
+        if not (0.0 < self.gamma < math.pi / 2):
+            raise ValueError("gamma must lie in (0, pi/2)")
 
 
 @dataclass

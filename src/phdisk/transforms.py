@@ -61,21 +61,33 @@ def _from_mode_rows(grid: DiskGrid, rows: np.ndarray) -> np.ndarray:
     return np.fft.ifft(rows.T * grid.n_theta, axis=1)
 
 
-def _cauchy_mode_rows(h: GridFunction):
+def _cauchy_mode_rows(h: GridFunction, radii: np.ndarray | None = None):
     """Radial profiles of C(h) indexed by the *source* mode n.
 
-    Returns (g, nvals): g[k] lives on output mode nvals[k] - 1.
+    Returns (g, nvals, rows): g[k] lives on output mode nvals[k] - 1 and
+    rows are the source profiles.  Source modes n <= 0 integrate inward
+    with exponent 1 - n, modes n > 0 outward with exponent n - 1.  g is
+    sampled on the source radii, or on `radii` when given; beyond the unit
+    circle the inward integral is its value at r = 1 times r^{n-1} and the
+    outward one vanishes.
     """
-    grid = h.grid
-    eng = _engine_for(grid)
+    eng = _engine_for(h.grid)
     rows = _mode_rows(h)
-    nvals = grid.mode_numbers
-    g = np.zeros_like(rows)
+    nvals = h.grid.mode_numbers
     neg = nvals <= 0
-    pos = ~neg
-    g[neg] = 2.0 * eng.cumulative_in(rows[neg], 1 - nvals[neg])
-    g[pos] = -2.0 * eng.cumulative_out(rows[pos], nvals[pos] - 1)
-    return g, nvals
+    p, q = 1 - nvals[neg], nvals[~neg] - 1
+    if radii is None:
+        g = np.zeros_like(rows)
+        g[neg] = 2.0 * eng.cumulative_in(rows[neg], p)
+        g[~neg] = -2.0 * eng.cumulative_out(rows[~neg], q)
+    else:
+        # the engine runs once per distinct radius clipped to the unit circle
+        rim, at = np.unique(np.minimum(radii, 1.0), return_inverse=True)
+        scale = np.power((rim[at] / radii)[None, :], p[:, None].astype(float))
+        g = np.zeros((len(nvals), len(radii)), dtype=complex)
+        g[neg] = 2.0 * eng.cumulative_in_at(rows[neg], p, rim)[:, at] * scale
+        g[~neg] = -2.0 * eng.cumulative_out_at(rows[~neg], q, rim)[:, at]
+    return g, nvals, rows
 
 
 def _place_shifted(grid: DiskGrid, g: np.ndarray, nvals: np.ndarray, shift: int):
@@ -90,7 +102,8 @@ def _place_shifted(grid: DiskGrid, g: np.ndarray, nvals: np.ndarray, shift: int)
 
 def cauchy(h: GridFunction) -> GridFunction:
     """Area Cauchy transform C(h) on the grid (h extended by zero off D)."""
-    g, nvals = _cauchy_mode_rows(h)
+    # dropping the source rows at once lets the output reuse their memory
+    g, nvals = _cauchy_mode_rows(h)[:2]
     out = _place_shifted(h.grid, g, nvals, -1)
     return h.with_values(_from_mode_rows(h.grid, out))
 
@@ -98,8 +111,7 @@ def cauchy(h: GridFunction) -> GridFunction:
 def beurling(h: GridFunction) -> GridFunction:
     """Beurling transform B(h) = d C(h), by analytic mode differentiation."""
     grid = h.grid
-    g, nvals = _cauchy_mode_rows(h)
-    rows = _mode_rows(h)
+    g, nvals, rows = _cauchy_mode_rows(h)
     inv_r = 1.0 / grid.radii[None, :]
     prof_b = rows + (nvals[:, None] - 1) * inv_r * g
     out = _place_shifted(grid, prof_b, nvals, -2)
@@ -124,32 +136,9 @@ def cauchy_renormalized(
         raise ValueError("eval grid must share n_theta with the source grid")
     if abs(eval_grid.outer_radius - R) > 1e-12:
         raise ValueError("eval grid radius does not match R")
-    eng = _engine_for(grid)
-    rows = _mode_rows(h)
-    nvals = grid.mode_numbers
-    neg = nvals <= 0
-    pos = ~neg
-    p = 1 - nvals[neg]
-    q = nvals[pos] - 1
-
-    radii = eval_grid.radii
-    inside = radii <= 1.0 + 1e-12
-    r_in = np.minimum(radii[inside], 1.0)
-    r_out = radii[~inside]
-
-    g = np.zeros((grid.n_theta, eval_grid.n_r), dtype=complex)
-    if r_in.size:
-        gi = np.zeros((grid.n_theta, r_in.size), dtype=complex)
-        gi[neg] = 2.0 * eng.cumulative_in_at(rows[neg], p, r_in)
-        gi[pos] = -2.0 * eng.cumulative_out_at(rows[pos], q, r_in)
-        g[:, : r_in.size] = gi
-    if r_out.size:
-        full = eng.full_moment(rows[neg], p)  # int_0^1 prof rho^p drho
-        scale = np.power(1.0 / r_out[None, :], p[:, None].astype(float))
-        g[neg, r_in.size :] = 2.0 * full[:, None] * scale
+    g, nvals = _cauchy_mode_rows(h, eval_grid.radii)[:2]
     out = _place_shifted(eval_grid, g, nvals, -1)
-    vals = np.fft.ifft(out.T * grid.n_theta, axis=1)
-    return GridFunction(eval_grid, vals)
+    return GridFunction(eval_grid, _from_mode_rows(eval_grid, out))
 
 
 def reflect_transform(beta: GridFunction) -> GridFunction:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -59,6 +61,12 @@ class TestPhd1:
         save_phd1(p2, f)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_disk_radius_refused(self, tmp_path):
+        f = GridFunction.zeros(make_grid(16, 8, outer_radius=4.0))
+        with pytest.raises(ValueError, match="CSV"):
+            save_phd1(tmp_path / "f.phd1", f)
+        assert not (tmp_path / "f.phd1").exists()
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -76,6 +84,30 @@ class TestCsv:
         back = load_csv(p)
         assert isinstance(back, BoundaryFunction)
         assert np.max(np.abs(back.values - b.values)) == 0.0
+
+    def test_disk_radius_round_trip(self, tmp_path):
+        g = make_grid(16, 8, outer_radius=4.0)
+        f = GridFunction(g, g.nodes_z())
+        p = tmp_path / "f.csv"
+        save_csv(p, f)
+        back = load_csv(p)
+        assert back.grid.outer_radius == 4.0
+        assert np.array_equal(back.grid.radii, g.radii)
+        assert np.max(np.abs(back.values - f.values)) == 0.0
+
+    @pytest.mark.parametrize("which", ["radii", "angles"])
+    def test_off_grid_rejected(self, tmp_path, which):
+        radii = np.array([0.25, 0.5, 0.75, 1.0])
+        thetas = 2.0 * np.pi * np.arange(8) / 8
+        if which == "radii":
+            radii[0] = 0.3
+        else:
+            thetas[1] *= 1.01
+        p = tmp_path / "f.csv"
+        rows = ["r,theta,re,im"] + [f"{float(r)!r},{float(t)!r},0.0,0.0" for r in radii for t in thetas]
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=which):
+            load_csv(p)
 
     def test_header_check(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -200,6 +232,42 @@ class TestCli:
         err = json.loads(res.stderr)
         assert err["error"] == "non-convergence"
         assert err["report"]["iterations"] == 2
+
+    def test_solver_block_validated(self, tmp_path):
+        save_phd1(tmp_path / "sigma.phd1", GridFunction.constant(make_grid(16, 8), 1.0))
+        save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(16, np.cos))
+        cfg = {
+            "inputs": {"sigma": str(tmp_path / "sigma.phd1"), "psi": str(tmp_path / "psi.phd1")},
+            "solver": {"max_iter": 0},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = run_cli("solve-conductivity", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "validation"
+        assert "max_iter" in err["message"]
+
+    def test_thread_cap_precedes_numpy(self):
+        # a meta-path finder records the pool setting when numpy is first imported
+        probe = textwrap.dedent(
+            """
+            import os, sys
+            seen = []
+            class Probe:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.meta_path.insert(0, Probe())
+            import phdisk.cli
+            print(seen)
+            """
+        )
+        pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in pools}
+        env["PHDISK_THREADS"] = "1"
+        res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "['1']"
 
     def test_transform_command(self, tmp_path):
         g = make_grid(256, 64)

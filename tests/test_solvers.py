@@ -30,6 +30,23 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+            {"max_iter": 2.5},
+            {"p": 0.5},
+            {"gamma": 0.0},
+            {"gamma": 3.0},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+            SolverConfig(**bad)
+
 
 class TestParametrizeImag:
     def test_manufactured_exponent(self, grid256):
@@ -231,8 +248,9 @@ class TestSolveRiesz:
         # the real-normalized holomorphic factor of the log-singular member
         # leaves every H^2 bound behind as the rim is refined
         norms = []
+        # n_theta = 8 n_r resolves the rim singularity (see circle_norm)
         for n_r in (128, 256, 512):
-            g = make_grid(256, n_r)
+            g = make_grid(8 * n_r, n_r)
             norms.append(hardy_norm(GridFunction.from_function(g, exw_F), 2.0))
         assert norms[0] < norms[1] < norms[2]
 

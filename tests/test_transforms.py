@@ -71,13 +71,34 @@ class TestBeurling:
 
 
 class TestRenormalizedCauchy:
-    @pytest.mark.parametrize("R", [1.0, 2.0, 4.0])
-    def test_characteristic_piecewise_form(self, grid256, R):
-        eg = make_grid(256, 256, outer_radius=R)
-        C2 = cauchy_renormalized(GridFunction.constant(grid256, 1.0), R, eg)
-        ze = eg.nodes_z()
-        expected = np.where(np.abs(ze) <= 1.0 + 1e-12, np.conj(ze), 1.0 / ze)
-        assert np.max(np.abs(C2.values - expected)) < 1e-12
+    @pytest.mark.parametrize(
+        "R, n_r",
+        [(1.0, 256), (2.0, 256), (4.0, 256), (1.7, 300), (3.0, 700)],
+        ids=["1.0", "2.0", "4.0", "1.7-300", "3.0-700"],
+    )
+    def test_characteristic_piecewise_form(self, grid256, R, n_r):
+        # sources rho^k e^{-+i m theta} with k <= 3, which the local cubics
+        # integrate exactly: m = k = 0 is the characteristic function of D,
+        # k = m gives conj(z)^m and z^m, and m = 40, 120 reach high kernel
+        # exponents; with n_r != 256 the eval radii fall between the source
+        # nodes (partial cells)
+        eg = make_grid(256, n_r, outer_radius=R)
+        z, ze = grid256.nodes_z(), eg.nodes_z()
+        rho, th, r, the = np.abs(z), np.angle(z), np.abs(ze), np.angle(ze)
+        inside = r <= 1.0 + 1e-12
+        cases = [
+            # inward modes: 2 r^{k+1}/(m+k+2) continued by r^{-(m+1)} beyond T
+            (-m, 2.0 / (m + k + 2) * np.where(inside, r ** (k + 1), r ** -(m + 1.0)), k)
+            for m, k in [(0, 0), (1, 1), (2, 2), (3, 3), (40, 1), (120, 3)]
+        ] + [
+            # outward modes: 2 (r^{k+1} - r^{m-1})/(k-m+2), zero beyond T
+            (m, np.where(inside, 2.0 * (r ** (k + 1) - r ** (m - 1)) / (k - m + 2), 0.0), k)
+            for m, k in [(1, 1), (2, 2), (40, 1), (120, 3)]
+        ]
+        for n, profile, k in cases:
+            C2 = cauchy_renormalized(GridFunction(grid256, rho**k * np.exp(1j * n * th)), R, eg)
+            expected = profile * np.exp(1j * (n - 1) * the)
+            assert np.max(np.abs(C2.values - expected)) < 1e-12
 
     @pytest.mark.parametrize("R", [1.0, 2.0, 4.0])
     def test_mean_identity(self, grid256, R):
