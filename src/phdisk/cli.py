@@ -9,8 +9,11 @@ Commands: transform, factorize, solve-dbar, solve-beltrami, solve-riesz,
 solve-conductivity, diagnose, selftest.  Every run writes report.json
 (config echo, version stamp, solver/diagnostic report) into the output
 directory; grid outputs are PHD1 with a CSV fallback via
-{"format": "csv"}, which grids on D_R (transform cauchy2) need.  Exit codes: 0 success, 1 validation error, 2 solver
-non-convergence.  Errors are machine-readable JSON on stderr.
+{"format": "csv"}, which grids on D_R (transform cauchy2) need.  Exit
+codes: 0 success, 1 validation or internal error, 2 solver
+non-convergence.  Errors are machine-readable JSON on stderr; "error" is
+"validation" (a ValueError: bad config or input), "non-convergence", or
+"internal" (anything else, i.e. a bug, reported with its traceback).
 
 The environment variable PHDISK_THREADS caps the numeric thread pools;
 the package applies it on import, before numpy loads.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__, _apply_thread_cap
@@ -318,17 +322,22 @@ def main(argv=None) -> int:
             raise ConfigError("this command requires --config")
         outdir.mkdir(parents=True, exist_ok=True)
         report = _run(args.command, cfg, outdir, args.verbose)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and input the library rejects
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 1
-    except Exception as exc:  # solver and numeric failures
+    except Exception as exc:  # a solver that did not converge, or a bug
         from .solvers import SolverDivergence
 
         if isinstance(exc, SolverDivergence):
             payload = {"error": "non-convergence", "message": str(exc), "report": exc.report.to_dict()}
             print(json.dumps(payload), file=sys.stderr)
             return 2
-        print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
+        payload = {
+            "error": "internal",
+            "message": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }
+        print(json.dumps(payload), file=sys.stderr)
         return 1
 
     payload = {

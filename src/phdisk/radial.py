@@ -13,9 +13,18 @@ exponents, so node-based quadrature of the product is hopeless.  Instead
 each cell carries the local cubic interpolant of f and the kernel is
 integrated exactly against it (moments computed by Gauss-Legendre after
 an exponential substitution that flattens the kernel; one routine serves
-whole cells and the partial cells at off-node radii).  Cumulation uses
-recurrences whose scaling factors are powers of ratios <= 1, so nothing
-overflows no matter the exponent.
+whole cells and the partial cells at off-node radii).
+
+The cubic of cell i is a fixed linear map of the four node values of its
+stencil, so the engine folds that map into the moment tables when it is
+built: W[a, i, s] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight
+of stencil node s in the integral over cell i.  A transform call then
+contracts node values with W[a_m] by four shifted slices, without forming
+the cubics.  Cumulation uses recurrences whose scaling factors are powers
+of ratios <= 1, so nothing overflows no matter the exponent.  The full
+integral int_0^1 f rho^a drho needs no recurrence: its node weights
+(the inner weights times ((i+1)/n_r)^a <= 1, summed onto the nodes) are
+tabulated too, and it is one dot product per mode.
 """
 
 from __future__ import annotations
@@ -101,8 +110,23 @@ def _stencil_data(n_r: int):
     return gather, coeff_maps
 
 
+def _spread_to_nodes(w: np.ndarray) -> np.ndarray:
+    """Sum per-cell stencil weights (..., n_cells, 4) onto the nodes (..., n_r).
+
+    The transpose of the stencil gather: cell i >= 2 starts at node i - 2,
+    cells 0 and 1 share nodes 0..3 and the last cell takes the last four.
+    """
+    n = w.shape[-2]
+    out = np.zeros(w.shape[:-1])
+    out[..., :4] = w[..., 0, :] + w[..., 1, :]
+    for s in range(4):
+        out[..., s : n - 3 + s] += w[..., 2:-1, s]
+    out[..., -4:] += w[..., -1, :]
+    return out
+
+
 class RadialEngine:
-    """Cached moment tables and stencils for one radial grid size."""
+    """Cached stencils and folded kernel weights for one radial grid size."""
 
     def __init__(self, n_r: int, a_max: int):
         self.n_r = n_r
@@ -110,9 +134,21 @@ class RadialEngine:
         self.h = 1.0 / n_r
         self.gather, self.coeff_maps = _stencil_data(n_r)
         cells = np.arange(n_r, dtype=float)
-        self.inner = np.stack([_moments(cells, 0.0, 1.0, a, True) for a in range(a_max + 1)])
-        self.outer = np.stack([_moments(cells, 0.0, 1.0, b, False) for b in range(a_max + 1)])
-        self.outer[:, 0] = 0.0  # the cell touching the origin has no outer part
+        maps = self.h * self.coeff_maps
+
+        def fold(inner: bool) -> np.ndarray:
+            """W[a, i, s]: moments as (cell, exponent, q), one matmul over cells."""
+            nu = np.stack([_moments(cells, 0.0, 1.0, a, inner) for a in range(a_max + 1)], axis=1)
+            w = np.empty((a_max + 1, n_r, 4))
+            np.matmul(nu, maps, out=w.transpose(1, 0, 2))
+            return w
+
+        self.w_in = fold(True)
+        self.w_out = fold(False)
+        self.w_out[:, 0] = 0.0  # the cell touching the origin has no outer part
+        # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; spread onto the stencil nodes
+        reach = np.power(((cells + 1.0) / n_r)[None, :], np.arange(a_max + 1.0)[:, None])
+        self.w_full = _spread_to_nodes(self.w_in * reach[:, :, None])
 
     def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
         """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r)."""
@@ -159,13 +195,28 @@ class RadialEngine:
     def _gather_exp(self, table: np.ndarray, exps: np.ndarray) -> np.ndarray:
         if np.any(exps > self.a_max) or np.any(exps < 0):
             raise ValueError("exponent outside the cached table range")
-        return table[exps]  # (M, n_cells, 4)
+        return table[exps]
+
+    def _cell_integrals(self, table: np.ndarray, profiles: np.ndarray, exps) -> np.ndarray:
+        """c[m, i] = sum_s table[a_m, i, s] prof_m[gather[i, s]], (M, n_cells).
+
+        Four shifted slices for the cells whose stencil starts at i - 2;
+        cells 0 and 1 share nodes 0..3 and the last cell takes the last
+        four nodes (the layout of `_stencil_data` and `_spread_to_nodes`).
+        """
+        w = self._gather_exp(table, exps)
+        n = self.n_r
+        c = np.empty(profiles.shape, dtype=np.result_type(profiles, w))
+        mid = np.multiply(w[:, 2:-1, 0], profiles[:, : n - 3], out=c[:, 2:-1])
+        for s in range(1, 4):
+            mid += w[:, 2:-1, s] * profiles[:, s : n - 3 + s]
+        c[:, :2] = np.einsum("mis,ms->mi", w[:, :2], profiles[:, :4])
+        c[:, -1] = np.einsum("ms,ms->m", w[:, -1], profiles[:, -4:])
+        return c
 
     def cumulative_in(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """S[m, j] = int_0^{rho_{j+1}} prof_m(rho) (rho/rho_{j+1})^{a_m} drho."""
-        coeffs = self.cell_coeffs(profiles)
-        nu = self._gather_exp(self.inner, exps)
-        c = self.h * np.einsum("miq,miq->mi", coeffs, nu)
+        c = self._cell_integrals(self.w_in, profiles, exps)
         M, n = c.shape
         j = np.arange(1, n, dtype=float)
         ratios = np.power((j / (j + 1.0))[None, :], exps[:, None].astype(float))
@@ -177,9 +228,7 @@ class RadialEngine:
 
     def cumulative_out(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """T[m, j] = int_{rho_{j+1}}^1 prof_m(rho) (rho_{j+1}/rho)^{b_m} drho."""
-        coeffs = self.cell_coeffs(profiles)
-        nu = self._gather_exp(self.outer, exps)
-        c = self.h * np.einsum("miq,miq->mi", coeffs, nu)
+        c = self._cell_integrals(self.w_out, profiles, exps)
         M, n = c.shape
         j = np.arange(1, n, dtype=float)
         ratios = np.power((j / (j + 1.0))[None, :], exps[:, None].astype(float))
@@ -190,7 +239,7 @@ class RadialEngine:
 
     def full_moment(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """int_0^1 prof_m(rho) rho^{a_m} drho (kernel normalized at r=1)."""
-        return self.cumulative_in(profiles, exps)[:, -1]
+        return np.einsum("mj,mj->m", self._gather_exp(self.w_full, exps), profiles)
 
     # Arbitrary-target evaluation, used by the renormalized transform where
     # the evaluation radii do not coincide with the source nodes.
@@ -223,13 +272,17 @@ class RadialEngine:
         return np.where((x < 1e-9) & (cell >= 1), T[:, cell - 1], part + scale * T[:, cell])
 
 
+_MAX_ENGINES = 4
+# least recently used first: a hit moves its engine to the end
 _ENGINES: dict[tuple[int, int], RadialEngine] = {}
 
 
 def get_engine(n_r: int, a_max: int) -> RadialEngine:
     key = (n_r, a_max)
-    eng = _ENGINES.get(key)
+    eng = _ENGINES.pop(key, None)
     if eng is None:
         eng = RadialEngine(n_r, a_max)
-        _ENGINES[key] = eng
+        if len(_ENGINES) >= _MAX_ENGINES:
+            del _ENGINES[next(iter(_ENGINES))]
+    _ENGINES[key] = eng
     return eng

@@ -247,6 +247,22 @@ class TestCli:
         assert err["error"] == "validation"
         assert "max_iter" in err["message"]
 
+    def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        from phdisk import cli, transforms
+
+        def broken(h):
+            raise RuntimeError("transform bug")
+
+        monkeypatch.setattr(transforms, "cauchy", broken)
+        save_phd1(tmp_path / "h.phd1", GridFunction.constant(make_grid(16, 8), 1.0))
+        cfg = {"transform": "cauchy", "inputs": {"h": str(tmp_path / "h.phd1")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli.main(["transform", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "internal"
+        assert "RuntimeError: transform bug" in err["message"]
+
     def test_thread_cap_precedes_numpy(self):
         # a meta-path finder records the pool setting when numpy is first imported
         probe = textwrap.dedent(

@@ -1,0 +1,101 @@
+"""Radial engine against closed forms, and its engine cache.
+
+The engine interpolates each cell by a cubic, so node profiles rho^j with
+j <= 3 are integrated exactly and the cumulative integrals have closed
+forms at every exponent.  Column k of a profile holds its value at
+rho_{k+1} = (k+1)/n_r.
+"""
+
+import numpy as np
+import pytest
+
+from phdisk import radial
+from phdisk.radial import RadialEngine, _moments
+
+SIZES = [(64, 34), (256, 130)]
+POWERS = np.arange(4)
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=lambda s: f"{s[0]}-{s[1]}")
+def case(request):
+    """Engine, node radii, and one row rho^j per (exponent, power) pair."""
+    n_r, a_max = request.param
+    eng = RadialEngine(n_r, a_max)
+    r = np.arange(1, n_r + 1) / n_r
+    exps = np.repeat(np.arange(a_max + 1), len(POWERS))
+    js = np.tile(POWERS, a_max + 1)
+    profiles = r[None, :] ** js[:, None]
+    return eng, r, exps, js, profiles
+
+
+def rough_profiles(seed, M, n_r):
+    """Complex normal node values: no stencil layout reproduces them by accident."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((M, n_r)) + 1j * rng.standard_normal((M, n_r))
+
+
+def test_cumulative_in_closed_form(case):
+    eng, r, exps, js, profiles = case
+    S = eng.cumulative_in(profiles, exps)
+    exact = r[None, :] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
+    assert np.max(np.abs(S - exact) / exact) < 1e-12
+
+
+def test_cumulative_out_closed_form(case):
+    eng, r, exps, js, profiles = case
+    T = eng.cumulative_out(profiles, exps)
+    d = (js + 1 - exps)[:, None]
+    rb = r[None, :] ** exps[:, None]
+    # r^b (1 - r^d) / d written without r^d, which overflows for large b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.where(d == 0, -rb * np.log(r), (rb - r[None, :] ** (js + 1)[:, None]) / d)
+    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    assert np.max(err) < 1e-12
+
+
+def test_full_moment_closed_form(case):
+    eng, r, exps, js, profiles = case
+    full = eng.full_moment(profiles, exps)
+    exact = 1.0 / (exps + js + 1)
+    assert np.max(np.abs(full - exact) / exact) < 1e-13
+
+
+def test_folded_weights_match_cell_cubics(case):
+    """Folded weights reproduce h int cubic * kernel cell by cell for a rough profile."""
+    eng, r, exps, js, profiles = case
+    prof = rough_profiles(3, len(exps), eng.n_r)
+    cells = np.arange(eng.n_r, dtype=float)
+    coeffs = eng.cell_coeffs(prof)
+    for table, inner in ((eng.w_in, True), (eng.w_out, False)):
+        nu = np.stack([_moments(cells, 0.0, 1.0, a, inner) for a in exps])
+        ref = eng.h * np.einsum("miq,miq->mi", coeffs, nu)
+        if not inner:
+            ref[:, 0] = 0.0
+        got = eng._cell_integrals(table, prof, exps)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_full_moment_is_last_node_of_cumulative_in(case):
+    eng, r, exps, js, profiles = case
+    prof = rough_profiles(4, len(exps), eng.n_r)
+    S = eng.cumulative_in(prof, exps)[:, -1]
+    assert np.max(np.abs(eng.full_moment(prof, exps) - S)) < 1e-14 * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("method", ["cumulative_in", "cumulative_out", "full_moment"])
+def test_exponent_beyond_table_raises(method):
+    eng = RadialEngine(16, 5)
+    with pytest.raises(ValueError):
+        getattr(eng, method)(np.ones((2, 16)), np.array([1, 6]))
+
+
+def test_engine_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(radial, "_ENGINES", {})
+    keys = [(8, a) for a in range(1, radial._MAX_ENGINES + 1)]
+    first = [radial.get_engine(*k) for k in keys]
+    assert radial.get_engine(*keys[0]) is first[0]  # a hit refreshes recency
+    radial.get_engine(8, 99)
+    assert len(radial._ENGINES) == radial._MAX_ENGINES
+    assert keys[1] not in radial._ENGINES
+    assert radial.get_engine(*keys[0]) is first[0]
+    assert radial.get_engine(*keys[2]) is first[2]

@@ -164,6 +164,16 @@ class TestGreenPotential:
     def test_zero(self, grid256):
         assert np.max(np.abs(green_potential(GridFunction.zeros(grid256)).values)) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 7, 40, 120, -100])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_monomial_modes(self, grid256, j, k):
+        """P(rho^j e^{ik theta}) = (r^{j+2} - r^|k|) / ((j+2)^2 - k^2) e^{ik theta}."""
+        r = grid256.radii[:, None]
+        phase = np.exp(1j * k * grid256.thetas[None, :])
+        P = green_potential(GridFunction(grid256, r**j * phase))
+        exact = (r ** (j + 2) - r ** abs(k)) / ((j + 2) ** 2 - k**2) * phase
+        assert np.max(np.abs(P.values - exact)) < 1e-10 * np.max(np.abs(exact))
+
     def test_boundary_ring_exactly_zero(self, grid256):
         rng = np.random.default_rng(4)
         psi = random_smooth_bandlimited(grid256, rng, 32, real=True)
