@@ -275,6 +275,9 @@ class BoundaryFunction:
     def zeros(cls, n_theta: int) -> "BoundaryFunction":
         return cls(np.zeros(n_theta, dtype=complex))
 
+    def with_values(self, values: np.ndarray, mask=None) -> "BoundaryFunction":
+        return BoundaryFunction(values, mask)
+
     def require_unmasked(self, what: str) -> np.ndarray:
         if self.mask is not None:
             raise MaskedValueError(f"{what} over masked boundary nodes is not defined")
@@ -458,7 +461,7 @@ def _apply_radial_stencils(values, interior, forward, skew, mirror_sign) -> np.n
     out[0] = np.tensordot(forward, values[0:nf], axes=(0, 0))
     out[1] = np.tensordot(skew, values[0 : len(skew)], axes=(0, 0))
     core = np.lib.stride_tricks.sliding_window_view(values, 5, axis=0)
-    out[2:-2] = np.einsum("s,jks->jk", interior, core)
+    np.einsum("s,jks->jk", interior, core, out=out[2:-2])
     out[-2] = mirror_sign * np.tensordot(skew[::-1], values[-len(skew) :], axes=(0, 0))
     out[-1] = mirror_sign * np.tensordot(forward[::-1], values[-nf:], axes=(0, 0))
     return out
@@ -507,9 +510,37 @@ def sobolev_norm(f: GridFunction, p: float) -> float:
     return lp_norm_disk(f, p) + lp_norm_disk(d, p) + lp_norm_disk(dbar, p)
 
 
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    """sum_k |a[j, k]|^2 for each row j, with no temporary array."""
+    re, im = a.real, a.imag
+    return np.einsum("jk,jk->j", re, re) + np.einsum("jk,jk->j", im, im)
+
+
 def w12_norm(f: GridFunction) -> float:
-    """Discrete W^{1,2} norm; the solvers' convergence metric."""
-    return sobolev_norm(f, 2.0)
+    """Discrete W^{1,2} norm sobolev_norm(f, 2); the solvers' convergence metric.
+
+    Computed by Parseval from one angular FFT V of f: |d f| and |dbar f|
+    are |f_r -+ i f_theta / r| / 2, whose angular modes are
+    (D V +- n V / r) / 2 with D the radial stencils of
+    wirtinger_derivatives.  No derivative grids, phase factors or inverse
+    FFT are formed; the value equals sobolev_norm(f, 2) up to rounding.
+    """
+    v = f.require_unmasked("differentiation")
+    g = f.grid
+    modes = np.fft.fft(v, axis=1)
+    dr = _apply_radial_stencils(modes, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0)
+    dr /= g.radial_step
+    # Parseval: sum_k |v_k|^2 = sum_n |V_n|^2 / n_theta
+    w = g.radial_weights * (2.0 * np.pi / g.n_theta**2)
+    norm_f = math.sqrt(w @ _row_sq(modes))
+    modes *= g.mode_numbers
+    modes /= g.radii[:, None]
+    dr -= modes
+    norm_dbar = 0.5 * math.sqrt(w @ _row_sq(dr))
+    modes *= 2.0
+    dr += modes
+    norm_d = 0.5 * math.sqrt(w @ _row_sq(dr))
+    return norm_f + norm_d + norm_dbar
 
 
 def boundary_trace(f: GridFunction) -> BoundaryFunction:

@@ -1,11 +1,14 @@
 """Fixed-point solvers for the constructive boundary problems.
 
 Existence in the theory comes from a compactness argument that gives no
-algorithm; here each problem is solved by damped Picard iteration on the
-contraction-shaped map the construction suggests, with the step halved
-whenever the increment grows and an explicit failure if the floor is hit
-while increments keep growing.  Nothing is asserted about rates: reports
-carry the whole increment history and the engaged damping level.
+algorithm; here each problem is solved by iterating the contraction-shaped
+map the construction suggests, in one shared loop (`_picard`) that mixes
+each step with the last ANDERSON_WINDOW = 3 steps (Anderson acceleration
+with real coefficients, mixing weight `damping`).  Safeguard: whenever the
+residual g(x) - x grows, the history is dropped and the weight halved, and
+the loop fails explicitly if the residual keeps growing at the floor.
+Nothing is asserted about rates: reports carry the whole increment history
+and the engaged damping level.
 
 The three problems:
 
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 DAMPING_FLOOR = 1.0 / 64.0
+ANDERSON_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -115,35 +119,110 @@ class SolverDivergence(RuntimeError):
         self.report = report
 
 
-def _picard(state, apply_map, diff_norm, cfg: SolverConfig):
-    """Damped Picard loop shared by all solvers.
+def _picard(state, apply_map, step_norm, cfg: SolverConfig):
+    """Anderson-mixed fixed-point loop shared by all solvers.
 
-    Returns (state, history, converged, tau).  The step is halved when
-    the increment grows; persistent growth at the floor raises.
+    `state` is a GridFunction or BoundaryFunction; `apply_map` returns a
+    new one of the same kind, whose buffer (when C-ordered) is reused for
+    the residual.  Each step evaluates the map once, forms the residual
+    f = g(x) - x and mixes it with the last ANDERSON_WINDOW differences
+    (Anderson 1965; Walker & Ni 2011, type II, mixing weight tau):
+
+        x+ = x + tau (f - sum_i gamma_i v_i),   v_i = dx_i / tau + df_i,
+
+    with dx_i, df_i the differences of successive iterates and residuals
+    and gamma minimizing ||f - sum_i gamma_i df_i|| over real coefficients
+    (the maps are only real-linear; the Gram matrix Re <df_i, df_j> gains
+    one row per step).  The increment recorded, and tested against
+    cfg.tol, is tau step_norm(f), the increment of a plain damped step.
+    Safeguard: when the Euclidean norm of f grows, the history is cleared
+    and tau halved down to DAMPING_FLOOR; five growths at the floor end
+    the loop unconverged.
+
+    Returns (state, history, converged, tau).
     """
     tau = cfg.damping
+    x = state.values.copy()
+
+    def wrap(values):
+        return state.with_values(values, state.mask)
+
+    # ring buffers, one slot per difference; slot `pending` holds
+    # -sum_i gamma_i v_i and f of the last step until the next residual
+    # completes its pair
+    v = np.empty((ANDERSON_WINDOW,) + x.shape, dtype=complex)
+    df = np.empty_like(v)
+    gram = np.zeros((ANDERSON_WINDOW, ANDERSON_WINDOW))
+    live: list[int] = []  # slots of complete pairs, oldest first
+    pending = None
     history: list[float] = []
     prev = math.inf
     bad_at_floor = 0
     for _ in range(cfg.max_iter):
-        target = apply_map(state)
-        new_state = state * (1.0 - tau) + target * tau
-        inc = diff_norm(new_state, state)
-        if inc > prev:
+        # the transforms return transposed layouts; the dot products and
+        # axpys below run on C-ordered arrays
+        f = np.ascontiguousarray(apply_map(wrap(x)).values)
+        f -= x
+        res = math.sqrt(_real_dot(f, f))
+        if not res <= prev:
+            live.clear()
+            pending = None
             if tau > DAMPING_FLOOR:
                 tau = max(tau / 2.0, DAMPING_FLOOR)
-                new_state = state * (1.0 - tau) + target * tau
-                inc = diff_norm(new_state, state)
             else:
                 bad_at_floor += 1
+        prev = res
+        inc = tau * step_norm(wrap(f))
+        if pending is not None:
+            np.subtract(f, df[pending], out=df[pending])
+            v[pending] += f
+            live.append(pending)
+            for j in live:
+                gram[pending, j] = gram[j, pending] = _real_dot(df[pending], df[j])
+        gamma = {}
+        if live:
+            rhs = [_real_dot(df[i], f) for i in live]
+            coef = np.linalg.lstsq(gram[np.ix_(live, live)], rhs, rcond=1e-12)[0]
+            gamma = dict(zip(live, coef))
+        # this step's pair takes the oldest slot once the window is full
+        if len(live) == ANDERSON_WINDOW:
+            pending = live.pop(0)
+        else:
+            pending = min(set(range(ANDERSON_WINDOW)) - set(live))
+        _mix(v, df, pending, gamma, f)
+        if tau != 1.0:
+            f *= tau
+        x += f
+        del f  # not held through the next map evaluation
         history.append(inc)
-        state = new_state
         if inc < cfg.tol:
-            return state, history, True, tau
+            return wrap(x), history, True, tau
         if bad_at_floor >= 5:
-            return state, history, False, tau
-        prev = inc
-    return state, history, False, tau
+            return wrap(x), history, False, tau
+    return wrap(x), history, False, tau
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b>, the Euclidean inner product of real and imaginary parts."""
+    return float(np.vdot(a, b).real)
+
+
+def _mix(v, df, slot, gamma, f) -> None:
+    """In place: v[slot] = -sum_i gamma_i v_i, df[slot] = f, f += v[slot].
+
+    `slot` holds the oldest pair (or none); its own term goes first, and
+    df[slot] is then free as the scratch buffer of the other axpys.
+    """
+    out, scratch = v[slot], df[slot]
+    if slot in gamma:
+        out *= -gamma.pop(slot)
+    else:
+        out.fill(0.0)
+    for i, c in gamma.items():
+        np.multiply(v[i], -c, out=scratch)
+        out += scratch
+    np.copyto(scratch, f)
+    f += out
 
 
 def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
@@ -212,7 +291,7 @@ def parametrize_imag(
     phi, history, converged, tau = _picard(
         phi0,
         lambda p: _green_map(beta, p),
-        lambda a, b: w12_norm(a - b),
+        w12_norm,
         cfg,
     )
     phi2 = phi.values.real
@@ -251,7 +330,7 @@ def parametrize_real(
 ) -> tuple[GridFunction, SolveReport]:
     """Variant prescribing tr Re s = psi and int_T Im s = lam.
 
-    Outer Picard iteration on the zero-mean boundary function
+    Outer fixed-point iteration on the zero-mean boundary function
     u = Im tr s'; each evaluation of the boundary map nests the inner
     Green fixed point (warm-started across outer steps).
     """
@@ -278,7 +357,7 @@ def parametrize_real(
         phi, history, ok, _ = _picard(
             inner_state["phi2"],
             lambda p: Eu + _green_map(beta, p),
-            lambda a, b: w12_norm(a - b),
+            w12_norm,
             cfg,
         )
         if not ok:
@@ -297,15 +376,14 @@ def parametrize_real(
         re = BoundaryFunction(tr0.values.real.astype(complex))
         return BoundaryFunction(tr0.values.imag.astype(complex)) - conjugate_function(re)
 
-    def u_diff(a: BoundaryFunction, b: BoundaryFunction) -> float:
-        # sum (1+|n|) |du_n|^2 is the W^{1,2}(D) norm (squared, up to the
+    def u_norm(d: BoundaryFunction) -> float:
+        # sum (1+|n|) |d_n|^2 is the W^{1,2}(D) norm (squared, up to the
         # usual constants) of the harmonic extension of the boundary
         # increment, which is the leading term of the s increment
-        d = (a - b).modes()
-        n = np.abs(a.mode_numbers)
-        return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d) ** 2)))
+        n = np.abs(d.mode_numbers)
+        return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d.modes()) ** 2)))
 
-    u, history, converged, tau = _picard(u, boundary_map, u_diff, cfg)
+    u, history, converged, tau = _picard(u, boundary_map, u_norm, cfg)
 
     phi = inner_fixed_point(u)
     phi2 = phi.values.real
@@ -367,14 +445,13 @@ def solve_riesz(
         return poisson_extend(FT, grid)
 
     def riesz_map(s: GridFunction) -> GridFunction:
-        w = reconstruct(s, holo_factor(s))
-        beta = beltrami_ratio(w, alpha, cfg.zero_threshold)
-        return cauchy(beta) - reflect_transform(beta)
+        beta = beltrami_ratio(reconstruct(s, holo_factor(s)), alpha, cfg.zero_threshold)
+        out = cauchy(beta)
+        out.values -= reflect_transform(beta).values
+        return out
 
     s0 = initial_s if initial_s is not None else GridFunction.zeros(grid)
-    s, history, converged, tau = _picard(
-        s0, riesz_map, lambda a, b: w12_norm(a - b), cfg
-    )
+    s, history, converged, tau = _picard(s0, riesz_map, w12_norm, cfg)
 
     F = holo_factor(s)
     w = reconstruct(s, F)
@@ -429,8 +506,9 @@ def solve_conductivity(
     if np.any(sv <= 0.0):
         raise ValueError("sigma must be strictly positive on the grid")
     grid = sigma.grid
-    log_half = GridFunction(grid, 0.5 * np.log(sv).astype(complex))
-    _, alpha = wirtinger_derivatives(log_half)
+    # alpha = dbar log sigma^{1/2}; the d part and log sigma^{1/2} are not
+    # kept through the solve
+    alpha = wirtinger_derivatives(GridFunction(grid, 0.5 * np.log(sv).astype(complex)))[1]
     sqrt_sigma = np.sqrt(sv)
     psi_w = BoundaryFunction(
         (sqrt_sigma[grid.boundary_ring_index] * psi.values.real).astype(complex)

@@ -13,6 +13,7 @@ from phdisk import (
     make_grid,
     nontangential_max,
     sobolev_norm,
+    w12_norm,
     wirtinger_derivatives,
 )
 
@@ -181,6 +182,20 @@ class TestSobolev:
         f = GridFunction(grid256, np.conj(z) if conjugate else z)
         expected = np.sqrt(np.pi / 2) + np.sqrt(np.pi)
         assert abs(sobolev_norm(f, 2.0) - expected) < 1e-9
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_w12_norm_matches_grid_derivatives(self, n):
+        # w12_norm works on angular modes (Parseval); sobolev_norm(f, 2)
+        # differentiates on the grid and is the reference.  Same arithmetic
+        # up to summation order: 1e-14 relative is about 45 ulp.
+        g = make_grid(n, n)
+        z = g.nodes_z()
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for vals in (np.exp(z.real), z**3, np.conj(z) ** 2 + 0.3 * z, noise, np.cos(5 * z) * np.abs(z) ** 2):
+            f = GridFunction(g, vals)
+            ref = sobolev_norm(f, 2.0)
+            assert abs(w12_norm(f) - ref) <= 1e-14 * ref
 
 
 class TestBoundaryTrace:

@@ -109,6 +109,35 @@ class TestCsv:
         with pytest.raises(ValueError, match=which):
             load_csv(p)
 
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # reference: one csv.writer row of repr floats per node, "\r\n" ends;
+        # 1280 nodes span more than one of the writer's row blocks
+        import csv
+
+        g = make_grid(64, 20, outer_radius=2.0)
+        vals = g.nodes_z() - 0.3
+        vals[0, 0] = complex(-0.0, 0.0)
+        vals[1, 2] = complex(1e-300, -0.0)
+        vals[2, 5] = complex(np.nan, 1.0)  # masked: written as nan, nan
+        b = BoundaryFunction(np.exp(1j * g.thetas) * 1e20)
+        for name, f, radii in (
+            ("grid.csv", GridFunction(g, vals), g.radii),
+            ("ring.csv", b, [1.0]),
+        ):
+            ref = tmp_path / f"ref_{name}"
+            values = np.atleast_2d(f.values.copy())
+            if f.mask is not None:
+                values[np.atleast_2d(f.mask)] = complex(np.nan, np.nan)
+            with open(ref, "w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(["r", "theta", "re", "im"])
+                for j, r in enumerate(radii):
+                    for k, t in enumerate(g.thetas):
+                        v = values[j, k]
+                        wr.writerow([repr(float(r)), repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
+            save_csv(tmp_path / name, f)
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
+
     def test_header_check(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y,z\n1,2,3\n")

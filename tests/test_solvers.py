@@ -19,6 +19,7 @@ from phdisk import (
     w12_norm,
     wirtinger_derivatives,
 )
+from phdisk.solvers import DAMPING_FLOOR, _picard
 
 CFG = SolverConfig(tol=1e-10, max_iter=200)
 
@@ -90,6 +91,24 @@ class TestParametrizeImag:
         s1, _ = parametrize_imag(alpha, F, psi, 0.0, CFG)
         s2, _ = parametrize_imag(alpha, F, psi, 0.0, CFG, initial_s=random_initial_s(grid256, rng))
         assert w12_norm(s1 - s2) <= 10 * CFG.tol
+
+    def test_non_harmonic_exponent(self, grid256):
+        # s = a x^2 + i(b y + c|z|^2 + d|z|^2 x): Im s is not harmonic (modes
+        # 0 and 1), so the fixed point is not phi = 0.  With F = 1 the
+        # coefficient is alpha = dbar s e^{2i Im s}, written out.
+        a, b, c, d = 0.3, 0.4, 0.28, 0.32
+        z = grid256.nodes_z()
+        x, y = z.real, z.imag
+        r2 = x**2 + y**2
+        s_exact = a * x**2 + 1j * (b * y + c * r2 + d * r2 * x)
+        dbar_s = 0.5 * (
+            2 * a * x - b - 2 * c * y - 2 * d * x * y + 1j * (2 * c * x + d * (3 * x**2 + y**2))
+        )
+        alpha = GridFunction(grid256, dbar_s * np.exp(2j * s_exact.imag))
+        psi = BoundaryFunction.from_function(256, lambda t: b * np.sin(t) + c + d * np.cos(t))
+        s, rep = parametrize_imag(alpha, GridFunction.constant(grid256, 1.0), psi, a * np.pi, CFG)
+        assert w12_norm(s - GridFunction(grid256, s_exact)) <= 1e-8
+        assert rep.converged and 1 < rep.iterations <= 100
 
     def test_rejects_zero_F(self, grid256):
         with pytest.raises(ValueError, match="identically zero"):
@@ -235,6 +254,27 @@ class TestSolveRiesz:
         assert max(ratios) <= 2.0 * min(ratios)
         assert max(ratios) < 100.0
 
+    def test_rotation_equivariance(self, grid256):
+        # w(e^{-i phi} z) solves dbar w = alpha_phi conj(w) with
+        # alpha_phi(z) = e^{i phi} alpha(e^{-i phi} z) and data psi(theta - phi):
+        # constant alpha rotates along, so alpha = 1/2 alone is not symmetric
+        k = 37
+        phi = 2 * np.pi * k / 256
+        amp = 0.3 * 2.0 ** (1 - np.arange(1, 6))
+        phases = np.array([0.4, 1.9, 3.1, 4.4, 5.6])
+        psi = BoundaryFunction.from_function(
+            256, lambda th: 1.0 + sum(amp[m] * np.cos((m + 1) * th + phases[m]) for m in range(5))
+        )
+        w, _, rep = solve_riesz(GridFunction.constant(grid256, 0.5), psi, 0.2, CFG)
+        w_rot, _, rep_rot = solve_riesz(
+            GridFunction.constant(grid256, 0.5 * np.exp(1j * phi)),
+            BoundaryFunction(np.roll(psi.values, k)),
+            0.2,
+            CFG,
+        )
+        assert rep_rot.iterations == rep.iterations
+        assert np.max(np.abs(w_rot.values - np.roll(w.values, k, axis=1))) <= 1e-12
+
     def test_divergence_reports(self, grid256):
         alpha = GridFunction.constant(grid256, 0.5)
         psi = BoundaryFunction.from_function(256, lambda th: np.exp(np.cos(th)))
@@ -253,6 +293,54 @@ class TestSolveRiesz:
             g = make_grid(8 * n_r, n_r)
             norms.append(hardy_norm(GridFunction.from_function(g, exw_F), 2.0))
         assert norms[0] < norms[1] < norms[2]
+
+
+class TestPicardLoop:
+    """The shared fixed-point loop on maps of known behaviour."""
+
+    N = 64
+
+    @staticmethod
+    def _norm(d):
+        return float(np.linalg.norm(d.values))
+
+    def _affine_map(self, lin, conj_lin, rng):
+        # g(u) = lin u + conj_lin conj(u) + c, only real-linear, fixed point x*
+        x_star = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        c = x_star - lin * x_star - conj_lin * np.conj(x_star)
+        return (lambda u: BoundaryFunction(lin * u.values + conj_lin * np.conj(u.values) + c)), x_star
+
+    def test_beats_plain_iteration(self):
+        rng = np.random.default_rng(31)
+        lin = 0.6 * rng.uniform(0.5, 1.0, self.N) * np.exp(2j * np.pi * rng.uniform(size=self.N))
+        conj_lin = 0.3 * np.exp(2j * np.pi * rng.uniform(size=self.N))
+        g, x_star = self._affine_map(lin, conj_lin, rng)
+        tol = 1e-12
+        # plain iteration (tau = 1, no history) under the same stopping rule
+        u, plain = BoundaryFunction.zeros(self.N), 0
+        while True:
+            gu = g(u)
+            plain += 1
+            if self._norm(gu - u) < tol:
+                break
+            u = gu
+        x0 = BoundaryFunction.zeros(self.N)
+        x, history, converged, tau = _picard(x0, g, self._norm, SolverConfig(tol=tol, max_iter=500))
+        assert converged and tau == 1.0
+        assert len(history) < plain
+        assert np.max(np.abs(x.values - x_star)) <= 1e-10
+        assert np.max(np.abs(u.values - x_star)) <= 1e-10
+        assert np.all(x0.values == 0.0)  # the caller's initial state is left alone
+
+    def test_expanding_map_reaches_floor(self):
+        rng = np.random.default_rng(32)
+        g, _ = self._affine_map(np.full(self.N, 2.0), np.full(self.N, 0.5j), rng)
+        _, history, converged, tau = _picard(
+            BoundaryFunction.zeros(self.N), g, self._norm, SolverConfig(tol=1e-12, max_iter=200)
+        )
+        assert not converged
+        assert tau == DAMPING_FLOOR
+        assert len(history) < 200
 
 
 class TestConductivity:
