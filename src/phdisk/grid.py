@@ -15,6 +15,7 @@ nodes; integrals over masked nodes raise instead of silently skipping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +107,17 @@ class DiskGrid:
         self.mode_numbers = np.fft.fftfreq(n_theta, 1.0 / n_theta).astype(int)
         for arr in (self.thetas, self.radii, self.radial_weights, self.mode_numbers):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def mode_powers(self) -> np.ndarray:
+        """r_j^{|n|} per radius and angular mode (FFT order), (n_r, n_theta).
+
+        Built on first use and kept with the grid: harmonic extension and
+        the reflection transform scale mode n by it.
+        """
+        powers = np.power(self.radii[:, None], np.abs(self.mode_numbers)[None, :].astype(float))
+        powers.setflags(write=False)
+        return powers
 
     def nodes_z(self) -> np.ndarray:
         """Complex node positions, shape (n_r, n_theta)."""
@@ -552,24 +564,31 @@ def boundary_trace(f: GridFunction) -> BoundaryFunction:
     return BoundaryFunction(f.values[j].copy(), mask)
 
 
+def _cone_mask(grid: DiskGrid, gamma: float) -> np.ndarray:
+    """Interior nodes in the cone Gamma_{1,gamma}, shape (n_r - 1, n_theta).
+
+    The grid is invariant under rotation by whole angular steps, so the
+    cone at the boundary node theta_k holds the nodes of this mask rolled
+    by k along the angles.
+    """
+    z = grid.nodes_z()[: grid.n_r - 1]
+    return Cone(1.0 + 0.0j, gamma).contains(z)
+
+
 def nontangential_max(f: GridFunction, gamma: float) -> BoundaryFunction:
     """Non-tangential maximal function M_gamma f on the boundary nodes.
 
     For each xi the maximum of |f| over interior grid nodes inside the
-    approach cone Gamma_{xi,gamma}.  Raises if some cone captures no node
-    (grid too coarse for this gamma).
+    approach cone Gamma_{xi,gamma}, the cone at theta = 0 rolled to xi.
+    Raises if the cones capture no node (grid too coarse for this gamma).
     """
     v = np.abs(f.require_unmasked("maximal function"))
     g = f.grid
-    z = g.nodes_z()[: g.n_r - 1].ravel()
-    vals = v[: g.n_r - 1].ravel()
-    out = np.empty(g.n_theta)
-    for k, theta in enumerate(g.thetas):
-        cone = Cone(complex(np.exp(1j * theta)), gamma)
-        sel = cone.contains(z)
-        if not np.any(sel):
-            raise ValueError(
-                "empty cone at the grid resolution; use a finer grid or larger gamma"
-            )
-        out[k] = float(np.max(vals[sel]))
+    base = _cone_mask(g, gamma)
+    if not np.any(base):
+        raise ValueError(
+            "empty cone at the grid resolution; use a finer grid or larger gamma"
+        )
+    inner = v[: g.n_r - 1]
+    out = np.array([np.max(inner[np.roll(base, k, axis=1)]) for k in range(g.n_theta)])
     return BoundaryFunction(out.astype(complex))

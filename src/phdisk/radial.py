@@ -17,14 +17,24 @@ whole cells and the partial cells at off-node radii).
 
 The cubic of cell i is a fixed linear map of the four node values of its
 stencil, so the engine folds that map into the moment tables when it is
-built: W[a, i, s] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight
+built: W[s, i, a] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight
 of stencil node s in the integral over cell i.  A transform call then
-contracts node values with W[a_m] by four shifted slices, without forming
-the cubics.  Cumulation uses recurrences whose scaling factors are powers
-of ratios <= 1, so nothing overflows no matter the exponent.  The full
-integral int_0^1 f rho^a drho needs no recurrence: its node weights
-(the inner weights times ((i+1)/n_r)^a <= 1, summed onto the nodes) are
-tabulated too, and it is one dot product per mode.
+contracts node values with W[:, :, a_m] by four shifted slices, without
+forming the cubics.  Cumulation uses recurrences whose scaling factors
+are powers of ratios <= 1 (tabulated once per engine), so nothing
+overflows no matter the exponent.  The full integral int_0^1 f rho^a drho
+needs no recurrence: its node weights (the inner weights times
+((i+1)/n_r)^a <= 1, summed onto the nodes) are tabulated too, and it is
+one dot product per mode.
+
+Layout: the engine computes radius-major, on (n_r, M) arrays whose
+columns are node profiles, the layout `np.fft.fft(values, axis=1)` gives
+the transforms.  Every table keeps the exponent on its last axis, so the
+weights of a run of consecutive exponents, ascending or descending, are
+a view and no table is gathered per call.  `RadialEngine.sweep` runs the
+inward and outward recurrences of several column blocks in one Python
+loop over the nodes; `cumulative_in`, `cumulative_out` and `full_moment`
+keep their (M, n_r) interface by passing transposed views.
 """
 
 from __future__ import annotations
@@ -111,22 +121,28 @@ def _stencil_data(n_r: int):
 
 
 def _spread_to_nodes(w: np.ndarray) -> np.ndarray:
-    """Sum per-cell stencil weights (..., n_cells, 4) onto the nodes (..., n_r).
+    """Sum per-cell stencil weights (4, n_cells, ...) onto the nodes (n_r, ...).
 
     The transpose of the stencil gather: cell i >= 2 starts at node i - 2,
     cells 0 and 1 share nodes 0..3 and the last cell takes the last four.
     """
-    n = w.shape[-2]
-    out = np.zeros(w.shape[:-1])
-    out[..., :4] = w[..., 0, :] + w[..., 1, :]
+    n = w.shape[1]
+    out = np.zeros(w.shape[1:])
+    out[:4] = w[:, 0] + w[:, 1]
     for s in range(4):
-        out[..., s : n - 3 + s] += w[..., 2:-1, s]
-    out[..., -4:] += w[..., -1, :]
+        out[s : n - 3 + s] += w[s, 2:-1]
+    out[-4:] += w[:, -1]
     return out
 
 
 class RadialEngine:
-    """Cached stencils and folded kernel weights for one radial grid size."""
+    """Cached stencils and folded kernel weights for one radial grid size.
+
+    The tables are radius-major with the exponent last, W[s, i, a] and
+    ratio[j, a], so that the weights of a run of consecutive exponents
+    (ascending or descending) are a view: the transforms order their mode
+    columns that way and never copy a table.
+    """
 
     def __init__(self, n_r: int, a_max: int):
         self.n_r = n_r
@@ -134,21 +150,25 @@ class RadialEngine:
         self.h = 1.0 / n_r
         self.gather, self.coeff_maps = _stencil_data(n_r)
         cells = np.arange(n_r, dtype=float)
+        exps = np.arange(a_max + 1.0)
         maps = self.h * self.coeff_maps
 
         def fold(inner: bool) -> np.ndarray:
-            """W[a, i, s]: moments as (cell, exponent, q), one matmul over cells."""
+            """W[s, i, a]: moments as (cell, exponent, q), one matmul over cells."""
             nu = np.stack([_moments(cells, 0.0, 1.0, a, inner) for a in range(a_max + 1)], axis=1)
-            w = np.empty((a_max + 1, n_r, 4))
-            np.matmul(nu, maps, out=w.transpose(1, 0, 2))
+            w = np.empty((4, n_r, a_max + 1))
+            np.matmul(nu, maps, out=w.transpose(1, 2, 0))
             return w
 
         self.w_in = fold(True)
         self.w_out = fold(False)
         self.w_out[:, 0] = 0.0  # the cell touching the origin has no outer part
         # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; spread onto the stencil nodes
-        reach = np.power(((cells + 1.0) / n_r)[None, :], np.arange(a_max + 1.0)[:, None])
-        self.w_full = _spread_to_nodes(self.w_in * reach[:, :, None])
+        reach = np.power(((cells + 1.0) / n_r)[:, None], exps[None, :])
+        self.w_full = _spread_to_nodes(self.w_in * reach)
+        # node ratio (rho_{j+1}/rho_{j+2})^a of both recurrences, (n_r - 1, a)
+        j = np.arange(1.0, n_r)
+        self.ratio = np.power((j / (j + 1.0))[:, None], exps[None, :])
 
     def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
         """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r)."""
@@ -192,54 +212,91 @@ class RadialEngine:
         T[:, :-1] = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1]
         return T
 
-    def _gather_exp(self, table: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        if np.any(exps > self.a_max) or np.any(exps < 0):
+    def _exp_index(self, exps) -> slice | np.ndarray:
+        """Exponent index into the tables: a slice when the exponents step
+        by a constant, so that the weights are views, else the array."""
+        exps = np.asarray(exps)
+        if exps.size and (exps.min() < 0 or exps.max() > self.a_max):
             raise ValueError("exponent outside the cached table range")
-        return table[exps]
+        if exps.size > 1:
+            step = int(exps[1] - exps[0])
+            if step and np.all(np.diff(exps) == step):
+                stop = int(exps[-1]) + step
+                return slice(int(exps[0]), stop if stop >= 0 else None, step)
+        return exps
 
-    def _cell_integrals(self, table: np.ndarray, profiles: np.ndarray, exps) -> np.ndarray:
-        """c[m, i] = sum_s table[a_m, i, s] prof_m[gather[i, s]], (M, n_cells).
+    def _cell_integrals(self, table, P, e, out, skip_origin=False) -> np.ndarray:
+        """out[i, m] = sum_s table[s, i, e_m] P[gather[i, s], m], radius-major.
 
-        Four shifted slices for the cells whose stencil starts at i - 2;
-        cells 0 and 1 share nodes 0..3 and the last cell takes the last
-        four nodes (the layout of `_stencil_data` and `_spread_to_nodes`).
+        P is (n_r, M), column m a node profile with exponent e_m.  Four
+        shifted slices for the cells whose stencil starts at i - 2; cells
+        0 and 1 share nodes 0..3 and the last cell takes the last four
+        nodes (the layout of `_stencil_data` and `_spread_to_nodes`).  With
+        skip_origin, row i of out holds cell i + 1 and the last row is
+        left alone.
         """
-        w = self._gather_exp(table, exps)
+        w = table[:, :, e]
         n = self.n_r
-        c = np.empty(profiles.shape, dtype=np.result_type(profiles, w))
-        mid = np.multiply(w[:, 2:-1, 0], profiles[:, : n - 3], out=c[:, 2:-1])
+        k = int(skip_origin)
+        mid = np.multiply(w[0, 2:-1], P[: n - 3], out=out[2 - k : n - 1 - k])
+        tmp = np.empty_like(mid)
         for s in range(1, 4):
-            mid += w[:, 2:-1, s] * profiles[:, s : n - 3 + s]
-        c[:, :2] = np.einsum("mis,ms->mi", w[:, :2], profiles[:, :4])
-        c[:, -1] = np.einsum("ms,ms->m", w[:, -1], profiles[:, -4:])
-        return c
+            mid += np.multiply(w[s, 2:-1], P[s : n - 3 + s], out=tmp)
+        out[: 2 - k] = np.einsum("sim,sm->im", w[:, k:2], P[:4])
+        out[n - 1 - k] = np.einsum("sm,sm->m", w[:, -1], P[-4:])
+        return out
+
+    def sweep(self, inward=(), outward=()) -> None:
+        """Cumulative integrals of several column blocks in one radial pass.
+
+        Each block is (P, e, out): radius-major node profiles P (n_r, M),
+        their exponent index (see `_exp_index`) and an (n_r, M) array
+        that receives S (inward blocks) or T (outward blocks).  One Python
+        loop runs every recurrence: S from the origin out, T from the rim
+        in, each scaled by node ratios <= 1.
+        """
+        n = self.n_r
+        ins, outs = [], []
+        for P, e, out in inward:
+            self._cell_integrals(self.w_in, P, e, out)
+            ins.append((out, self.ratio[:, e], np.empty(out.shape[1:], out.dtype)))
+        for P, e, out in outward:
+            # row j holds cell j + 1, so T[j] = ratio_j T[j+1] + row j
+            self._cell_integrals(self.w_out, P, e, out, skip_origin=True)
+            out[-1] = 0.0
+            outs.append((out, self.ratio[:, e], np.empty(out.shape[1:], out.dtype)))
+        for t in range(1, n):
+            for S, q, tmp in ins:
+                S[t] += np.multiply(q[t - 1], S[t - 1], out=tmp)
+            j = n - 1 - t
+            for T, q, tmp in outs:
+                T[j] += np.multiply(q[j], T[j + 1], out=tmp)
+
+    def _cumulative(self, profiles, exps, inner: bool) -> np.ndarray:
+        P = np.asarray(profiles).T
+        out = np.empty(P.shape, dtype=np.result_type(P, float))
+        block = [(P, self._exp_index(exps), out)]
+        if inner:
+            self.sweep(inward=block)
+        else:
+            self.sweep(outward=block)
+        return out.T
 
     def cumulative_in(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """S[m, j] = int_0^{rho_{j+1}} prof_m(rho) (rho/rho_{j+1})^{a_m} drho."""
-        c = self._cell_integrals(self.w_in, profiles, exps)
-        M, n = c.shape
-        j = np.arange(1, n, dtype=float)
-        ratios = np.power((j / (j + 1.0))[None, :], exps[:, None].astype(float))
-        S = np.empty_like(c)
-        S[:, 0] = c[:, 0]
-        for jj in range(1, n):
-            S[:, jj] = ratios[:, jj - 1] * S[:, jj - 1] + c[:, jj]
-        return S
+        return self._cumulative(profiles, exps, True)
 
     def cumulative_out(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """T[m, j] = int_{rho_{j+1}}^1 prof_m(rho) (rho_{j+1}/rho)^{b_m} drho."""
-        c = self._cell_integrals(self.w_out, profiles, exps)
-        M, n = c.shape
-        j = np.arange(1, n, dtype=float)
-        ratios = np.power((j / (j + 1.0))[None, :], exps[:, None].astype(float))
-        T = np.zeros_like(c)
-        for jj in range(n - 2, -1, -1):
-            T[:, jj] = ratios[:, jj] * T[:, jj + 1] + c[:, jj + 1]
-        return T
+        return self._cumulative(profiles, exps, False)
+
+    def full_moments(self, P: np.ndarray, e) -> np.ndarray:
+        """int_0^1 P[:, m](rho) rho^{e_m} drho for radius-major P (n_r, M)."""
+        return np.einsum("jm,jm->m", self.w_full[:, e], P)
 
     def full_moment(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """int_0^1 prof_m(rho) rho^{a_m} drho (kernel normalized at r=1)."""
-        return np.einsum("mj,mj->m", self._gather_exp(self.w_full, exps), profiles)
+        return self.full_moments(np.asarray(profiles).T, self._exp_index(exps))
 
     # Arbitrary-target evaluation, used by the renormalized transform where
     # the evaluation radii do not coincide with the source nodes.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, lp_norm_disk, wirtinger_derivatives
-from .transforms import cauchy, reflect_transform
+from .transforms import cauchy_reflect
 
 __all__ = [
     "Factorization",
@@ -106,9 +106,7 @@ def factorize(
         s = GridFunction(w.grid, np.zeros_like(wv), np.ones(wv.shape, bool))
         return Factorization(s, GridFunction.zeros(w.grid), normalization, 0.0, 0.0)
     beta = beltrami_ratio(w, alpha, zero_threshold)
-    C = cauchy(beta)
-    R = reflect_transform(beta)
-    s = C - R if normalization == REAL_ON_T else C + R
+    s = cauchy_reflect(beta, -1.0 if normalization == REAL_ON_T else 1.0)
     with np.errstate(over="ignore", under="ignore"):
         F = w.with_values(np.exp(-s.values) * wv)
     _, dbar_F = wirtinger_derivatives(F)

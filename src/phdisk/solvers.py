@@ -40,11 +40,12 @@ from .grid import (
 )
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
 from .transforms import (
+    Workspace,
     cauchy,
+    cauchy_reflect,
     conjugate_function,
     green_potential,
     poisson_extend,
-    reflect_transform,
     riesz_extension,
 )
 
@@ -122,11 +123,13 @@ class SolverDivergence(RuntimeError):
 def _picard(state, apply_map, step_norm, cfg: SolverConfig):
     """Anderson-mixed fixed-point loop shared by all solvers.
 
-    `state` is a GridFunction or BoundaryFunction; `apply_map` returns a
-    new one of the same kind, whose buffer (when C-ordered) is reused for
-    the residual.  Each step evaluates the map once, forms the residual
-    f = g(x) - x and mixes it with the last ANDERSON_WINDOW differences
-    (Anderson 1965; Walker & Ni 2011, type II, mixing weight tau):
+    `state` is a GridFunction or BoundaryFunction; `apply_map` returns
+    one of the same kind, whose buffer is overwritten by the residual: it
+    may be a work array the map reuses, since the loop is done with it
+    before the next evaluation.  Each step evaluates the map once, forms
+    the residual f = g(x) - x and mixes it with the last ANDERSON_WINDOW
+    differences (Anderson 1965; Walker & Ni 2011, type II, mixing weight
+    tau):
 
         x+ = x + tau (f - sum_i gamma_i v_i),   v_i = dx_i / tau + df_i,
 
@@ -159,9 +162,7 @@ def _picard(state, apply_map, step_norm, cfg: SolverConfig):
     prev = math.inf
     bad_at_floor = 0
     for _ in range(cfg.max_iter):
-        # the transforms return transposed layouts; the dot products and
-        # axpys below run on C-ordered arrays
-        f = np.ascontiguousarray(apply_map(wrap(x)).values)
+        f = apply_map(wrap(x)).values
         f -= x
         res = math.sqrt(_real_dot(f, f))
         if not res <= prev:
@@ -444,11 +445,12 @@ def solve_riesz(
         FT = BoundaryFunction(phi.values.real + 1j * (phit.values.real + c0))
         return poisson_extend(FT, grid)
 
+    # the C - R pass's work arrays, reused by every step of this solve
+    work = Workspace(grid)
+
     def riesz_map(s: GridFunction) -> GridFunction:
         beta = beltrami_ratio(reconstruct(s, holo_factor(s)), alpha, cfg.zero_threshold)
-        out = cauchy(beta)
-        out.values -= reflect_transform(beta).values
-        return out
+        return cauchy_reflect(beta, -1.0, work)
 
     s0 = initial_s if initial_s is not None else GridFunction.zeros(grid)
     s, history, converged, tau = _picard(s0, riesz_map, w12_norm, cfg)

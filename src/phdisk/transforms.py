@@ -6,6 +6,21 @@ cumulative integrals provided by `radial`.  Mode n of the source feeds
 mode n-1 of the Cauchy transform (n-2 for Beurling); modes leaving the
 alias-free band |n| < n_theta/2 are dropped.
 
+Layout: a transform reads its modes from one forward FFT,
+`np.fft.fft(values, axis=1)`, and works on them in that layout, radius-
+major (n_r, n_theta) in FFT order; one inverse FFT returns C-ordered
+values.  The modes stay unnormalized (the inverse FFT's 1/n_theta
+restores the scale).  Columns are grouped into runs whose radial
+exponents are consecutive, so the engine reads its weight tables as
+views, and one `RadialEngine.sweep` serves every run.
+
+`cauchy_reflect` gives C(h) + sign R(h) from one FFT pair and one sweep,
+since R's moment for output mode m is the last node of C's inward
+integral for source mode 1 - m; `cauchy` and `reflect_transform` are its
+two halves.  Its work arrays live in a `Workspace`, which a solve
+allocates once and passes to every step; the public transforms allocate
+their own per call, and this module keeps no work arrays of its own.
+
 Sign and normalization conventions:
 
     C(h)(z)   = (1/pi) int_D h(t)/(z-t) dm(t),  so dbar C(h) = h,
@@ -52,70 +67,127 @@ def _engine_for(grid: DiskGrid):
     return get_engine(grid.n_r, grid.n_theta // 2 + 2)
 
 
-def _mode_rows(f: GridFunction) -> np.ndarray:
-    """Angular Fourier profiles as rows, shape (n_theta, n_r), FFT order."""
-    return f.angular_modes().T.copy()
+class Workspace:
+    """Work arrays of `cauchy_reflect` on one grid.
 
-
-def _from_mode_rows(grid: DiskGrid, rows: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(rows.T * grid.n_theta, axis=1)
-
-
-def _cauchy_mode_rows(h: GridFunction, radii: np.ndarray | None = None):
-    """Radial profiles of C(h) indexed by the *source* mode n.
-
-    Returns (g, nvals, rows): g[k] lives on output mode nvals[k] - 1 and
-    rows are the source profiles.  Source modes n <= 0 integrate inward
-    with exponent 1 - n, modes n > 0 outward with exponent n - 1.  g is
-    sampled on the source radii, or on `radii` when given; beyond the unit
-    circle the inward integral is its value at r = 1 times r^{n-1} and the
-    outward one vanishes.
+    `modes` takes the source modes (see `_source_modes`); `out` holds the
+    output modes and, after the in-place inverse FFT, the values.  A
+    solve allocates one and passes it to every step, so its result is
+    overwritten by the next call; the public transforms allocate one per
+    call.
     """
-    eng = _engine_for(h.grid)
-    rows = _mode_rows(h)
-    nvals = h.grid.mode_numbers
-    neg = nvals <= 0
-    p, q = 1 - nvals[neg], nvals[~neg] - 1
-    if radii is None:
-        g = np.zeros_like(rows)
-        g[neg] = 2.0 * eng.cumulative_in(rows[neg], p)
-        g[~neg] = -2.0 * eng.cumulative_out(rows[~neg], q)
+
+    def __init__(self, grid: DiskGrid):
+        self.grid = grid
+        self.modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
+        self.out = np.empty((grid.n_r, grid.n_theta), dtype=complex)
+
+
+def _modes(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
+    """Angular modes times n_theta, radius-major (n_r, n_theta), FFT order.
+
+    The transforms are linear, so they work on unnormalized modes and the
+    inverse FFT's 1/n_theta restores the scale.
+    """
+    return np.fft.fft(f.require_unmasked("angular transform"), axis=1, out=out)
+
+
+def _source_modes(h: GridFunction, buf: np.ndarray | None = None) -> np.ndarray:
+    """`_modes` in an (n_r, n_theta + 1) array whose last column repeats
+    mode 0, so that the inward source modes 1 - n_theta/2, ..., -1, 0 of
+    the Cauchy transform are the run of columns n_theta/2 + 1, ..., n_theta."""
+    N = h.grid.n_theta
+    if buf is None:
+        buf = np.empty((h.grid.n_r, N + 1), dtype=complex)
+    _modes(h, out=buf[:, :N])
+    buf[:, N] = buf[:, 0]
+    return buf
+
+
+def _cauchy_reflect_modes(h: GridFunction, c: float, r: float, work: Workspace) -> np.ndarray:
+    """Output modes of c C(h) + r R(h) in work.out, c in {0, 1}.
+
+    Column j of the modes is angular mode n (FFT order).  Source mode
+    n <= 0 feeds output mode n - 1 of C through the inward integral with
+    exponent 1 - n, and source mode n > 0 feeds it through the outward one
+    with exponent n - 1; output modes -1, ..., -n_theta/2 then sit in
+    columns n_theta/2, ..., n_theta - 1 with exponents n_theta/2, ..., 1,
+    and output modes 0, ..., n_theta/2 - 2 in the columns of the same
+    number with exponents 0, ..., n_theta/2 - 2.  Both runs of exponents
+    are consecutive, so the engine's weights are views, and one sweep
+    fills both blocks of work.out in place.  R's output mode m >= 1 is
+    -2 conj(M_m) r^m with M_m the full moment of source mode 1 - m at
+    exponent m: the last node of C's inward integral in column
+    n_theta - m, or, without C, one dot product per mode.
+    """
+    grid = h.grid
+    if not work.grid.same_as(grid):
+        raise ValueError("workspace belongs to another grid")
+    half = grid.n_theta // 2
+    eng = _engine_for(grid)
+    B = _source_modes(h, work.modes)
+    O = work.out
+    inward = (B[:, half + 1 :], slice(half, 0, -1), O[:, half:])
+    if c:
+        outward = (B[:, 1:half], slice(0, half - 1), O[:, : half - 1])
+        eng.sweep(inward=[inward], outward=[outward])
+        O[:, half - 1] = 0.0
+        moments = O[-1, half + 1 :]  # exponents half - 1, ..., 1
     else:
-        # the engine runs once per distinct radius clipped to the unit circle
-        rim, at = np.unique(np.minimum(radii, 1.0), return_inverse=True)
-        scale = np.power((rim[at] / radii)[None, :], p[:, None].astype(float))
-        g = np.zeros((len(nvals), len(radii)), dtype=complex)
-        g[neg] = 2.0 * eng.cumulative_in_at(rows[neg], p, rim)[:, at] * scale
-        g[~neg] = -2.0 * eng.cumulative_out_at(rows[~neg], q, rim)[:, at]
-    return g, nvals, rows
+        moments = eng.full_moments(B[:, half + 2 :], slice(half - 1, 0, -1))
+    # R's coefficients, before C's scaling below overwrites `moments`
+    coef = (-2.0 * r) * np.conj(moments[::-1])
+    if c:
+        O[:, :half] *= -2.0
+        O[:, half:] *= 2.0
+    else:
+        O.fill(0.0)
+    if r:
+        # the source modes are spent: their buffer takes the R term
+        O[:, 1:half] += np.multiply(grid.mode_powers[:, 1:half], coef, out=B[:, 1:half])
+    return O
 
 
-def _place_shifted(grid: DiskGrid, g: np.ndarray, nvals: np.ndarray, shift: int):
-    """Scatter per-source-mode rows onto output modes n + shift."""
-    N = grid.n_theta
-    out = np.zeros_like(g)
-    target = nvals + shift
-    ok = (target >= -N // 2) & (target < N // 2)
-    out[target[ok] % N] = g[ok]
-    return out
+def _cauchy_reflect(
+    h: GridFunction, c: float, r: float, work: Workspace | None = None
+) -> GridFunction:
+    O = _cauchy_reflect_modes(h, c, r, Workspace(h.grid) if work is None else work)
+    return h.with_values(np.fft.ifft(O, axis=1, out=O))
+
+
+def cauchy_reflect(h: GridFunction, sign: float, work: Workspace | None = None) -> GridFunction:
+    """C(h) + sign R(h) from one FFT pair and one radial sweep.
+
+    sign = -1 gives the real_on_T exponent C - R of the similarity
+    factorization and the Riesz solver's step, sign = +1 the
+    imaginary_on_T one.  With a `work` buffer the values live in
+    work.out until the next call with the same buffer.
+    """
+    return _cauchy_reflect(h, 1.0, sign, work)
 
 
 def cauchy(h: GridFunction) -> GridFunction:
     """Area Cauchy transform C(h) on the grid (h extended by zero off D)."""
-    # dropping the source rows at once lets the output reuse their memory
-    g, nvals = _cauchy_mode_rows(h)[:2]
-    out = _place_shifted(h.grid, g, nvals, -1)
-    return h.with_values(_from_mode_rows(h.grid, out))
+    return _cauchy_reflect(h, 1.0, 0.0)
 
 
 def beurling(h: GridFunction) -> GridFunction:
-    """Beurling transform B(h) = d C(h), by analytic mode differentiation."""
+    """Beurling transform B(h) = d C(h), by analytic mode differentiation.
+
+    Output mode m is H_{m+2} + (m+1)/r C_{m+1} from the source modes H
+    and C's output modes; modes n_theta/2 - 2 and n_theta/2 - 1 have no
+    source in band.
+    """
     grid = h.grid
-    g, nvals, rows = _cauchy_mode_rows(h)
-    inv_r = 1.0 / grid.radii[None, :]
-    prof_b = rows + (nvals[:, None] - 1) * inv_r * g
-    out = _place_shifted(grid, prof_b, nvals, -2)
-    return h.with_values(_from_mode_rows(grid, out))
+    work = Workspace(grid)
+    C = _cauchy_reflect_modes(h, 1.0, 0.0, work)
+    half = grid.n_theta // 2
+    out = np.roll(C, -1, axis=1)
+    out *= (grid.mode_numbers + 1.0)[None, :]
+    out /= grid.radii[:, None]
+    out += np.roll(work.modes[:, : grid.n_theta], -2, axis=1)
+    out[:, half - 2 : half] = 0.0
+    return h.with_values(np.fft.ifft(out, axis=1, out=out))
 
 
 def cauchy_renormalized(
@@ -125,7 +197,9 @@ def cauchy_renormalized(
 
     For disk-supported sources the renormalization term vanishes and
     C_2(h) = C(h) evaluated on the larger disk; outside the unit disk only
-    the non-positive source modes survive.
+    the non-positive source modes survive: the inward integral is its
+    value at r = 1 times r^{n-1} and the outward one vanishes.  The column
+    layout is that of `_cauchy_reflect_modes`.
     """
     if R < 1.0:
         raise ValueError("R must be >= 1")
@@ -136,9 +210,20 @@ def cauchy_renormalized(
         raise ValueError("eval grid must share n_theta with the source grid")
     if abs(eval_grid.outer_radius - R) > 1e-12:
         raise ValueError("eval grid radius does not match R")
-    g, nvals = _cauchy_mode_rows(h, eval_grid.radii)[:2]
-    out = _place_shifted(eval_grid, g, nvals, -1)
-    return GridFunction(eval_grid, _from_mode_rows(eval_grid, out))
+    N, half = grid.n_theta, grid.n_theta // 2
+    eng = _engine_for(grid)
+    B = _source_modes(h)
+    radii = eval_grid.radii
+    # the engine runs once per distinct radius clipped to the unit circle
+    rim, at = np.unique(np.minimum(radii, 1.0), return_inverse=True)
+    p = np.arange(half, 0, -1)
+    q = np.arange(half - 1)
+    out = np.zeros((len(radii), N), dtype=complex)
+    S = eng.cumulative_in_at(B[:, half + 1 :].T, p, rim)
+    out[:, half:] = 2.0 * S.T[at] * np.power((rim[at] / radii)[:, None], p[None, :])
+    T = eng.cumulative_out_at(B[:, 1:half].T, q, rim)
+    out[:, : half - 1] = -2.0 * T.T[at]
+    return GridFunction(eval_grid, np.fft.ifft(out, axis=1, out=out))
 
 
 def reflect_transform(beta: GridFunction) -> GridFunction:
@@ -147,53 +232,62 @@ def reflect_transform(beta: GridFunction) -> GridFunction:
     Used by the boundary normalizations: C - R is real on T, C + R is
     pure imaginary on T, and both have zero boundary mean.
     """
-    grid = beta.grid
-    eng = _engine_for(grid)
-    rows = _mode_rows(beta)
-    nvals = grid.mode_numbers
-    N = grid.n_theta
-    out = np.zeros_like(rows)
-    ks = np.arange(0, N // 2 - 1)  # output mode k+1 stays in band
-    src = (-ks) % N
-    M = eng.full_moment(rows[src], ks + 1)
-    powers = np.power(grid.radii[None, :], (ks + 1)[:, None].astype(float))
-    out[(ks + 1) % N] = -2.0 * np.conj(M)[:, None] * powers
-    return beta.with_values(_from_mode_rows(grid, out))
+    return _cauchy_reflect(beta, 0.0, 1.0)
 
 
 def green_potential(psi: GridFunction) -> GridFunction:
-    """Green potential P(psi): discrete Laplacian psi, zero boundary ring."""
+    """Green potential P(psi): discrete Laplacian psi, zero boundary ring.
+
+    Mode n != 0 (k = |n|) is (r^k S(1) - r S - T) / 2k with S the inward
+    integral of the source at exponent k + 1 and T the outward integral
+    of r times the source at exponent k; the positive and the negative
+    modes are two runs of columns with consecutive exponents, and one
+    sweep serves all four blocks and mode 0's inward integral.
+    """
     grid = psi.grid
+    N, half = grid.n_theta, grid.n_theta // 2
     eng = _engine_for(grid)
-    rows = _mode_rows(psi)
-    nvals = grid.mode_numbers
-    radii = grid.radii
-    out = np.zeros_like(rows)
+    B = _modes(psi)
+    r = grid.radii[:, None]
+    rB = B * r
+    S = np.empty_like(B)
+    T = np.empty_like(B)
+    T[:, 0] = 0.0  # mode 0 has no outward block
+    pos, neg = slice(1, half), slice(half, N)
+    eng.sweep(
+        inward=[
+            (rB[:, :1], slice(0, 1), S[:, :1]),
+            (B[:, pos], slice(2, half + 1), S[:, pos]),
+            (B[:, neg], slice(half + 1, 1, -1), S[:, neg]),
+        ],
+        outward=[
+            (rB[:, pos], slice(1, half), T[:, pos]),
+            (rB[:, neg], slice(half, 0, -1), T[:, neg]),
+        ],
+    )
+    mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, 0][None, :])[0]
+    out = np.multiply(grid.mode_powers, S[-1])
+    out -= np.multiply(S, r, out=S)
+    out -= T
+    k2 = 2.0 * np.abs(grid.mode_numbers)
+    k2[0] = 1.0
+    out /= k2
+    out[:, 0] = mode0
+    out[-1] = 0.0  # exact zero trace on T
+    return psi.with_values(np.fft.ifft(out, axis=1, out=out))
 
-    idx0 = int(np.where(nvals == 0)[0][0])
-    prof_rho = rows[idx0] * radii
-    S0 = eng.cumulative_in(prof_rho[None, :], np.array([0]))[0]
-    T0 = eng.cumulative_out_rholog(rows[idx0][None, :])[0]
-    out[idx0] = np.log(radii) * S0 + T0
 
-    nz = nvals != 0
-    k = np.abs(nvals[nz])
-    S = eng.cumulative_in(rows[nz], k + 1)
-    T = eng.cumulative_out(rows[nz] * radii[None, :], k)
-    full = S[:, -1]
-    rk = np.power(radii[None, :], k[:, None].astype(float))
-    out[nz] = (rk * full[:, None] - radii[None, :] * S - T) / (2.0 * k[:, None])
-    out[:, -1] = 0.0  # exact zero trace on T
-    return psi.with_values(_from_mode_rows(grid, out))
+def _extend(grid: DiskGrid, modes: np.ndarray) -> np.ndarray:
+    """Values of sum_n modes_n r^{|n|} e^{in theta} (modes as `BoundaryFunction.modes`)."""
+    vals = np.multiply(grid.mode_powers, modes * grid.n_theta)
+    return np.fft.ifft(vals, axis=1, out=vals)
 
 
 def poisson_extend(u: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Harmonic extension: mode n goes to u_n r^{|n|}; the ring equals u."""
     if u.n_theta != grid.n_theta:
         raise ValueError("boundary function does not match grid angles")
-    modes = u.modes()
-    powers = np.power(grid.radii[:, None], np.abs(grid.mode_numbers)[None, :].astype(float))
-    vals = np.fft.ifft(modes[None, :] * powers * grid.n_theta, axis=1)
+    vals = _extend(grid, u.modes())
     vals[-1] = u.values
     return GridFunction(grid, vals)
 
@@ -222,12 +316,7 @@ def harmonicity_defect(u: GridFunction) -> float:
 
 def riesz_extension(psi: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Holomorphic g with Re tr g = psi and int_T Im tr g = 0 (psi real)."""
-    modes = psi.modes()
-    nvals = psi.mode_numbers
-    gmodes = modes * (1.0 + np.sign(nvals))
-    powers = np.power(grid.radii[:, None], np.abs(nvals)[None, :].astype(float))
-    vals = np.fft.ifft(gmodes[None, :] * powers * grid.n_theta, axis=1)
-    return GridFunction(grid, vals)
+    return GridFunction(grid, _extend(grid, psi.modes() * (1.0 + np.sign(psi.mode_numbers))))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from phdisk import (
     w12_norm,
     wirtinger_derivatives,
 )
+from phdisk.grid import _cone_mask
 
 
 class TestMakeGrid:
@@ -258,6 +259,24 @@ class TestNontangentialMax:
             cone = Cone(complex(np.exp(1j * grid128.thetas[k])), 0.6)
             sel = cone.contains(z)
             assert M.values[k].real >= vals[sel].max() - 1e-14
+
+    @pytest.mark.parametrize(
+        "n, gamma", [(256, np.pi / 4), (128, 0.6), (64, 1.2), (256, 0.3)]
+    )
+    def test_rolled_cone_matches_per_vertex_oracle(self, n, gamma):
+        """Each rolled mask equals Cone.contains at its own vertex, node for node."""
+        grid = make_grid(n, n)
+        z = grid.nodes_z()[: n - 1]
+        base = _cone_mask(grid, gamma)
+        rng = np.random.default_rng(n)
+        f = GridFunction(grid, rng.standard_normal((n, n)))
+        M = nontangential_max(f, gamma).values.real
+        vals = np.abs(f.values[: n - 1])
+        for k, theta in enumerate(grid.thetas):
+            sel = Cone(complex(np.exp(1j * theta)), gamma).contains(z)
+            assert np.array_equal(np.roll(base, k, axis=1), sel), k
+            assert M[k] == vals[sel].max()
+
 
 class TestConeGeometry:
     def test_region_composition(self):

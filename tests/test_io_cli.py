@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +351,35 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         report = json.loads((tmp_path / "d" / "report.json").read_text())
         assert report["diagnostic"]["value"] == 1.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestVersion:
+    def test_pyproject_holds_no_version_literal(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert "version" in project["project"]["dynamic"]
+        dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "phdisk.__version__"}
+
+    def test_version_read_without_numpy(self):
+        """setuptools reads the literal statically: numpy is never imported."""
+        pytest.importorskip("setuptools")
+        code = textwrap.dedent(
+            """
+            import sys
+            sys.modules["numpy"] = None  # any import of numpy fails
+            from setuptools.config.expand import read_attr
+            print(read_attr("phdisk.__version__", package_dir={"": "src"}, root_dir="."))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+        import phdisk
+
+        assert out.stdout.strip() == phdisk.__version__

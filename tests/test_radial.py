@@ -71,7 +71,9 @@ def test_folded_weights_match_cell_cubics(case):
         ref = eng.h * np.einsum("miq,miq->mi", coeffs, nu)
         if not inner:
             ref[:, 0] = 0.0
-        got = eng._cell_integrals(table, prof, exps)
+        got = np.empty(prof.shape[::-1], dtype=complex)  # radius-major
+        eng._cell_integrals(table, prof.T, eng._exp_index(exps), got)
+        got = got.T
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
@@ -80,6 +82,29 @@ def test_full_moment_is_last_node_of_cumulative_in(case):
     prof = rough_profiles(4, len(exps), eng.n_r)
     S = eng.cumulative_in(prof, exps)[:, -1]
     assert np.max(np.abs(eng.full_moment(prof, exps) - S)) < 1e-14 * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
+def test_exponent_runs_index_by_slices(case, step):
+    """Runs of consecutive exponents, the transforms' column layout, read the
+    tables through slices (views) and meet the same closed forms."""
+    eng, r, exps, js, profiles = case
+    run = np.arange(eng.a_max + 1)[::step]
+    assert isinstance(eng._exp_index(run), slice)
+    for j in POWERS:
+        prof = np.repeat(r[None, :] ** j, len(run), axis=0)
+        S = eng.cumulative_in(prof, run)
+        exact_in = r[None, :] ** (j + 1) / (run + j + 1)[:, None]
+        assert np.max(np.abs(S - exact_in) / exact_in) < 1e-12
+        T = eng.cumulative_out(prof, run)
+        d = (j + 1 - run)[:, None]
+        rb = r[None, :] ** run[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact_out = np.where(d == 0, -rb * np.log(r), (rb - r[None, :] ** (j + 1)) / d)
+        err = np.max(np.abs(T - exact_out), axis=1) / np.max(np.abs(exact_out), axis=1)
+        assert np.max(err) < 1e-12
+        full = eng.full_moment(prof, run)
+        assert np.max(np.abs(full - 1.0 / (run + j + 1)) * (run + j + 1)) < 1e-13
 
 
 @pytest.mark.parametrize("method", ["cumulative_in", "cumulative_out", "full_moment"])

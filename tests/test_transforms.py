@@ -5,6 +5,7 @@ from helpers import random_smooth_bandlimited
 from phdisk import (
     BoundaryFunction,
     GridFunction,
+    MaskedValueError,
     area_integral,
     beurling,
     boundary_trace,
@@ -21,6 +22,7 @@ from phdisk import (
     solve_dbar,
     wirtinger_derivatives,
 )
+from phdisk.transforms import Workspace, cauchy_reflect
 
 
 class TestCauchy:
@@ -365,6 +367,67 @@ class TestPotentialConsistency:
         P = green_potential(GridFunction(grid256, 4.0 * dg.values.imag.astype(complex)))
         combo = cauchy(g) - reflect_transform(g)
         assert lp_norm_disk(P - GridFunction(grid256, combo.values.imag.astype(complex)), 2.0, r_max=0.9) < 1e-9
+
+
+def seeded_field(grid, seed):
+    """Smooth non-polynomial field with seeded coefficients."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z = grid.nodes_z()
+    return GridFunction(
+        grid,
+        a[0] * np.exp(-np.abs(z) ** 2) * np.cos(3.0 * z.real)
+        + a[1] * np.sin(2.0 * z.imag) * np.conj(z)
+        + a[2] / (2.0 - z)
+        + a[3] * np.exp(np.conj(z)) * np.abs(z),
+    )
+
+
+class TestCauchyReflect:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_matches_separate_transforms(self, n, sign):
+        grid = make_grid(n, n)
+        beta = seeded_field(grid, n)
+        ref = cauchy(beta).values + sign * reflect_transform(beta).values
+        got = cauchy_reflect(beta, sign).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_workspace_reuse(self, grid128):
+        """A reused buffer gives the per-call values; each call overwrites the last."""
+        work = Workspace(grid128)
+        a, b = seeded_field(grid128, 1), seeded_field(grid128, 2)
+        first = cauchy_reflect(a, -1.0, work).values
+        kept = first.copy()
+        second = cauchy_reflect(b, -1.0, work).values
+        assert np.shares_memory(first, second)
+        assert np.array_equal(second, cauchy_reflect(b, -1.0).values)
+        assert np.array_equal(cauchy_reflect(a, -1.0, work).values, kept)
+        with pytest.raises(ValueError, match="another grid"):
+            cauchy_reflect(seeded_field(make_grid(64, 64), 1), -1.0, work)
+
+    @pytest.mark.parametrize("work", [False, True])
+    def test_masked_source_raises(self, grid128, work):
+        vals = seeded_field(grid128, 3).values.copy()
+        vals[5, 7] = np.nan
+        beta = GridFunction(grid128, vals)
+        with pytest.raises(MaskedValueError):
+            cauchy_reflect(beta, -1.0, Workspace(grid128) if work else None)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            cauchy,
+            beurling,
+            reflect_transform,
+            green_potential,
+            lambda h: cauchy_renormalized(h, 2.0),
+            lambda h: cauchy_reflect(h, -1.0),
+        ],
+        ids=["cauchy", "beurling", "reflect", "green", "renormalized", "cauchy_reflect"],
+    )
+    def test_outputs_c_contiguous(self, grid128, op):
+        assert op(seeded_field(grid128, 4)).values.flags.c_contiguous
 
 
 class TestModeRepresentation:
