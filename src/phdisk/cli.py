@@ -76,11 +76,28 @@ def _load_inputs(cfg: dict, names, io_mod) -> dict:
     return out
 
 
+def _integral(value):
+    """An integral float or numeric string as an int, else `value` as given.
+
+    JSON writers may emit 50 as 50.0 and configs may quote numbers; a
+    value with a fractional part is left for SolverConfig to reject
+    rather than truncated.
+    """
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _solver_config(cfg: dict, solvers_mod):
     block = cfg.get("solver", {})
     return solvers_mod.SolverConfig(
         tol=float(block.get("tol", 1e-8)),
-        max_iter=int(block.get("max_iter", 200)),
+        max_iter=_integral(block.get("max_iter", 200)),
         damping=float(block.get("damping", 1.0)),
         zero_threshold=block.get("zero_threshold"),
         p=float(block.get("p", 2.0)),

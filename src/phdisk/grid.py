@@ -459,24 +459,49 @@ _FD2_FORWARD = _fd_weights(np.arange(0, 6), 2)
 _FD2_SKEW1 = _fd_weights(np.arange(-1, 5), 2)
 
 
-def _apply_radial_stencils(values, interior, forward, skew, mirror_sign) -> np.ndarray:
+def _apply_radial_stencils(values, interior, forward, skew, mirror_sign, out=None) -> np.ndarray:
     """Apply a 5-point interior stencil with one-sided rim closures.
 
     mirror_sign is -1 for odd-order derivatives (reversed stencils flip
-    sign) and +1 for even orders.
+    sign, and the interior one is antisymmetric, with no centre tap) and
+    +1 for even orders (symmetric).  The stencils are real, so they act
+    on the real view of complex values.  The interior is shifted-slice
+    taps in `out`, paired by that symmetry and nested as
+    ((v_{-2} +- v_2) c_0/c_1 + v_{-1} +- v_1) c_1 [+ c_2 v_0] (c_1 and,
+    for even orders, c_2 are nonzero), so no scratch array is needed.
     """
     n_r = values.shape[0]
     if n_r < max(5, len(forward)):
         raise ValueError("radial stencils need a deeper grid")
-    out = np.empty_like(values)
-    nf = len(forward)
-    out[0] = np.tensordot(forward, values[0:nf], axes=(0, 0))
-    out[1] = np.tensordot(skew, values[0 : len(skew)], axes=(0, 0))
-    core = np.lib.stride_tricks.sliding_window_view(values, 5, axis=0)
-    np.einsum("s,jks->jk", interior, core, out=out[2:-2])
-    out[-2] = mirror_sign * np.tensordot(skew[::-1], values[-len(skew) :], axes=(0, 0))
-    out[-1] = mirror_sign * np.tensordot(forward[::-1], values[-nf:], axes=(0, 0))
+    if out is None:
+        out = np.empty(values.shape, dtype=values.dtype)
+    v = _real_view(values)
+    o = out.view(float) if np.iscomplexobj(out) else out
+    nf, ns = len(forward), len(skew)
+    o[0] = np.tensordot(forward, v[0:nf], axes=(0, 0))
+    o[1] = np.tensordot(skew, v[0:ns], axes=(0, 0))
+    pair = np.add if mirror_sign > 0 else np.subtract
+    c0, c1, c2 = interior[:3]
+    core = pair(v[0 : n_r - 4], v[4:n_r], out=o[2:-2])
+    core *= c0 / c1
+    core += v[1 : n_r - 3]
+    pair(core, v[3 : n_r - 1], out=core)
+    if mirror_sign > 0:
+        core *= c1 / c2
+        core += v[2 : n_r - 2]
+        core *= c2
+    else:
+        core *= c1
+    o[-2] = mirror_sign * np.tensordot(skew[::-1], v[-ns:], axes=(0, 0))
+    o[-1] = mirror_sign * np.tensordot(forward[::-1], v[-nf:], axes=(0, 0))
     return out
+
+
+def _real_view(a: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts interleaved along the last axis: a view of
+    `a` if it is C-contiguous, else of a C-contiguous copy."""
+    a = np.ascontiguousarray(a)
+    return a.view(float) if np.iscomplexobj(a) else a
 
 
 def _radial_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -524,35 +549,50 @@ def sobolev_norm(f: GridFunction, p: float) -> float:
 
 def _row_sq(a: np.ndarray) -> np.ndarray:
     """sum_k |a[j, k]|^2 for each row j, with no temporary array."""
-    re, im = a.real, a.imag
-    return np.einsum("jk,jk->j", re, re) + np.einsum("jk,jk->j", im, im)
+    re = _real_view(a)
+    return np.einsum("jk,jk->j", re, re)
 
 
 def w12_norm(f: GridFunction) -> float:
     """Discrete W^{1,2} norm sobolev_norm(f, 2); the solvers' convergence metric.
 
-    Computed by Parseval from one angular FFT V of f: |d f| and |dbar f|
-    are |f_r -+ i f_theta / r| / 2, whose angular modes are
-    (D V +- n V / r) / 2 with D the radial stencils of
-    wirtinger_derivatives.  No derivative grids, phase factors or inverse
-    FFT are formed; the value equals sobolev_norm(f, 2) up to rounding.
+    One angular FFT of f, then `w12_norm_modes`; the value equals
+    sobolev_norm(f, 2) up to rounding.
     """
     v = f.require_unmasked("differentiation")
-    g = f.grid
-    modes = np.fft.fft(v, axis=1)
-    dr = _apply_radial_stencils(modes, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0)
-    dr /= g.radial_step
+    return w12_norm_modes(np.fft.fft(v, axis=1), f.grid)
+
+
+def w12_norm_modes(modes: np.ndarray, grid: DiskGrid, work=None) -> float:
+    """sobolev_norm(f, 2) of the f whose angular modes are `modes`.
+
+    `modes` is np.fft.fft(f.values, axis=1): radius-major, FFT order,
+    unnormalized.  By Parseval, |d f| and |dbar f| are
+    |f_r -+ i f_theta / r| / 2, whose angular modes are (D V +- n V / r) / 2
+    with D the radial stencils of wirtinger_derivatives.  No derivative
+    grids, phase factors or inverse FFT are formed, and `modes` is left
+    alone.  `work` is a pair of C-ordered (n_r, n_theta) complex arrays
+    it may overwrite; two are allocated when it is None.
+    """
+    modes = np.ascontiguousarray(modes)
+    if work is None:
+        work = np.empty((2,) + modes.shape, dtype=complex)
+    dr, nv = work
+    h = grid.radial_step
+    # h (f_r -+ i f_theta / r) has modes D V -+ (h n / r) V
+    _apply_radial_stencils(modes, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0, out=dr)
+    hn = np.repeat(h * grid.mode_numbers, 2)  # per real and imaginary part
+    rnv = np.multiply(_real_view(modes), hn, out=nv.view(float))
+    rnv *= (1.0 / grid.radii)[:, None]
     # Parseval: sum_k |v_k|^2 = sum_n |V_n|^2 / n_theta
-    w = g.radial_weights * (2.0 * np.pi / g.n_theta**2)
+    w = grid.radial_weights * (2.0 * np.pi / grid.n_theta**2)
     norm_f = math.sqrt(w @ _row_sq(modes))
-    modes *= g.mode_numbers
-    modes /= g.radii[:, None]
-    dr -= modes
-    norm_dbar = 0.5 * math.sqrt(w @ _row_sq(dr))
-    modes *= 2.0
-    dr += modes
-    norm_d = 0.5 * math.sqrt(w @ _row_sq(dr))
-    return norm_f + norm_d + norm_dbar
+    dr -= nv
+    norm_dbar = math.sqrt(w @ _row_sq(dr))
+    dr += nv
+    dr += nv
+    norm_d = math.sqrt(w @ _row_sq(dr))
+    return norm_f + (0.5 / h) * (norm_d + norm_dbar)
 
 
 def boundary_trace(f: GridFunction) -> BoundaryFunction:

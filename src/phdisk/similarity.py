@@ -12,11 +12,12 @@ F = e^{-s} w; for the imaginary normalization |F| = |w| on T pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm_disk, wirtinger_derivatives
+from .grid import GridFunction, MaskedValueError, lp_norm_disk, wirtinger_derivatives
 from .transforms import cauchy_reflect
 
 __all__ = [
@@ -59,10 +60,36 @@ def beltrami_ratio(
     """beta = alpha conj(w)/w, set to zero below the modulus threshold."""
     wv = w.require_unmasked("Beltrami ratio")
     av = alpha.require_unmasked("Beltrami ratio")
-    thr = _threshold(float(np.max(np.abs(wv))), zero_threshold)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(np.abs(wv) <= thr, 0.0, np.conj(wv) / np.where(wv == 0, 1.0, wv))
-    return w.with_values(av * phase)
+    return w.with_values(beltrami_values(wv, av, zero_threshold))
+
+
+def beltrami_values(
+    wv: np.ndarray, av: np.ndarray, zero_threshold: float | None = None, out=None
+) -> np.ndarray:
+    """Values of `beltrami_ratio`, in `out` (a C-ordered complex array) when given.
+
+    Formed in one pass as alpha (conj(w)/|w|)^2 with the threshold applied
+    to |w|, so nodes at or below it are exactly 0.  |w| is taken as
+    hypot, which does not underflow and overflows only past the largest
+    float, and the phase is a real division, so the result does not
+    depend on the scale of w.  A non-finite |w| (an overflowed or masked
+    node) raises MaskedValueError.
+    """
+    mod = np.abs(wv)
+    scale = float(np.max(mod))
+    if not math.isfinite(scale):
+        raise MaskedValueError("Beltrami ratio over non-finite nodes is not defined")
+    small = mod <= _threshold(scale, zero_threshold)
+    if out is None:
+        out = np.empty(wv.shape, dtype=complex)
+    np.conjugate(wv, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: 0/0
+        re_im = out.view(float).reshape(*out.shape, 2)  # a view of the C-ordered out
+        re_im /= mod[..., None]
+    np.square(out, out=out)
+    out *= av
+    out[small] = 0.0
+    return out
 
 
 def residual_beltrami(w: GridFunction, alpha: GridFunction) -> float:

@@ -8,7 +8,8 @@ with real coefficients, mixing weight `damping`).  Safeguard: whenever the
 residual g(x) - x grows, the history is dropped and the weight halved, and
 the loop fails explicitly if the residual keeps growing at the floor.
 Nothing is asserted about rates: reports carry the whole increment history
-and the engaged damping level.
+and the engaged damping level.  The loop works on plain arrays; the
+Riesz solver runs it on the angular modes of s.
 
 The three problems:
 
@@ -36,13 +37,15 @@ from .grid import (
     hardy_norm,
     lp_norm_disk,
     w12_norm,
+    w12_norm_modes,
     wirtinger_derivatives,
 )
-from .similarity import beltrami_ratio, reconstruct, residual_beltrami
+from .similarity import beltrami_ratio, beltrami_values, reconstruct, residual_beltrami
 from .transforms import (
     Workspace,
+    _cauchy_reflect_modes,
+    _poisson_values,
     cauchy,
-    cauchy_reflect,
     conjugate_function,
     green_potential,
     poisson_extend,
@@ -80,6 +83,11 @@ class SolverConfig:
             raise ValueError("max_iter must be an integer >= 1")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
+        zt = self.zero_threshold
+        if zt is not None and not (
+            isinstance(zt, numbers.Real) and math.isfinite(zt) and zt >= 0.0
+        ):
+            raise ValueError("zero_threshold must be None or a finite number >= 0")
         if not self.p >= 1.0:
             raise ValueError("p must be >= 1")
         if not (0.0 < self.gamma < math.pi / 2):
@@ -120,16 +128,20 @@ class SolverDivergence(RuntimeError):
         self.report = report
 
 
-def _picard(state, apply_map, step_norm, cfg: SolverConfig):
+def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
     """Anderson-mixed fixed-point loop shared by all solvers.
 
-    `state` is a GridFunction or BoundaryFunction; `apply_map` returns
-    one of the same kind, whose buffer is overwritten by the residual: it
-    may be a work array the map reuses, since the loop is done with it
-    before the next evaluation.  Each step evaluates the map once, forms
-    the residual f = g(x) - x and mixes it with the last ANDERSON_WINDOW
-    differences (Anderson 1965; Walker & Ni 2011, type II, mixing weight
-    tau):
+    `state` is the initial iterate, a complex array, which is left alone;
+    `apply_map` takes an iterate to an array of the same shape, whose
+    buffer is overwritten by the residual: it may be a work array the map
+    reuses, since the loop is done with it before the next evaluation.
+    `step_norm` takes a residual to a float.  Nothing is wrapped per
+    step, so a map may run in any linear coordinates of its problem, the
+    Riesz map on unnormalized angular modes: the mixing coefficients below
+    are least-squares solutions, unchanged when every iterate is scaled
+    alike.  Each step evaluates the map once, forms the residual
+    f = g(x) - x and mixes it with the last ANDERSON_WINDOW differences
+    (Anderson 1965; Walker & Ni 2011, type II, mixing weight tau):
 
         x+ = x + tau (f - sum_i gamma_i v_i),   v_i = dx_i / tau + df_i,
 
@@ -142,13 +154,10 @@ def _picard(state, apply_map, step_norm, cfg: SolverConfig):
     and tau halved down to DAMPING_FLOOR; five growths at the floor end
     the loop unconverged.
 
-    Returns (state, history, converged, tau).
+    Returns (x, history, converged, tau), x a new array.
     """
     tau = cfg.damping
-    x = state.values.copy()
-
-    def wrap(values):
-        return state.with_values(values, state.mask)
+    x = np.array(state, dtype=complex)
 
     # ring buffers, one slot per difference; slot `pending` holds
     # -sum_i gamma_i v_i and f of the last step until the next residual
@@ -162,7 +171,7 @@ def _picard(state, apply_map, step_norm, cfg: SolverConfig):
     prev = math.inf
     bad_at_floor = 0
     for _ in range(cfg.max_iter):
-        f = apply_map(wrap(x)).values
+        f = apply_map(x)
         f -= x
         res = math.sqrt(_real_dot(f, f))
         if not res <= prev:
@@ -173,7 +182,7 @@ def _picard(state, apply_map, step_norm, cfg: SolverConfig):
             else:
                 bad_at_floor += 1
         prev = res
-        inc = tau * step_norm(wrap(f))
+        inc = tau * step_norm(f)
         if pending is not None:
             np.subtract(f, df[pending], out=df[pending])
             v[pending] += f
@@ -197,10 +206,10 @@ def _picard(state, apply_map, step_norm, cfg: SolverConfig):
         del f  # not held through the next map evaluation
         history.append(inc)
         if inc < cfg.tol:
-            return wrap(x), history, True, tau
+            return x, history, True, tau
         if bad_at_floor >= 5:
-            return wrap(x), history, False, tau
-    return wrap(x), history, False, tau
+            return x, history, False, tau
+    return x, history, False, tau
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -290,12 +299,12 @@ def parametrize_imag(
     else:
         phi0 = GridFunction(grid, (initial_s.values.imag - A.values.real).astype(complex))
     phi, history, converged, tau = _picard(
-        phi0,
-        lambda p: _green_map(beta, p),
-        w12_norm,
+        phi0.values,
+        lambda p: _green_map(beta, phi0.with_values(p)).values,
+        lambda d: w12_norm(phi0.with_values(d)),
         cfg,
     )
-    phi2 = phi.values.real
+    phi2 = phi.real
     m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi2)))
     s_prime = _assemble_s(m, phi2, grid)
     s = s_prime + A * 1j
@@ -356,11 +365,12 @@ def parametrize_real(
     def inner_fixed_point(u_b: BoundaryFunction) -> GridFunction:
         Eu = poisson_extend(u_b, grid)
         phi, history, ok, _ = _picard(
-            inner_state["phi2"],
-            lambda p: Eu + _green_map(beta, p),
-            w12_norm,
+            inner_state["phi2"].values,
+            lambda p: (Eu + _green_map(beta, Eu.with_values(p))).values,
+            lambda d: w12_norm(Eu.with_values(d)),
             cfg,
         )
+        phi = Eu.with_values(phi)
         if not ok:
             raise SolverDivergence(
                 "inner parametrization fixed point diverged",
@@ -377,14 +387,18 @@ def parametrize_real(
         re = BoundaryFunction(tr0.values.real.astype(complex))
         return BoundaryFunction(tr0.values.imag.astype(complex)) - conjugate_function(re)
 
-    def u_norm(d: BoundaryFunction) -> float:
+    def u_norm(d: np.ndarray) -> float:
         # sum (1+|n|) |d_n|^2 is the W^{1,2}(D) norm (squared, up to the
         # usual constants) of the harmonic extension of the boundary
         # increment, which is the leading term of the s increment
+        d = BoundaryFunction(d)
         n = np.abs(d.mode_numbers)
         return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d.modes()) ** 2)))
 
-    u, history, converged, tau = _picard(u, boundary_map, u_norm, cfg)
+    u, history, converged, tau = _picard(
+        u.values, lambda a: boundary_map(BoundaryFunction(a)).values, u_norm, cfg
+    )
+    u = BoundaryFunction(u)
 
     phi = inner_fixed_point(u)
     phi2 = phi.values.real
@@ -434,28 +448,43 @@ def solve_riesz(
         w = GridFunction.zeros(grid)
         return w, BoundaryFunction.zeros(grid.n_theta), SolveReport(converged=True)
 
-    def holo_factor(s: GridFunction) -> GridFunction:
-        h = boundary_trace(s).values.real
+    def holo_factor(h: np.ndarray) -> BoundaryFunction:
+        """Boundary values of the holomorphic factor for h = Re tr s."""
         eh = np.exp(h)
         phi = BoundaryFunction((np.exp(-h) * psi.values.real).astype(complex))
         phit = conjugate_function(phi)
         c0 = (c - float(np.sum(eh * phit.values.real)) * dtheta) / (
             float(np.sum(eh)) * dtheta
         )
-        FT = BoundaryFunction(phi.values.real + 1j * (phit.values.real + c0))
-        return poisson_extend(FT, grid)
+        return BoundaryFunction(phi.values.real + 1j * (phit.values.real + c0))
 
-    # the C - R pass's work arrays, reused by every step of this solve
+    # the step's work arrays, reused by every step of this solve
     work = Workspace(grid)
+    av = alpha.require_unmasked("Beltrami ratio")
 
-    def riesz_map(s: GridFunction) -> GridFunction:
-        beta = beltrami_ratio(reconstruct(s, holo_factor(s)), alpha, cfg.zero_threshold)
-        return cauchy_reflect(beta, -1.0, work)
+    def riesz_map(X: np.ndarray) -> np.ndarray:
+        """Angular modes of C(beta) - R(beta) for s with angular modes X."""
+        s = np.fft.ifft(X, axis=1, out=work.out)
+        F = _poisson_values(holo_factor(s[-1].real), grid, out=work.vals)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            w = np.exp(s, out=s)
+            w *= F
+        beta = beltrami_values(w, av, cfg.zero_threshold, out=work.vals)
+        return _cauchy_reflect_modes(beta, 1.0, -1.0, work)
 
-    s0 = initial_s if initial_s is not None else GridFunction.zeros(grid)
-    s, history, converged, tau = _picard(s0, riesz_map, w12_norm, cfg)
+    def step_norm(f: np.ndarray) -> float:
+        # after the sweep the step's source values and modes are spent
+        return w12_norm_modes(f, grid, (work.vals, work.spare))
 
-    F = holo_factor(s)
+    if initial_s is None:
+        X0 = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
+    else:
+        X0 = np.fft.fft(initial_s.require_unmasked("initial state"), axis=1)
+    X, history, converged, tau = _picard(X0, riesz_map, step_norm, cfg)
+    del work  # its buffers are not held through the report
+
+    s = GridFunction(grid, np.fft.ifft(X, axis=1))
+    F = poisson_extend(holo_factor(s.values[-1].real), grid)
     w = reconstruct(s, F)
     psi_sharp = BoundaryFunction(boundary_trace(w).values.imag.astype(complex))
     tr_s = boundary_trace(s)

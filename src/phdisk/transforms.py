@@ -17,7 +17,10 @@ views, and one `RadialEngine.sweep` serves every run.
 `cauchy_reflect` gives C(h) + sign R(h) from one FFT pair and one sweep,
 since R's moment for output mode m is the last node of C's inward
 integral for source mode 1 - m; `cauchy` and `reflect_transform` are its
-two halves.  Its work arrays live in a `Workspace`, which a solve
+two halves.  Its mode-space core, `_cauchy_reflect_modes`, takes values
+and leaves the output modes in the workspace without the inverse FFT,
+so a solver that iterates on modes (`solve_riesz`) pays one forward FFT
+per pass.  The work arrays live in a `Workspace`, which a solve
 allocates once and passes to every step; the public transforms allocate
 their own per call, and this module keeps no work arrays of its own.
 
@@ -68,19 +71,24 @@ def _engine_for(grid: DiskGrid):
 
 
 class Workspace:
-    """Work arrays of `cauchy_reflect` on one grid.
+    """Work arrays of `cauchy_reflect` and of a Riesz step on one grid.
 
     `modes` takes the source modes (see `_source_modes`); `out` holds the
-    output modes and, after the in-place inverse FFT, the values.  A
-    solve allocates one and passes it to every step, so its result is
-    overwritten by the next call; the public transforms allocate one per
-    call.
+    output modes and, after the in-place inverse FFT, the values; `vals`
+    holds a step's source values.  Once a pass has swept them, the source
+    modes are spent, and `spare`, their memory read as a C-ordered
+    (n_r, n_theta) array, is scratch.  A solve allocates one and passes
+    it to every step, so its result is overwritten by the next call; the
+    public transforms allocate one per call.
     """
 
     def __init__(self, grid: DiskGrid):
         self.grid = grid
+        shape = (grid.n_r, grid.n_theta)
         self.modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
-        self.out = np.empty((grid.n_r, grid.n_theta), dtype=complex)
+        self.spare = self.modes.reshape(-1)[: grid.n_r * grid.n_theta].reshape(shape)
+        self.out = np.empty(shape, dtype=complex)
+        self.vals = np.empty(shape, dtype=complex)
 
 
 def _modes(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
@@ -92,20 +100,22 @@ def _modes(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(f.require_unmasked("angular transform"), axis=1, out=out)
 
 
-def _source_modes(h: GridFunction, buf: np.ndarray | None = None) -> np.ndarray:
-    """`_modes` in an (n_r, n_theta + 1) array whose last column repeats
-    mode 0, so that the inward source modes 1 - n_theta/2, ..., -1, 0 of
-    the Cauchy transform are the run of columns n_theta/2 + 1, ..., n_theta."""
-    N = h.grid.n_theta
+def _source_modes(values: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """`_modes` of values in an (n_r, n_theta + 1) array whose last column
+    repeats mode 0, so that the inward source modes 1 - n_theta/2, ..., -1,
+    0 of the Cauchy transform are the run of columns n_theta/2 + 1, ...,
+    n_theta."""
+    n_r, N = values.shape
     if buf is None:
-        buf = np.empty((h.grid.n_r, N + 1), dtype=complex)
-    _modes(h, out=buf[:, :N])
+        buf = np.empty((n_r, N + 1), dtype=complex)
+    np.fft.fft(values, axis=1, out=buf[:, :N])
     buf[:, N] = buf[:, 0]
     return buf
 
 
-def _cauchy_reflect_modes(h: GridFunction, c: float, r: float, work: Workspace) -> np.ndarray:
-    """Output modes of c C(h) + r R(h) in work.out, c in {0, 1}.
+def _cauchy_reflect_modes(values: np.ndarray, c: float, r: float, work: Workspace) -> np.ndarray:
+    """Output modes of c C(h) + r R(h) in work.out, c in {0, 1}, for the
+    h with these values on work.grid.
 
     Column j of the modes is angular mode n (FFT order).  Source mode
     n <= 0 feeds output mode n - 1 of C through the inward integral with
@@ -118,14 +128,14 @@ def _cauchy_reflect_modes(h: GridFunction, c: float, r: float, work: Workspace) 
     fills both blocks of work.out in place.  R's output mode m >= 1 is
     -2 conj(M_m) r^m with M_m the full moment of source mode 1 - m at
     exponent m: the last node of C's inward integral in column
-    n_theta - m, or, without C, one dot product per mode.
+    n_theta - m, or, without C, one dot product per mode.  The modes are
+    those of `np.fft.fft(values, axis=1)`, unnormalized; work.modes is
+    spent when this returns.
     """
-    grid = h.grid
-    if not work.grid.same_as(grid):
-        raise ValueError("workspace belongs to another grid")
+    grid = work.grid
     half = grid.n_theta // 2
     eng = _engine_for(grid)
-    B = _source_modes(h, work.modes)
+    B = _source_modes(values, work.modes)
     O = work.out
     inward = (B[:, half + 1 :], slice(half, 0, -1), O[:, half:])
     if c:
@@ -151,7 +161,11 @@ def _cauchy_reflect_modes(h: GridFunction, c: float, r: float, work: Workspace) 
 def _cauchy_reflect(
     h: GridFunction, c: float, r: float, work: Workspace | None = None
 ) -> GridFunction:
-    O = _cauchy_reflect_modes(h, c, r, Workspace(h.grid) if work is None else work)
+    if work is None:
+        work = Workspace(h.grid)
+    elif not work.grid.same_as(h.grid):
+        raise ValueError("workspace belongs to another grid")
+    O = _cauchy_reflect_modes(h.require_unmasked("angular transform"), c, r, work)
     return h.with_values(np.fft.ifft(O, axis=1, out=O))
 
 
@@ -180,7 +194,7 @@ def beurling(h: GridFunction) -> GridFunction:
     """
     grid = h.grid
     work = Workspace(grid)
-    C = _cauchy_reflect_modes(h, 1.0, 0.0, work)
+    C = _cauchy_reflect_modes(h.require_unmasked("angular transform"), 1.0, 0.0, work)
     half = grid.n_theta // 2
     out = np.roll(C, -1, axis=1)
     out *= (grid.mode_numbers + 1.0)[None, :]
@@ -212,7 +226,7 @@ def cauchy_renormalized(
         raise ValueError("eval grid radius does not match R")
     N, half = grid.n_theta, grid.n_theta // 2
     eng = _engine_for(grid)
-    B = _source_modes(h)
+    B = _source_modes(h.require_unmasked("angular transform"))
     radii = eval_grid.radii
     # the engine runs once per distinct radius clipped to the unit circle
     rim, at = np.unique(np.minimum(radii, 1.0), return_inverse=True)
@@ -277,19 +291,24 @@ def green_potential(psi: GridFunction) -> GridFunction:
     return psi.with_values(np.fft.ifft(out, axis=1, out=out))
 
 
-def _extend(grid: DiskGrid, modes: np.ndarray) -> np.ndarray:
+def _extend(grid: DiskGrid, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Values of sum_n modes_n r^{|n|} e^{in theta} (modes as `BoundaryFunction.modes`)."""
-    vals = np.multiply(grid.mode_powers, modes * grid.n_theta)
+    vals = np.multiply(grid.mode_powers, modes * grid.n_theta, out=out)
     return np.fft.ifft(vals, axis=1, out=vals)
+
+
+def _poisson_values(u: BoundaryFunction, grid: DiskGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Values of `poisson_extend(u, grid)`, in `out` when given."""
+    if u.n_theta != grid.n_theta:
+        raise ValueError("boundary function does not match grid angles")
+    vals = _extend(grid, u.modes(), out)
+    vals[-1] = u.values
+    return vals
 
 
 def poisson_extend(u: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Harmonic extension: mode n goes to u_n r^{|n|}; the ring equals u."""
-    if u.n_theta != grid.n_theta:
-        raise ValueError("boundary function does not match grid angles")
-    vals = _extend(grid, u.modes())
-    vals[-1] = u.values
-    return GridFunction(grid, vals)
+    return GridFunction(grid, _poisson_values(u, grid))
 
 
 def conjugate_function(psi: BoundaryFunction) -> BoundaryFunction:

@@ -16,7 +16,17 @@ from phdisk import (
     w12_norm,
     wirtinger_derivatives,
 )
-from phdisk.grid import _cone_mask
+from phdisk.grid import (
+    _FD2_FORWARD,
+    _FD2_INTERIOR,
+    _FD2_SKEW1,
+    _FD_FORWARD,
+    _FD_INTERIOR,
+    _FD_SKEW1,
+    _apply_radial_stencils,
+    _cone_mask,
+    w12_norm_modes,
+)
 
 
 class TestMakeGrid:
@@ -197,6 +207,46 @@ class TestSobolev:
             f = GridFunction(g, vals)
             ref = sobolev_norm(f, 2.0)
             assert abs(w12_norm(f) - ref) <= 1e-14 * ref
+            # the solvers' form: unnormalized angular modes, left unchanged
+            modes = np.fft.fft(vals, axis=1)
+            kept = modes.copy()
+            assert abs(w12_norm_modes(modes, g) - ref) <= 1e-14 * ref
+            assert abs(w12_norm_modes(modes, g) - w12_norm(f)) <= 1e-14 * ref
+            assert np.array_equal(modes, kept)
+            assert w12_norm(GridFunction(g, np.asfortranarray(vals))) == w12_norm(f)
+
+
+def _reference_radial_stencils(values, interior, forward, skew, mirror_sign):
+    """Sliding-window einsum form of the radial stencils, the oracle."""
+    out = np.empty_like(values)
+    nf, ns = len(forward), len(skew)
+    out[0] = np.tensordot(forward, values[0:nf], axes=(0, 0))
+    out[1] = np.tensordot(skew, values[0:ns], axes=(0, 0))
+    core = np.lib.stride_tricks.sliding_window_view(values, 5, axis=0)
+    np.einsum("s,jks->jk", interior, core, out=out[2:-2])
+    out[-2] = mirror_sign * np.tensordot(skew[::-1], values[-ns:], axes=(0, 0))
+    out[-1] = mirror_sign * np.tensordot(forward[::-1], values[-nf:], axes=(0, 0))
+    return out
+
+
+class TestRadialStencils:
+    STENCILS = {
+        "first": (_FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0),
+        "second": (_FD2_INTERIOR, _FD2_FORWARD, _FD2_SKEW1, 1.0),
+    }
+
+    @pytest.mark.parametrize("order", STENCILS)
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_sliding_window_reference(self, n, order):
+        # the taps are paired by symmetry and nested, so only rounding
+        # differs from the einsum: 1e-15 of the largest value is ~5 ulp
+        stencil = self.STENCILS[order]
+        rng = np.random.default_rng(100 + n)
+        vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = _reference_radial_stencils(vals, *stencil)
+        for layout in (vals, np.asfortranarray(vals)):
+            got = _apply_radial_stencils(layout, *stencil)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestBoundaryTrace:

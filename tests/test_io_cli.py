@@ -277,6 +277,36 @@ class TestCli:
         assert err["error"] == "validation"
         assert "max_iter" in err["message"]
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ({"max_iter": 2.7}, "max_iter"),
+            ({"max_iter": "2.7"}, "max_iter"),
+            ({"zero_threshold": "abc"}, "zero_threshold"),
+        ],
+        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc"],
+    )
+    def test_solver_block_rejects_bad_values(self, tmp_path, block, key):
+        # 2.7 used to run as 2 iterations; 'abc' used to fail inside the solve
+        save_phd1(tmp_path / "alpha.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
+        save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(16, np.cos))
+        cfg = {
+            "inputs": {"alpha": str(tmp_path / "alpha.phd1"), "psi": str(tmp_path / "psi.phd1")},
+            "solver": block,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = run_cli("solve-riesz", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"{key} must")
+
+    @pytest.mark.parametrize("value", [50, 50.0, "50", "50.0", " 50 "])
+    def test_solver_block_accepts_integral_max_iter(self, value):
+        from phdisk import cli, solvers
+
+        assert cli._solver_config({"solver": {"max_iter": value}}, solvers).max_iter == 50
+
     def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch, capsys):
         from phdisk import cli, transforms
 

@@ -4,6 +4,7 @@ from helpers import random_smooth_bandlimited
 
 from phdisk import (
     GridFunction,
+    MaskedValueError,
     alpha_from_pair,
     boundary_trace,
     cauchy,
@@ -104,6 +105,63 @@ class TestFactorize:
     def test_rejects_unknown_normalization(self, grid256):
         with pytest.raises(ValueError, match="normalization"):
             factorize(GridFunction.zeros(grid256), GridFunction.zeros(grid256), "sideways")
+
+
+class TestBeltramiRatio:
+    @staticmethod
+    def _reference(wv, av, thr):
+        # the quotient form: alpha conj(w)/w, zero where |w| <= thr
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phase = np.where(np.abs(wv) <= thr, 0.0, np.conj(wv) / np.where(wv == 0, 1.0, wv))
+        return av * phase
+
+    def test_matches_quotient_form(self, grid128):
+        rng = np.random.default_rng(13)
+        shape = (grid128.n_r, grid128.n_theta)
+        wv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wv[3, 4], wv[5, 6], wv[7, 8] = 0.0, 1e-14, 1e-11
+        av = 0.5 + 0.2j * rng.standard_normal(shape)
+        w, alpha = GridFunction(grid128, wv), GridFunction(grid128, av)
+        for zt, thr in ((None, 1e-12 * np.max(np.abs(wv))), (0.5, 0.5)):
+            beta = beltrami_ratio(w, alpha, zt).values
+            ref = self._reference(wv, av, thr)
+            assert np.max(np.abs(beta - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert np.all(beta[np.abs(wv) <= thr] == 0.0)
+        assert beltrami_ratio(w, alpha).values[7, 8] != 0.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-300])
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_scale_free(self, grid128, scale, relative):
+        # |w|^2 overflows above about 1.3e154 and underflows below about
+        # 1e-154 while conj(w)/w stays defined; the threshold scales with w
+        rng = np.random.default_rng(14)
+        shape = (grid128.n_r, grid128.n_theta)
+        wv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        alpha = GridFunction.constant(grid128, 0.5)
+        zt = None if relative else 0.5
+        beta = beltrami_ratio(GridFunction(grid128, wv), alpha, zt).values
+        zt_scaled = None if relative else 0.5 * scale
+        scaled = beltrami_ratio(GridFunction(grid128, scale * wv), alpha, zt_scaled).values
+        assert np.max(np.abs(scaled - beta)) <= 1e-15
+
+    def test_tiny_nodes_under_zero_threshold(self, grid128):
+        # with threshold 0 only w = 0 is zeroed; a subnormal node keeps its phase
+        rng = np.random.default_rng(15)
+        shape = (grid128.n_r, grid128.n_theta)
+        wv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wv[1, 2], wv[3, 4], wv[5, 6] = 0.0, (1 - 2j) * 1e-200, -5e-320j
+        alpha = GridFunction.constant(grid128, 0.5)
+        beta = beltrami_ratio(GridFunction(grid128, wv), alpha, 0.0).values
+        assert np.all(np.isfinite(beta))
+        assert beta[1, 2] == 0.0
+        assert beta[3, 4] == pytest.approx(0.5 * (1 + 2j) / (1 - 2j), abs=1e-15)
+        assert beta[5, 6] == pytest.approx(-0.5, abs=1e-15)
+
+    def test_masked_w_raises(self, grid128):
+        vals = np.ones((grid128.n_r, grid128.n_theta), dtype=complex)
+        vals[2, 3] = np.inf
+        with pytest.raises(MaskedValueError):
+            beltrami_ratio(GridFunction(grid128, vals), GridFunction.constant(grid128, 0.5))
 
 
 class TestReconstruct:
