@@ -19,9 +19,10 @@ from .grid import (
     BoundaryFunction,
     GridFunction,
     MaskedValueError,
+    _lp_rows,
     area_integral,
     boundary_trace,
-    circle_norm,
+    hardy_norm,
     lp_norm_disk,
     make_grid,
     nontangential_max,
@@ -336,9 +337,7 @@ def multiplier_ratio(
     grid = f.grid
     with np.errstate(over="ignore"):
         prod = GridFunction(grid, np.exp(fv) * gv)
-    lhs = 0.0
-    for j in range(grid.n_r - 1):
-        lhs = max(lhs, circle_norm(prod, grid.radii[j], p))
+    lhs = hardy_norm(prod, p)
     rhs = nontangential_max(g, gamma).lp_norm(p)
     if rhs == 0.0:
         raise ValueError("maximal function vanishes; ratio undefined")
@@ -357,12 +356,9 @@ def trace_convergence(w: GridFunction, p: float) -> DiagnosticReport:
     quartile of interior radii, flagged when it falls by at least 2x."""
     v = w.require_unmasked("trace convergence")
     grid = w.grid
-    dtheta = 2.0 * np.pi / grid.n_theta
     j0 = int(math.ceil(0.75 * grid.n_r)) - 1
-    wT = v[grid.boundary_ring_index]
-    table = []
-    for j in range(j0, grid.n_r - 1):
-        table.append(float(np.sum(np.abs(v[j] - wT) ** p * dtheta) ** (1.0 / p)))
+    diff = v[j0 : grid.n_r - 1] - v[grid.boundary_ring_index]
+    table = (_lp_rows(diff, p) * (2.0 * np.pi / grid.n_theta) ** (1.0 / p)).tolist()
     ok = (table[0] == 0.0 and table[-1] == 0.0) or table[-1] <= table[0] / 2.0
     return DiagnosticReport(
         name="trace_convergence",

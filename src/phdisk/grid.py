@@ -315,8 +315,7 @@ class BoundaryFunction:
     def lp_norm(self, p: float) -> float:
         """L^p(T) norm with respect to (unnormalized) arclength."""
         v = self.require_unmasked("L^p norm")
-        dtheta = 2.0 * np.pi / self.n_theta
-        return float(np.sum(np.abs(v) ** p * dtheta) ** (1.0 / p))
+        return float(_lp_rows(v[None, :], p)[0] * (2.0 * np.pi / self.n_theta) ** (1.0 / p))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.require_unmasked("sup norm"))))
@@ -380,6 +379,27 @@ class Cone:
         return core | (in_cone & (dist0 > s))
 
 
+def _lp_rows(v: np.ndarray, p: float) -> np.ndarray:
+    """(sum_k |v[j, k]|^p)^{1/p} for each row j of a 2-D array.
+
+    Each row is divided by its largest modulus before the power, as
+    np.linalg.norm does, so |v|^p neither overflows nor underflows where
+    the norm itself is a finite float.
+    """
+    a = np.abs(v)
+    top = np.max(a, axis=1)
+    a /= np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.sum(a**p, axis=1) ** (1.0 / p)
+
+
+def _circle_norms(f: GridFunction, rows: slice, p: float) -> np.ndarray:
+    """circle_norm on each grid circle of `rows`; masked nodes there raise."""
+    if f.mask is not None and np.any(f.mask[rows]):
+        raise MaskedValueError("circle norm over masked nodes is not defined")
+    g = f.grid
+    return _lp_rows(f.values[rows], p) * (g.radii[rows] * (2.0 * np.pi / g.n_theta)) ** (1.0 / p)
+
+
 def area_integral(f: GridFunction) -> complex:
     """Quadrature for int_D f dm; masked or non-finite nodes raise."""
     v = f.require_unmasked("area integral")
@@ -394,14 +414,14 @@ def lp_norm_disk(f: GridFunction, p: float, r_max: float | None = None) -> float
     radius not exceeding 0.9.
     """
     v = f.require_unmasked("L^p norm")
-    dtheta = 2.0 * np.pi / f.grid.n_theta
     if r_max is None:
         w = f.grid.radial_weights
-        vv = v
     else:
         w, K = f.grid.interior_weights_upto(r_max)
-        vv = v[:K]
-    return float(np.sum(np.abs(vv) ** p * w[:, None] * dtheta) ** (1.0 / p))
+        v = v[:K]
+    # the norm of the per-ring norms, so neither power leaves the floats
+    rings = _lp_rows(v, p) * (w * (2.0 * np.pi / f.grid.n_theta)) ** (1.0 / p)
+    return float(_lp_rows(rings[None, :], p)[0])
 
 
 def circle_norm(f: GridFunction, rho: float, p: float) -> float:
@@ -418,10 +438,7 @@ def circle_norm(f: GridFunction, rho: float, p: float) -> float:
     j = int(round(rho / g.radial_step)) - 1
     if j < 0 or j >= g.n_r or abs(g.radii[j] - rho) > 1e-12:
         raise ValueError(f"rho={rho} is not a grid radius")
-    if f.mask is not None and np.any(f.mask[j]):
-        raise MaskedValueError("circle norm over masked nodes is not defined")
-    dtheta = 2.0 * np.pi / g.n_theta
-    return float(np.sum(np.abs(f.values[j]) ** p * rho * dtheta) ** (1.0 / p))
+    return float(_circle_norms(f, slice(j, j + 1), p)[0])
 
 
 def hardy_norm(f: GridFunction, p: float) -> float:
@@ -434,11 +451,7 @@ def hardy_norm(f: GridFunction, p: float) -> float:
     interior ring, at distance 1/n_r from T; if f is singular at a point
     of T this needs n_theta >= 8 n_r.
     """
-    g = f.grid
-    best = 0.0
-    for j in range(g.n_r - 1):
-        best = max(best, circle_norm(f, g.radii[j], p))
-    return best
+    return float(np.max(_circle_norms(f, slice(0, f.grid.n_r - 1), p), initial=0.0))
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:

@@ -8,16 +8,17 @@ with real coefficients, mixing weight `damping`).  Safeguard: whenever the
 residual g(x) - x grows, the history is dropped and the weight halved, and
 the loop fails explicitly if the residual keeps growing at the floor.
 Nothing is asserted about rates: reports carry the whole increment history
-and the engaged damping level.  The loop works on plain arrays; the
-Riesz solver runs it on the angular modes of s.
+and the engaged damping level.  Each problem is one loop, on plain
+arrays; the Riesz solver runs it on the angular modes of s.
 
 The three problems:
 
  * parametrize_imag: s with dbar(e^s F) = alpha conj(e^s F),
-   tr Im s = psi, int_T Re s = lambda (inner map: Green potential of
+   tr Im s = psi, int_T Re s = lambda (map: Green potential of
    4 Im d(beta e^{-2i phi})),
  * parametrize_real: same equation with tr Re s = psi, int_T Im s =
-   lambda (outer boundary map nested over the inner one),
+   lambda (joint map on phi and its boundary trace u, one Green map and
+   one Cauchy transform a step); the two share one body,
  * solve_riesz: w with Re tr w = psi, int_T Im tr w = c (alternating
    factorization/extension construction), plus its conductivity wrapper.
 """
@@ -257,16 +258,82 @@ def _assemble_s(m: GridFunction, phi2: np.ndarray, grid) -> GridFunction:
     return m + corr
 
 
-def _green_map(beta: GridFunction, phi: GridFunction) -> GridFunction:
-    """G(phi) = P(4 Im d(beta e^{-2i phi})) on real phi."""
-    g = beta.with_values(beta.values * np.exp(-2j * phi.values.real))
+def _green_map(grid, beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Values of G(phi) = P(4 Im d(beta e^{-2i phi})) from the values of
+    beta and of phi, whose real part is read."""
+    g = GridFunction(grid, beta * np.exp(-2j * phi.real))
     dg, _ = wirtinger_derivatives(g)
-    return green_potential(g.with_values(4.0 * dg.values.imag.astype(complex)))
+    return green_potential(g.with_values(4.0 * dg.values.imag.astype(complex))).values
+
+
+def _phi_norm(d: np.ndarray, grid) -> float:
+    """w12_norm of the grid increment with values d."""
+    return w12_norm_modes(np.fft.fft(d, axis=1), grid)
+
+
+def _u_norm(d: np.ndarray) -> float:
+    # sum (1+|n|) |d_n|^2 is the W^{1,2}(D) norm (squared, up to the
+    # usual constants) of the harmonic extension of the boundary
+    # increment, which is the leading term of the s increment
+    d = BoundaryFunction(d)
+    n = np.abs(d.mode_numbers)
+    return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d.modes()) ** 2)))
 
 
 def _instrument(s_norm, alpha, psi, lam):
     denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
     return s_norm / denom if denom > 0 else 0.0
+
+
+def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
+    """Body shared by the two parametrizations.
+
+    The prescribed trace is absorbed into the holomorphic shift H = iA
+    (`imag`: tr Im s = psi, int_T Re s = lam) or H = A (tr Re s = psi,
+    int_T Im s = lam), A from `_holo_with_real_trace`; F becomes e^H F and
+    beta its Beltrami ratio.  `problem(beta, grid, phi0)` gives the
+    fixed-point problem as (x0, apply_map, step_norm) for `_picard`, on a
+    state whose first n_r rows are phi = Im s', s' = s - H; phi0 is
+    Im(initial_s - H), or None.  Then s = C(beta e^{-2i phi}) plus the
+    holomorphic correction with Im s' = phi, plus H.
+    """
+    cfg = cfg or SolverConfig()
+    psi = _require_real(psi, "psi")
+    grid = alpha.grid
+    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
+        raise ValueError("F must not be identically zero")
+    A = _holo_with_real_trace(psi, -lam if imag else lam, grid)
+    H = A * 1j if imag else A
+    with np.errstate(under="ignore"):
+        Fp = F.with_values(np.exp(H.values) * F.values)
+    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
+
+    phi0 = None if initial_s is None else (initial_s - H).values.imag
+    x, history, converged, tau = _picard(*problem(beta.values, grid, phi0), cfg)
+    phi = x[: grid.n_r].real
+    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi)))
+    s = _assemble_s(m, phi, grid) + H
+    w = reconstruct(s, F)
+
+    tr_s = boundary_trace(s).values
+    traced, free = (tr_s.imag, tr_s.real) if imag else (tr_s.real, tr_s.imag)
+    mismatch = BoundaryFunction((traced - psi.values.real).astype(complex)).lp_norm(2.0)
+    mean_def = abs(float(np.sum(free)) * 2.0 * np.pi / grid.n_theta - lam)
+    keys = ("im_trace", "re_mean") if imag else ("re_trace", "im_mean")
+    report = SolveReport(
+        iterations=len(history),
+        increment_history=history,
+        residual_beltrami=residual_beltrami(w, alpha),
+        boundary_mismatch=mismatch,
+        normalization_defects=dict(zip(keys, (mismatch, mean_def))),
+        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
+        converged=converged,
+        damping_final=tau,
+    )
+    if not converged:
+        name = "parametrize_imag" if imag else "parametrize_real"
+        raise SolverDivergence(f"{name} did not converge", report)
+    return s, report
 
 
 def parametrize_imag(
@@ -284,50 +351,12 @@ def parametrize_imag(
     (replace F by e^{iA} F and alpha by alpha conj(F')/F'), leaving the
     homogeneous fixed point phi = G(phi) for phi = Im s'.
     """
-    cfg = cfg or SolverConfig()
-    psi = _require_real(psi, "psi")
-    grid = alpha.grid
-    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
-        raise ValueError("F must not be identically zero")
-    A = _holo_with_real_trace(psi, -lam, grid)
-    with np.errstate(under="ignore"):
-        Fp = F.with_values(np.exp(1j * A.values) * F.values)
-    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
 
-    if initial_s is None:
-        phi0 = GridFunction.zeros(grid)
-    else:
-        phi0 = GridFunction(grid, (initial_s.values.imag - A.values.real).astype(complex))
-    phi, history, converged, tau = _picard(
-        phi0.values,
-        lambda p: _green_map(beta, phi0.with_values(p)).values,
-        lambda d: w12_norm(phi0.with_values(d)),
-        cfg,
-    )
-    phi2 = phi.real
-    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi2)))
-    s_prime = _assemble_s(m, phi2, grid)
-    s = s_prime + A * 1j
-    w = reconstruct(s, F)
+    def problem(beta, grid, phi0):
+        x0 = np.zeros((grid.n_r, grid.n_theta)) if phi0 is None else phi0
+        return x0, lambda x: _green_map(grid, beta, x), lambda d: _phi_norm(d, grid)
 
-    tr_s = boundary_trace(s)
-    mismatch = BoundaryFunction((tr_s.values.imag - psi.values.real).astype(complex)).lp_norm(2.0)
-    mean_def = abs(
-        float(np.sum(tr_s.values.real)) * 2.0 * np.pi / grid.n_theta - lam
-    )
-    report = SolveReport(
-        iterations=len(history),
-        increment_history=history,
-        residual_beltrami=residual_beltrami(w, alpha),
-        boundary_mismatch=mismatch,
-        normalization_defects={"im_trace": mismatch, "re_mean": mean_def},
-        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
-        converged=converged,
-        damping_final=tau,
-    )
-    if not converged:
-        raise SolverDivergence("parametrize_imag did not converge", report)
-    return s, report
+    return _parametrize(True, alpha, F, psi, lam, cfg, initial_s, problem)
 
 
 def parametrize_real(
@@ -340,89 +369,42 @@ def parametrize_real(
 ) -> tuple[GridFunction, SolveReport]:
     """Variant prescribing tr Re s = psi and int_T Im s = lam.
 
-    Outer fixed-point iteration on the zero-mean boundary function
-    u = Im tr s'; each evaluation of the boundary map nests the inner
-    Green fixed point (warm-started across outer steps).
+    Here Im s' is not zero on T: its trace is a zero-mean boundary
+    function u, and phi = Im s' solves phi = E u + G(phi) (E the
+    harmonic extension), while u is fixed by the trace of
+    C(beta e^{-2i phi}): with tr0 that trace less its mean, u is Im tr0
+    minus the conjugate function of Re tr0.  Both are one fixed point
+    on the stacked state x of shape (n_r + 1, n_theta): rows 0..n_r-1
+    hold phi and row n_r holds u.  Its increment is measured as
+    w12_norm(phi) plus the W^{1,2} norm of u's harmonic extension.
     """
-    cfg = cfg or SolverConfig()
-    psi = _require_real(psi, "psi")
-    grid = alpha.grid
-    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
-        raise ValueError("F must not be identically zero")
-    A = _holo_with_real_trace(psi, lam, grid)
-    with np.errstate(under="ignore"):
-        Fp = F.with_values(np.exp(A.values) * F.values)
-    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
 
-    if initial_s is None:
-        u = BoundaryFunction.zeros(grid.n_theta)
-    else:
-        u0 = (initial_s - A).values.imag[grid.boundary_ring_index]
-        u = BoundaryFunction((u0 - np.mean(u0)).astype(complex))
+    def problem(beta, grid, phi0):
+        n_r = grid.n_r
+        x0 = np.zeros((n_r + 1, grid.n_theta), dtype=complex)
+        if phi0 is not None:
+            x0[:n_r] = phi0
+            x0[n_r] = phi0[-1] - np.mean(phi0[-1])
+        g = np.empty_like(x0)
 
-    inner_state = {"phi2": GridFunction.zeros(grid)}
+        def joint_map(x):
+            # Gauss-Seidel order: u+ is read from the new phi+, so u acts
+            # on itself within one step.  In the Jacobi order (u+ from x's
+            # phi) it does so only through two, u -> phi -> u, and on
+            # criterion 06's data the residual keeps growing: the weight
+            # falls to the damping floor and the loop stops unconverged
+            # after 30 steps, its increment stalled at about 8e-5.
+            phi = _poisson_values(BoundaryFunction(x[n_r]), grid, out=g[:n_r])
+            phi += _green_map(grid, beta, x[:n_r])
+            tr = cauchy(GridFunction(grid, beta * np.exp(-2j * phi.real))).values[-1]
+            tr0 = tr - np.mean(tr)
+            re = BoundaryFunction(tr0.real.astype(complex))
+            g[n_r] = tr0.imag - conjugate_function(re).values
+            return g
 
-    def inner_fixed_point(u_b: BoundaryFunction) -> GridFunction:
-        Eu = poisson_extend(u_b, grid)
-        phi, history, ok, _ = _picard(
-            inner_state["phi2"].values,
-            lambda p: (Eu + _green_map(beta, Eu.with_values(p))).values,
-            lambda d: w12_norm(Eu.with_values(d)),
-            cfg,
-        )
-        phi = Eu.with_values(phi)
-        if not ok:
-            raise SolverDivergence(
-                "inner parametrization fixed point diverged",
-                SolveReport(iterations=len(history), increment_history=history),
-            )
-        inner_state["phi2"] = phi
-        return phi
+        return x0, joint_map, lambda f: _phi_norm(f[:n_r], grid) + _u_norm(f[n_r])
 
-    def boundary_map(u_b: BoundaryFunction) -> BoundaryFunction:
-        phi = inner_fixed_point(u_b)
-        m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi.values.real)))
-        tr = boundary_trace(m)
-        tr0 = tr - tr.mean()
-        re = BoundaryFunction(tr0.values.real.astype(complex))
-        return BoundaryFunction(tr0.values.imag.astype(complex)) - conjugate_function(re)
-
-    def u_norm(d: np.ndarray) -> float:
-        # sum (1+|n|) |d_n|^2 is the W^{1,2}(D) norm (squared, up to the
-        # usual constants) of the harmonic extension of the boundary
-        # increment, which is the leading term of the s increment
-        d = BoundaryFunction(d)
-        n = np.abs(d.mode_numbers)
-        return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d.modes()) ** 2)))
-
-    u, history, converged, tau = _picard(
-        u.values, lambda a: boundary_map(BoundaryFunction(a)).values, u_norm, cfg
-    )
-    u = BoundaryFunction(u)
-
-    phi = inner_fixed_point(u)
-    phi2 = phi.values.real
-    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi2)))
-    s_prime = _assemble_s(m, phi2, grid)
-    s = s_prime + A
-    w = reconstruct(s, F)
-
-    tr_s = boundary_trace(s)
-    mismatch = BoundaryFunction((tr_s.values.real - psi.values.real).astype(complex)).lp_norm(2.0)
-    mean_def = abs(float(np.sum(tr_s.values.imag)) * 2.0 * np.pi / grid.n_theta - lam)
-    report = SolveReport(
-        iterations=len(history),
-        increment_history=history,
-        residual_beltrami=residual_beltrami(w, alpha),
-        boundary_mismatch=mismatch,
-        normalization_defects={"re_trace": mismatch, "im_mean": mean_def},
-        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
-        converged=converged,
-        damping_final=tau,
-    )
-    if not converged:
-        raise SolverDivergence("parametrize_real did not converge", report)
-    return s, report
+    return _parametrize(False, alpha, F, psi, lam, cfg, initial_s, problem)
 
 
 def solve_riesz(

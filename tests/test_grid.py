@@ -10,6 +10,7 @@ from phdisk import (
     boundary_trace,
     circle_norm,
     hardy_norm,
+    lp_norm_disk,
     make_grid,
     nontangential_max,
     sobolev_norm,
@@ -130,6 +131,40 @@ class TestCircleAndHardy:
 
     def test_hardy_norm_zero(self, grid256):
         assert hardy_norm(GridFunction.zeros(grid256), 2.0) == 0.0
+
+    def test_hardy_norm_matches_summed_powers(self, grid256):
+        z = grid256.nodes_z()
+        f = GridFunction(grid256, np.exp(z) + 0.3j * np.conj(z) ** 2)
+        dtheta = 2 * np.pi / 256
+        for p in (1.0, 2.0, 3.5):
+            sums = np.sum(np.abs(f.values[:-1]) ** p, axis=1) * grid256.radii[:-1] * dtheta
+            expected = np.max(sums ** (1.0 / p))
+            assert abs(hardy_norm(f, p) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norms_scale_free(self, grid256, scale):
+        # |v|^p of these values over- or underflows; the norms must not
+        z = grid256.nodes_z()
+        f = GridFunction(grid256, np.exp(z) + 0.3j * np.conj(z) ** 2)
+        big = GridFunction(grid256, scale * f.values)
+        pairs = [
+            (hardy_norm(big, 2.0), hardy_norm(f, 2.0)),
+            (circle_norm(big, grid256.radii[100], 3.0), circle_norm(f, grid256.radii[100], 3.0)),
+            (lp_norm_disk(big, 2.0), lp_norm_disk(f, 2.0)),
+            (lp_norm_disk(big, 4.0, r_max=0.9), lp_norm_disk(f, 4.0, r_max=0.9)),
+            (boundary_trace(big).lp_norm(2.0), boundary_trace(f).lp_norm(2.0)),
+        ]
+        for scaled, plain in pairs:
+            assert abs(scaled - scale * plain) <= 1e-14 * scale * plain
+
+    def test_hardy_norm_masked_interior_raises(self, grid256):
+        vals = np.ones((256, 256), dtype=complex)
+        vals[-1, 5] = np.nan  # a masked rim node is off the interior circles
+        expected = np.sqrt(2 * np.pi * grid256.radii[-2])
+        assert abs(hardy_norm(GridFunction(grid256, vals), 2.0) - expected) < 1e-12
+        vals[40, 7] = np.inf
+        with pytest.raises(MaskedValueError):
+            hardy_norm(GridFunction(grid256, vals), 2.0)
 
     def test_circle_norm_monotone_for_holomorphic(self, grid256):
         z = grid256.nodes_z()

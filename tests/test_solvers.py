@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import exw_F, random_initial_s
@@ -9,6 +11,7 @@ from phdisk import (
     SolverDivergence,
     boundary_trace,
     conductivity_residual,
+    green_potential,
     hardy_norm,
     lp_norm_disk,
     make_grid,
@@ -19,6 +22,7 @@ from phdisk import (
     w12_norm,
     wirtinger_derivatives,
 )
+from phdisk import solvers
 from phdisk.solvers import DAMPING_FLOOR, _picard
 
 CFG = SolverConfig(tol=1e-10, max_iter=200)
@@ -171,6 +175,40 @@ class TestParametrizeReal:
         assert w12_norm(s1 - s2) <= 10 * CFG.tol
 
 
+    def test_one_green_map_per_iteration(self, grid256, monkeypatch):
+        # criterion 06's data: phi and its trace u are one fixed point, so
+        # each reported step runs exactly one Green map
+        calls = []
+
+        def counted(psi):
+            calls.append(1)
+            return green_potential(psi)
+
+        monkeypatch.setattr(solvers, "green_potential", counted)
+        _, rep = parametrize_real(
+            GridFunction.constant(grid256, 0.5),
+            GridFunction.constant(grid256, 1.0),
+            BoundaryFunction.from_function(256, np.cos),
+            0.0,
+            CFG,
+        )
+        assert rep.converged
+        assert len(calls) == rep.iterations <= 60
+
+    def test_divergence_raises_with_report(self, grid256):
+        with pytest.raises(SolverDivergence, match="parametrize_real") as err:
+            parametrize_real(
+                GridFunction.constant(grid256, 0.5),
+                GridFunction.constant(grid256, 1.0),
+                BoundaryFunction.from_function(256, np.cos),
+                0.0,
+                SolverConfig(tol=1e-13, max_iter=2),
+            )
+        rep = err.value.report
+        assert rep.iterations == 2 and len(rep.increment_history) == 2
+        assert not rep.converged
+
+
 class TestSolveRiesz:
     def test_classical_riesz(self, grid256):
         z = grid256.nodes_z()
@@ -259,6 +297,23 @@ class TestSolveRiesz:
             _, _, rep = solve_riesz(alpha, psi, 0.0, CFG)
             consts.append(rep.measured_constant)
         assert max(consts) <= 2.0 * min(consts)
+
+    def test_report_scale_free(self):
+        # w scales with psi; the report's norms must not overflow at 1e200
+        grid = make_grid(256, 64)
+        alpha = GridFunction.constant(grid, 0.5)
+        reps = []
+        for scale in (1.0, 1e200):
+            psi = BoundaryFunction.from_function(256, lambda th: scale * np.exp(np.cos(th)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reps.append(solve_riesz(alpha, psi, 0.0, CFG)[2])
+        plain, big = reps
+        assert big.iterations == plain.iterations
+        assert np.isfinite([big.boundary_mismatch, big.measured_constant]).all()
+        gap = abs(big.measured_constant - plain.measured_constant)
+        assert gap <= 1e-12 * plain.measured_constant
+        assert big.boundary_mismatch <= 1e-14 * 1e200
 
     def test_homeomorphism_probe(self, grid256):
         # perturbing the holomorphic factor moves w by O(delta) in G^p
