@@ -26,7 +26,6 @@ from .grid import BoundaryFunction, GridFunction, make_grid
 __all__ = ["save_phd1", "load_phd1", "save_csv", "load_csv", "save", "load", "emit_slice"]
 
 MAGIC = b"PHD1"
-_CSV_BLOCK = 1024
 
 
 def _payload(f) -> tuple[int, int, np.ndarray]:
@@ -76,22 +75,22 @@ def load_phd1(path):
 
 
 def save_csv(path, f) -> None:
-    """Write the CSV format; the bytes are those of csv.writer rows of repr floats."""
+    """Write the CSV format; the bytes are those of csv.writer rows of repr floats.
+
+    One radius at a time: each radius and each angle is formatted once,
+    and per node only the two value fields.
+    """
     n_r, n_theta, vals = _payload(f)
-    radii = np.ones(1) if n_r == 1 else f.grid.radii
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    table = np.empty((n_r, n_theta, 4))
-    table[..., 0] = radii[:, None]
-    table[..., 1] = thetas
-    table[..., 2] = vals.real
-    table[..., 3] = vals.imag
-    rows = table.reshape(-1, 4)
+    radii = [1.0] if n_r == 1 else f.grid.radii.tolist()
+    thetas = [f"{t!r}," for t in (2.0 * np.pi * np.arange(n_theta) / n_theta).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("r,theta,re,im\r\n")
-        # blocks of _CSV_BLOCK rows bound the Python strings held at once
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start : start + _CSV_BLOCK].tolist()
-            fh.write("".join([f"{a!r},{b!r},{c!r},{d!r}\r\n" for a, b, c, d in block]))
+        for r, row in zip(radii, vals):
+            head = f"{r!r},"
+            fh.write("".join([
+                f"{head}{t}{a!r},{b!r}\r\n"
+                for t, a, b in zip(thetas, row.real.tolist(), row.imag.tolist())
+            ]))
 
 
 def load_csv(path):

@@ -47,6 +47,7 @@ from .transforms import (
     _cauchy_reflect_modes,
     _poisson_values,
     cauchy,
+    cauchy_trace,
     conjugate_function,
     green_potential,
     poisson_extend,
@@ -396,7 +397,7 @@ def parametrize_real(
             # after 30 steps, its increment stalled at about 8e-5.
             phi = _poisson_values(BoundaryFunction(x[n_r]), grid, out=g[:n_r])
             phi += _green_map(grid, beta, x[:n_r])
-            tr = cauchy(GridFunction(grid, beta * np.exp(-2j * phi.real))).values[-1]
+            tr = cauchy_trace(GridFunction(grid, beta * np.exp(-2j * phi.real))).values
             tr0 = tr - np.mean(tr)
             re = BoundaryFunction(tr0.real.astype(complex))
             g[n_r] = tr0.imag - conjugate_function(re).values

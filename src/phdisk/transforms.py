@@ -17,12 +17,15 @@ views, and one `RadialEngine.sweep` serves every run.
 `cauchy_reflect` gives C(h) + sign R(h) from one FFT pair and one sweep,
 since R's moment for output mode m is the last node of C's inward
 integral for source mode 1 - m; `cauchy` and `reflect_transform` are its
-two halves.  Its mode-space core, `_cauchy_reflect_modes`, takes values
-and leaves the output modes in the workspace without the inverse FFT,
-so a solver that iterates on modes (`solve_riesz`) pays one forward FFT
-per pass.  The work arrays live in a `Workspace`, which a solve
-allocates once and passes to every step; the public transforms allocate
-their own per call, and this module keeps no work arrays of its own.
+two halves.  `cauchy_trace` gives C(h) on T alone: there the outward
+integrals vanish and the inward ones are full moments, one dot product
+per mode and no sweep.  The mode-space core of `cauchy_reflect`,
+`_cauchy_reflect_modes`, takes values and leaves the output modes in the
+workspace without the inverse FFT, so a solver that iterates on modes
+(`solve_riesz`) pays one forward FFT per pass.  The work arrays live in
+a `Workspace`, which a solve allocates once and passes to every step;
+the public transforms allocate their own per call, and this module
+keeps no work arrays of its own.
 
 Sign and normalization conventions:
 
@@ -52,6 +55,7 @@ from .radial import get_engine
 
 __all__ = [
     "cauchy",
+    "cauchy_trace",
     "beurling",
     "cauchy_renormalized",
     "reflect_transform",
@@ -185,6 +189,23 @@ def cauchy(h: GridFunction) -> GridFunction:
     return _cauchy_reflect(h, 1.0, 0.0)
 
 
+def cauchy_trace(h: GridFunction) -> BoundaryFunction:
+    """Boundary trace of C(h) on T, without the interior of C(h).
+
+    At r = 1 the outward integrals vanish and the inward ones are the full
+    moments: output mode -m (m = 1, ..., n_theta/2) is 2 M_m, M_m the full
+    moment of source mode 1 - m at exponent m, and every other mode is 0.
+    One forward FFT, one dot product per mode and one n_theta-point
+    inverse FFT; equal to `cauchy(h)` on its boundary ring up to rounding.
+    """
+    grid = h.grid
+    half = grid.n_theta // 2
+    B = _source_modes(h.require_unmasked("angular transform"))
+    out = np.zeros(grid.n_theta, dtype=complex)
+    out[half:] = 2.0 * _engine_for(grid).full_moments(B[:, half + 1 :], slice(half, 0, -1))
+    return BoundaryFunction(np.fft.ifft(out, out=out))
+
+
 def beurling(h: GridFunction) -> GridFunction:
     """Beurling transform B(h) = d C(h), by analytic mode differentiation.
 
@@ -228,8 +249,11 @@ def cauchy_renormalized(
     eng = _engine_for(grid)
     B = _source_modes(h.require_unmasked("angular transform"))
     radii = eval_grid.radii
-    # the engine runs once per distinct radius clipped to the unit circle
-    rim, at = np.unique(np.minimum(radii, 1.0), return_inverse=True)
+    # the engine runs once per distinct radius clipped to the unit circle;
+    # the radii ascend, so the distinct ones start where the clipped values step
+    clipped = np.minimum(radii, 1.0)
+    first = np.concatenate(([True], clipped[1:] != clipped[:-1]))
+    rim, at = clipped[first], np.cumsum(first) - 1
     p = np.arange(half, 0, -1)
     q = np.arange(half - 1)
     out = np.zeros((len(radii), N), dtype=complex)

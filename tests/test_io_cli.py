@@ -111,8 +111,7 @@ class TestCsv:
             load_csv(p)
 
     def test_bytes_match_csv_writer(self, tmp_path):
-        # reference: one csv.writer row of repr floats per node, "\r\n" ends;
-        # 1280 nodes span more than one of the writer's row blocks
+        # reference: one csv.writer row of repr floats per node, "\r\n" ends
         import csv
 
         g = make_grid(64, 20, outer_radius=2.0)
@@ -120,9 +119,20 @@ class TestCsv:
         vals[0, 0] = complex(-0.0, 0.0)
         vals[1, 2] = complex(1e-300, -0.0)
         vals[2, 5] = complex(np.nan, 1.0)  # masked: written as nan, nan
+        # an explicit mask over finite values: a whole ring and scattered nodes
+        mask = np.zeros((g.n_r, g.n_theta), bool)
+        mask[3] = True
+        mask[::7, ::5] = True
+        masked = GridFunction(g, g.nodes_z() ** 2, mask=mask)
+        assert masked.mask is not None and not np.any(np.isnan(masked.values))
+        # a real field stored with imaginary parts -0.0
+        real = GridFunction(g, np.conj(np.exp(g.nodes_z().real).astype(complex)))
+        assert np.all(np.signbit(real.values.imag))
         b = BoundaryFunction(np.exp(1j * g.thetas) * 1e20)
         for name, f, radii in (
             ("grid.csv", GridFunction(g, vals), g.radii),
+            ("masked.csv", masked, g.radii),
+            ("real.csv", real, g.radii),
             ("ring.csv", b, [1.0]),
         ):
             ref = tmp_path / f"ref_{name}"

@@ -77,6 +77,28 @@ def test_folded_weights_match_cell_cubics(case):
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
+def test_whole_cell_moments_against_quad(inner):
+    """Whole-cell moments against scipy's adaptive quadrature in x itself,
+    not through the exponential substitution of `_moments`, at n_r = 256
+    and the exponents of a 256-angle grid (a_max = 130): cells next to the
+    origin, where the kernel is steepest, a middle and the last cell."""
+    from scipy.integrate import quad
+
+    n_r, a_max = 256, 130
+    for i, e in [(1, a_max), (3, a_max), (10, 60), (100, 1), (n_r - 1, a_max)]:
+
+        def integrand(x, q):
+            return x**q * ((i + x) / (i + 1.0) if inner else i / (i + x)) ** e
+
+        ref = np.array([
+            quad(integrand, 0.0, 1.0, args=(q,), epsabs=1e-17, epsrel=2e-14, limit=200)[0]
+            for q in range(4)
+        ])
+        got = _moments(i, 0.0, 1.0, e, inner)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (i, e)
+
+
 def test_full_moment_is_last_node_of_cumulative_in(case):
     eng, r, exps, js, profiles = case
     prof = rough_profiles(4, len(exps), eng.n_r)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from helpers import random_smooth_bandlimited
@@ -11,6 +15,7 @@ from phdisk import (
     boundary_trace,
     cauchy,
     cauchy_renormalized,
+    cauchy_trace,
     conjugate_function,
     green_potential,
     harmonic_conjugate,
@@ -46,6 +51,54 @@ class TestCauchy:
             _, dbar = wirtinger_derivatives(cauchy(h))
             rel = lp_norm_disk(dbar - h, 2.0, r_max=0.9) / lp_norm_disk(h, 2.0, r_max=0.9)
             assert rel <= 1e-6
+
+
+class TestCauchyTrace:
+    """The trace-only path against the boundary ring of the full transform."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_equals_boundary_ring_of_cauchy(self, n):
+        grid = make_grid(n, n)
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for h in (GridFunction(grid, noise), seeded_field(grid, n)):
+            ref = cauchy(h).values[-1]
+            got = cauchy_trace(h)
+            assert isinstance(got, BoundaryFunction)
+            assert np.max(np.abs(got.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_characteristic_function(self, grid256):
+        # C(1) = conj z, which is e^{-i theta} on T
+        one = GridFunction.constant(grid256, 1.0)
+        got = cauchy_trace(one).values
+        assert np.max(np.abs(got - np.exp(-1j * grid256.thetas))) < 1e-13
+        assert np.max(np.abs(got - cauchy(one).values[-1])) <= 1e-14
+
+    def test_masked_source_raises(self, grid128):
+        vals = seeded_field(grid128, 3).values.copy()
+        vals[5, 7] = np.nan
+        with pytest.raises(MaskedValueError):
+            cauchy_trace(GridFunction(grid128, vals))
+
+
+def test_transforms_leave_numpy_ma_unimported():
+    """A fresh interpreter runs cauchy and cauchy_renormalized without
+    importing numpy.ma (about 15 ms of every cold CLI run)."""
+    probe = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import phdisk as ph
+        g = ph.make_grid(64, 64)
+        h = ph.GridFunction(g, g.nodes_z() + 1.0)
+        ph.cauchy(h)
+        ph.cauchy_renormalized(h, 2.0)
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 class TestBeurling:
