@@ -22,6 +22,7 @@ the package applies it on import, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -95,13 +96,16 @@ def _integral(value):
 
 def _solver_config(cfg: dict, solvers_mod):
     block = cfg.get("solver", {})
+    known = [f.name for f in dataclasses.fields(solvers_mod.SolverConfig)]
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
     return solvers_mod.SolverConfig(
         tol=float(block.get("tol", 1e-8)),
         max_iter=_integral(block.get("max_iter", 200)),
         damping=float(block.get("damping", 1.0)),
         zero_threshold=block.get("zero_threshold"),
         p=float(block.get("p", 2.0)),
-        gamma=float(block.get("gamma", 0.7853981633974483)),
     )
 
 

@@ -60,13 +60,6 @@ class ArcFamily:
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
 
-    def arcs(self):
-        for level in range(self.max_level + 1):
-            count = 1 << level
-            length = 2.0 * np.pi / count
-            for m in range(count):
-                yield level, m, m * length, (m + 1) * length
-
     @classmethod
     def down_to(cls, n_theta_coarse: int) -> "ArcFamily":
         return cls(int(round(math.log2(n_theta_coarse))))
@@ -95,17 +88,23 @@ class DiagnosticReport:
         }
 
 
-def _arc_slice(h: BoundaryFunction, level: int, m: int) -> np.ndarray:
-    n = h.n_theta
-    if (1 << level) > n:
+def _arcs(v: np.ndarray, level: int) -> np.ndarray:
+    """The 2^level dyadic arcs of one level of v, as the rows of a view."""
+    if (1 << level) > v.size:
         raise ValueError("arc family deeper than the boundary resolution")
-    count = n >> level
-    return h.values[m * count : (m + 1) * count]
+    return v.reshape(1 << level, -1)
 
 
-def _mean_oscillation(vals: np.ndarray) -> float:
-    mean = np.mean(vals)
-    return float(np.mean(np.abs(vals - mean)))
+def _oscillations(v: np.ndarray, level: int) -> np.ndarray:
+    """Mean oscillation (1/Lambda(I)) int_I |v - v_I| of every arc I of one level."""
+    rows = _arcs(v, level)
+    return np.mean(np.abs(rows - rows.mean(axis=1, keepdims=True)), axis=1)
+
+
+def _oscillation_sup(v: np.ndarray, depth: int) -> float:
+    """Sup of the mean oscillation over v, as one arc, and its dyadic
+    subarcs down to `depth` levels below it."""
+    return max(float(np.max(_oscillations(v, k))) for k in range(depth + 1))
 
 
 def bmo_oscillation(h: BoundaryFunction, family: ArcFamily):
@@ -114,10 +113,11 @@ def bmo_oscillation(h: BoundaryFunction, family: ArcFamily):
     Returns (seminorm, table) with table[(level, m)] the mean oscillation
     (1/Lambda(I)) int_I |h - h_I|.
     """
-    h.require_unmasked("BMO oscillation")
+    v = h.require_unmasked("BMO oscillation")
     table: dict[tuple[int, int], float] = {}
-    for level, m, _, _ in family.arcs():
-        table[(level, m)] = _mean_oscillation(_arc_slice(h, level, m))
+    for level in range(family.max_level + 1):
+        for m, osc in enumerate(_oscillations(v, level).tolist()):
+            table[(level, m)] = osc
     return max(table.values()), table
 
 
@@ -125,12 +125,10 @@ def localized_oscillation_sup(
     h: BoundaryFunction, family: ArcFamily, level: int, m: int
 ) -> float:
     """M_h(I): sup of mean oscillation over I and its dyadic subarcs."""
-    h.require_unmasked("localized oscillation")
-    best = 0.0
-    for k in range(level, family.max_level + 1):
-        for mm in range(m << (k - level), (m + 1) << (k - level)):
-            best = max(best, _mean_oscillation(_arc_slice(h, k, mm)))
-    return best
+    v = h.require_unmasked("localized oscillation")
+    if not (0 <= level <= family.max_level and 0 <= m < 1 << level):
+        raise ValueError(f"arc ({level}, {m}) is not in the family")
+    return _oscillation_sup(_arcs(v, level)[m], family.max_level - level)
 
 
 def ap_constant(weight: BoundaryFunction, p: float, family: ArcFamily) -> float:
@@ -140,18 +138,19 @@ def ap_constant(weight: BoundaryFunction, p: float, family: ArcFamily) -> float:
         raise ValueError("weight must be strictly positive")
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    best = 0.0
     winv = w ** (-1.0 / (p - 1.0))
-    for level, m, _, _ in family.arcs():
-        count = weight.n_theta >> level
-        sl = slice(m * count, (m + 1) * count)
-        best = max(best, float(np.mean(w[sl]) * np.mean(winv[sl]) ** (p - 1.0)))
-    return best
+    # the power is taken per arc on floats: numpy's vectorized power may
+    # round differently from the scalar one
+    return max(
+        a * b ** (p - 1.0)
+        for level in range(family.max_level + 1)
+        for a, b in zip(
+            _arcs(w, level).mean(axis=1).tolist(), _arcs(winv, level).mean(axis=1).tolist()
+        )
+    )
 
 
-def jn_exp_check(
-    h: BoundaryFunction, arc: tuple[float, float], family: ArcFamily | None = None
-) -> DiagnosticReport:
+def jn_exp_check(h: BoundaryFunction, arc: tuple[float, float]) -> DiagnosticReport:
     """John-Nirenberg integral form on one arc, asserted at zero slack:
 
         int_I e^{|h|/(4e M_h(I))} <= (1+e) Lambda(I) e^{|h_I|/(4e M_h(I))}.
@@ -171,13 +170,7 @@ def jn_exp_check(
     vals = np.take(v, np.arange(i0, i1), mode="wrap")
 
     # M_h(I): sup over I and its dyadic subdivision down to single nodes
-    M = 0.0
-    level_count = count
-    while level_count >= 1:
-        blocks = vals.reshape(-1, level_count)
-        means = blocks.mean(axis=1)
-        M = max(M, float(np.max(np.mean(np.abs(blocks - means[:, None]), axis=1))))
-        level_count //= 2
+    M = _oscillation_sup(vals, count.bit_length() - 1)
     if M == 0.0:
         raise ValueError("h is constant on the arc: M_h(I) = 0 degenerates the bound")
 

@@ -103,6 +103,8 @@ def load_csv(path):
         for row in rd:
             rows.append([float(x) for x in row])
     arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] != 4:  # header only, or rows of other lengths
+        raise ValueError(f"{path}: expected one or more rows of 4 fields r,theta,re,im")
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     radii = np.unique(arr[:, 0])
     thetas = np.unique(arr[:, 1])

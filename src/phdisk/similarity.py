@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, MaskedValueError, lp_norm_disk, wirtinger_derivatives
+from .grid import GridFunction, MaskedValueError, _join, lp_norm_disk, wirtinger_derivatives
 from .transforms import cauchy_reflect
 
 __all__ = [
@@ -101,16 +101,9 @@ def residual_beltrami(w: GridFunction, alpha: GridFunction) -> float:
 
 def reconstruct(s: GridFunction, F: GridFunction) -> GridFunction:
     """Pointwise e^s F; overflow at singular nodes propagates as a mask."""
-    mask = None
-    if s.mask is not None or F.mask is not None:
-        mask = np.zeros(s.values.shape, bool)
-        if s.mask is not None:
-            mask |= s.mask
-        if F.mask is not None:
-            mask |= F.mask
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         vals = np.exp(s.values) * F.values
-    return GridFunction(s.grid, vals, mask)
+    return GridFunction(s.grid, vals, _join(s, F))
 
 
 def factorize(

@@ -76,7 +76,6 @@ class SolverConfig:
     damping: float = 1.0
     zero_threshold: float | None = None
     p: float = 2.0
-    gamma: float = math.pi / 4.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -92,8 +91,6 @@ class SolverConfig:
             raise ValueError("zero_threshold must be None or a finite number >= 0")
         if not self.p >= 1.0:
             raise ValueError("p must be >= 1")
-        if not (0.0 < self.gamma < math.pi / 2):
-            raise ValueError("gamma must lie in (0, pi/2)")
 
 
 @dataclass
@@ -250,13 +247,9 @@ def _holo_with_real_trace(psi, lam_imag_integral, grid):
 
 
 def _assemble_s(m: GridFunction, phi2: np.ndarray, grid) -> GridFunction:
-    """s = m + holomorphic correction chosen so that Im s = phi2."""
-    tau = BoundaryFunction(
-        (phi2[grid.boundary_ring_index] - boundary_trace(m).values.imag).astype(complex)
-    )
-    tau_t = conjugate_function(tau)
-    corr = poisson_extend(tau, grid) * 1j - poisson_extend(tau_t, grid)
-    return m + corr
+    """s = m + holomorphic correction chosen so that Im s = phi2 on T."""
+    tau = BoundaryFunction(phi2[grid.boundary_ring_index] - boundary_trace(m).values.imag)
+    return m + riesz_extension(tau, grid) * 1j
 
 
 def _green_map(grid, beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -286,6 +279,30 @@ def _instrument(s_norm, alpha, psi, lam):
     return s_norm / denom if denom > 0 else 0.0
 
 
+def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
+    """L^p(T) norm of the real boundary values less psi."""
+    return BoundaryFunction(values - psi.values.real).lp_norm(p)
+
+
+def _finish(name, loop, w, alpha, mismatch, defects, constant) -> SolveReport:
+    """The report of a solve from `_picard`'s (x, history, converged, tau)
+    and the solution w; raises SolverDivergence if the loop did not converge."""
+    _, history, converged, tau = loop
+    report = SolveReport(
+        iterations=len(history),
+        increment_history=history,
+        residual_beltrami=residual_beltrami(w, alpha),
+        boundary_mismatch=mismatch,
+        normalization_defects=defects,
+        measured_constant=constant,
+        converged=converged,
+        damping_final=tau,
+    )
+    if not converged:
+        raise SolverDivergence(f"{name} did not converge", report)
+    return report
+
+
 def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
     """Body shared by the two parametrizations.
 
@@ -310,31 +327,21 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
     beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
 
     phi0 = None if initial_s is None else (initial_s - H).values.imag
-    x, history, converged, tau = _picard(*problem(beta.values, grid, phi0), cfg)
-    phi = x[: grid.n_r].real
+    loop = _picard(*problem(beta.values, grid, phi0), cfg)
+    phi = loop[0][: grid.n_r].real
     m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi)))
     s = _assemble_s(m, phi, grid) + H
     w = reconstruct(s, F)
 
     tr_s = boundary_trace(s).values
     traced, free = (tr_s.imag, tr_s.real) if imag else (tr_s.real, tr_s.imag)
-    mismatch = BoundaryFunction((traced - psi.values.real).astype(complex)).lp_norm(2.0)
+    mismatch = _mismatch(traced, psi, 2.0)
     mean_def = abs(float(np.sum(free)) * 2.0 * np.pi / grid.n_theta - lam)
     keys = ("im_trace", "re_mean") if imag else ("re_trace", "im_mean")
-    report = SolveReport(
-        iterations=len(history),
-        increment_history=history,
-        residual_beltrami=residual_beltrami(w, alpha),
-        boundary_mismatch=mismatch,
-        normalization_defects=dict(zip(keys, (mismatch, mean_def))),
-        measured_constant=_instrument(w12_norm(s), alpha, psi, lam),
-        converged=converged,
-        damping_final=tau,
-    )
-    if not converged:
-        name = "parametrize_imag" if imag else "parametrize_real"
-        raise SolverDivergence(f"{name} did not converge", report)
-    return s, report
+    defects = dict(zip(keys, (mismatch, mean_def)))
+    constant = _instrument(w12_norm(s), alpha, psi, lam)
+    name = "parametrize_imag" if imag else "parametrize_real"
+    return s, _finish(name, loop, w, alpha, mismatch, defects, constant)
 
 
 def parametrize_imag(
@@ -463,10 +470,10 @@ def solve_riesz(
         X0 = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
     else:
         X0 = np.fft.fft(initial_s.require_unmasked("initial state"), axis=1)
-    X, history, converged, tau = _picard(X0, riesz_map, step_norm, cfg)
+    loop = _picard(X0, riesz_map, step_norm, cfg)
     del work  # its buffers are not held through the report
 
-    s = GridFunction(grid, np.fft.ifft(X, axis=1))
+    s = GridFunction(grid, np.fft.ifft(loop[0], axis=1))
     F = poisson_extend(holo_factor(s.values[-1].real), grid)
     w = reconstruct(s, F)
     psi_sharp = BoundaryFunction(boundary_trace(w).values.imag.astype(complex))
@@ -475,23 +482,10 @@ def solve_riesz(
         "im_trace_sup": float(np.max(np.abs(tr_s.values.imag))),
         "re_mean": abs(float(np.sum(tr_s.values.real)) * dtheta),
     }
-    mismatch = BoundaryFunction(
-        (boundary_trace(w).values.real - psi.values.real).astype(complex)
-    ).lp_norm(cfg.p)
+    mismatch = _mismatch(boundary_trace(w).values.real, psi, cfg.p)
     denom = psi.lp_norm(cfg.p) + abs(c)
-    report = SolveReport(
-        iterations=len(history),
-        increment_history=history,
-        residual_beltrami=residual_beltrami(w, alpha),
-        boundary_mismatch=mismatch,
-        normalization_defects=defects,
-        measured_constant=hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0,
-        converged=converged,
-        damping_final=tau,
-    )
-    if not converged:
-        raise SolverDivergence("solve_riesz did not converge", report)
-    return w, psi_sharp, report
+    constant = hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0
+    return w, psi_sharp, _finish("solve_riesz", loop, w, alpha, mismatch, defects, constant)
 
 
 def conductivity_residual(sigma: GridFunction, u: GridFunction) -> float:
@@ -530,12 +524,8 @@ def solve_conductivity(
     w, _, report = solve_riesz(alpha, psi_w, 0.0, cfg)
     u = GridFunction(grid, (w.values.real / sqrt_sigma).astype(complex))
     v = GridFunction(grid, (sqrt_sigma * w.values.imag).astype(complex))
-    weighted = BoundaryFunction(
-        (
-            sqrt_sigma[grid.boundary_ring_index] * u.values.real[grid.boundary_ring_index]
-            - psi_w.values.real
-        ).astype(complex)
-    ).lp_norm(cfg.p)
+    ring = grid.boundary_ring_index
+    weighted = _mismatch(sqrt_sigma[ring] * u.values.real[ring], psi_w, cfg.p)
     report.extra = {
         "pde_residual": conductivity_residual(sigma, u),
         "weighted_boundary_match": weighted,

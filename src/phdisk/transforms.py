@@ -95,13 +95,13 @@ class Workspace:
         self.vals = np.empty(shape, dtype=complex)
 
 
-def _modes(f: GridFunction, out: np.ndarray | None = None) -> np.ndarray:
+def _modes(f: GridFunction) -> np.ndarray:
     """Angular modes times n_theta, radius-major (n_r, n_theta), FFT order.
 
     The transforms are linear, so they work on unnormalized modes and the
     inverse FFT's 1/n_theta restores the scale.
     """
-    return np.fft.fft(f.require_unmasked("angular transform"), axis=1, out=out)
+    return np.fft.fft(f.require_unmasked("angular transform"), axis=1)
 
 
 def _source_modes(values: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
@@ -162,26 +162,19 @@ def _cauchy_reflect_modes(values: np.ndarray, c: float, r: float, work: Workspac
     return O
 
 
-def _cauchy_reflect(
-    h: GridFunction, c: float, r: float, work: Workspace | None = None
-) -> GridFunction:
-    if work is None:
-        work = Workspace(h.grid)
-    elif not work.grid.same_as(h.grid):
-        raise ValueError("workspace belongs to another grid")
-    O = _cauchy_reflect_modes(h.require_unmasked("angular transform"), c, r, work)
+def _cauchy_reflect(h: GridFunction, c: float, r: float) -> GridFunction:
+    O = _cauchy_reflect_modes(h.require_unmasked("angular transform"), c, r, Workspace(h.grid))
     return h.with_values(np.fft.ifft(O, axis=1, out=O))
 
 
-def cauchy_reflect(h: GridFunction, sign: float, work: Workspace | None = None) -> GridFunction:
+def cauchy_reflect(h: GridFunction, sign: float) -> GridFunction:
     """C(h) + sign R(h) from one FFT pair and one radial sweep.
 
     sign = -1 gives the real_on_T exponent C - R of the similarity
     factorization and the Riesz solver's step, sign = +1 the
-    imaginary_on_T one.  With a `work` buffer the values live in
-    work.out until the next call with the same buffer.
+    imaginary_on_T one.
     """
-    return _cauchy_reflect(h, 1.0, sign, work)
+    return _cauchy_reflect(h, 1.0, sign)
 
 
 def cauchy(h: GridFunction) -> GridFunction:

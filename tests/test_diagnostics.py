@@ -143,6 +143,127 @@ class TestJohnNirenberg:
                 assert jn_exp_check(h, arc).satisfied[0]
 
 
+# The per-arc loops that the dyadic-arc kernel replaced, kept as its reference.
+
+
+def _ref_arc(v, level, m):
+    count = v.size >> level
+    return v[m * count : (m + 1) * count]
+
+
+def _ref_oscillation(vals):
+    mean = np.mean(vals)
+    return float(np.mean(np.abs(vals - mean)))
+
+
+def _ref_arcs(family):
+    return [(level, m) for level in range(family.max_level + 1) for m in range(1 << level)]
+
+
+def ref_bmo_table(h, family):
+    return {(k, m): _ref_oscillation(_ref_arc(h.values, k, m)) for k, m in _ref_arcs(family)}
+
+
+def ref_localized_sup(h, family, level, m):
+    best = 0.0
+    for k in range(level, family.max_level + 1):
+        for mm in range(m << (k - level), (m + 1) << (k - level)):
+            best = max(best, _ref_oscillation(_ref_arc(h.values, k, mm)))
+    return best
+
+
+def ref_ap_constant(weight, p, family):
+    w = weight.values.real
+    winv = w ** (-1.0 / (p - 1.0))
+    best = 0.0
+    for k, m in _ref_arcs(family):
+        ratio = np.mean(_ref_arc(w, k, m)) * np.mean(_ref_arc(winv, k, m)) ** (p - 1.0)
+        best = max(best, float(ratio))
+    return best
+
+
+def ref_jn_M(h, arc):
+    dtheta = 2.0 * np.pi / h.n_theta
+    i0, i1 = int(round(arc[0] / dtheta)), int(round(arc[1] / dtheta))
+    vals = np.take(h.values.real, np.arange(i0, i1), mode="wrap")
+    M, level_count = 0.0, i1 - i0
+    while level_count >= 1:
+        blocks = vals.reshape(-1, level_count)
+        means = blocks.mean(axis=1)
+        M = max(M, float(np.max(np.mean(np.abs(blocks - means[:, None]), axis=1))))
+        level_count //= 2
+    return M
+
+
+class TestArcKernelAgainstLoops:
+    """The vectorized dyadic-arc kernel equals the per-arc loops exactly."""
+
+    @staticmethod
+    def cases(n, seed):
+        rng = np.random.default_rng(seed)
+        real = random_boundary(rng, n=n, modes=12)
+        rough = BoundaryFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        families = (ArcFamily(0), ArcFamily(5), ArcFamily.down_to(n))
+        return real, rough, families
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_bmo_table(self, n):
+        real, rough, families = self.cases(n, 40 + n)
+        for h in (real, rough):
+            for fam in families:
+                sem, table = bmo_oscillation(h, fam)
+                ref = ref_bmo_table(h, fam)
+                assert list(table) == list(ref)
+                assert table == ref
+                assert sem == max(ref.values())
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_localized_sup(self, n):
+        real, rough, families = self.cases(n, 41 + n)
+        for h in (real, rough):
+            for fam in families[1:]:
+                for level in range(3):
+                    for m in range(1 << level):
+                        got = localized_oscillation_sup(h, fam, level, m)
+                        assert got == ref_localized_sup(h, fam, level, m)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.5])
+    def test_ap_constant(self, n, p):
+        real, rough, families = self.cases(n, 42 + n)
+        for v in (real.values.real, rough.values.real):
+            w = BoundaryFunction(np.exp(v))
+            for fam in families:
+                assert ap_constant(w, p, fam) == ref_ap_constant(w, p, fam)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_jn_oscillation_sup(self, n):
+        real, rough, _ = self.cases(n, 43 + n)
+        for h in (real, rough):
+            for arc in ((0, 2 * np.pi), (np.pi / 2, np.pi), (0, np.pi / 4), (1.5 * np.pi, 2.5 * np.pi)):
+                assert jn_exp_check(h, arc).details["M_h"] == ref_jn_M(h, arc)
+
+    def test_family_deeper_than_resolution_raises(self):
+        # the old per-arc loop of ap_constant took means of empty slices
+        # here, warned, and returned the ArcFamily(3) value
+        rng = np.random.default_rng(44)
+        h = BoundaryFunction(rng.standard_normal(8))
+        w = BoundaryFunction(np.exp(h.values.real))
+        for call in (
+            lambda: ap_constant(w, 2.0, ArcFamily(5)),
+            lambda: bmo_oscillation(h, ArcFamily(5)),
+            lambda: localized_oscillation_sup(h, ArcFamily(5), 0, 0),
+        ):
+            with pytest.raises(ValueError, match="deeper than the boundary resolution"):
+                call()
+
+    def test_arc_outside_family_raises(self):
+        h = random_boundary(np.random.default_rng(45))
+        for level, m in ((6, 0), (-1, 0), (2, 4), (2, -1)):
+            with pytest.raises(ValueError, match="not in the family"):
+                localized_oscillation_sup(h, ArcFamily(5), level, m)
+
+
 class TestExpIntegrability:
     def test_zero_field(self, grid128):
         rep = exp_integrability_report(GridFunction.zeros(grid128), ells=(1.0, 2.0))

@@ -155,6 +155,23 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "".join(f"1.0,{2.0 * np.pi * k / 8!r},0.0\n" for k in range(8)),
+            "".join(f"1.0,{2.0 * np.pi * k / 8!r},0.0,0.0,9.0\n" for k in range(8)),
+        ],
+        ids=["header-only", "3-fields", "5-fields"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        # on-grid rows: the header-only and 3-field files used to raise
+        # IndexError, and the fifth field used to be dropped
+        p = tmp_path / "h.csv"
+        p.write_text("r,theta,re,im\n" + body)
+        with pytest.raises(ValueError, match="h.csv: expected one or more rows of 4 fields"):
+            load_csv(p)
+
 
 class TestSlices:
     def test_radius_slice(self, grid128, tmp_path):
@@ -293,11 +310,13 @@ class TestCli:
             ({"max_iter": 2.7}, "max_iter"),
             ({"max_iter": "2.7"}, "max_iter"),
             ({"zero_threshold": "abc"}, "zero_threshold"),
+            ({"gamma": 0.7}, "solver keys"),
         ],
-        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc"],
+        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc", "gamma=0.7"],
     )
     def test_solver_block_rejects_bad_values(self, tmp_path, block, key):
-        # 2.7 used to run as 2 iterations; 'abc' used to fail inside the solve
+        # 2.7 used to run as 2 iterations; 'abc' used to fail inside the
+        # solve; gamma, which no solver reads, used to be accepted
         save_phd1(tmp_path / "alpha.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
         save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(16, np.cos))
         cfg = {
@@ -354,6 +373,16 @@ class TestCli:
         res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "['1']"
+
+    def test_header_only_csv_is_validation_error(self, tmp_path):
+        (tmp_path / "h.csv").write_text("r,theta,re,im\n")
+        cfg = {"transform": "cauchy", "inputs": {"h": str(tmp_path / "h.csv")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = run_cli("transform", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "t"))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "validation"
+        assert "h.csv" in err["message"]
 
     def test_transform_command(self, tmp_path):
         g = make_grid(256, 64)

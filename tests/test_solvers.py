@@ -43,8 +43,6 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"max_iter": 2.5},
             {"p": 0.5},
-            {"gamma": 0.0},
-            {"gamma": 3.0},
             {"zero_threshold": -1.0},
             {"zero_threshold": float("nan")},
             {"zero_threshold": float("inf")},
