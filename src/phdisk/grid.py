@@ -247,7 +247,8 @@ class GridFunction:
         return f"GridFunction({self.grid!r}{m})"
 
 
-def _join(a: GridFunction, b: GridFunction):
+def _join(a, b):
+    """Union of the masks of two GridFunctions or two BoundaryFunctions."""
     if a.mask is None and b.mask is None:
         return None
     out = np.zeros(a.values.shape, bool)
@@ -322,23 +323,23 @@ class BoundaryFunction:
 
     def __add__(self, other):
         if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values + other.values)
-        return BoundaryFunction(self.values + other)
+            return BoundaryFunction(self.values + other.values, _join(self, other))
+        return BoundaryFunction(self.values + other, self.mask)
 
     def __sub__(self, other):
         if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values - other.values)
-        return BoundaryFunction(self.values - other)
+            return BoundaryFunction(self.values - other.values, _join(self, other))
+        return BoundaryFunction(self.values - other, self.mask)
 
     def __mul__(self, other):
         if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values * other.values)
-        return BoundaryFunction(self.values * other)
+            return BoundaryFunction(self.values * other.values, _join(self, other))
+        return BoundaryFunction(self.values * other, self.mask)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return BoundaryFunction(-self.values)
+        return BoundaryFunction(-self.values, self.mask)
 
 
 @dataclass(frozen=True)
@@ -622,10 +623,20 @@ def _cone_mask(grid: DiskGrid, gamma: float) -> np.ndarray:
 
     The grid is invariant under rotation by whole angular steps, so the
     cone at the boundary node theta_k holds the nodes of this mask rolled
-    by k along the angles.
+    by k along the angles.  The cone is convex, symmetric about the real
+    axis and holds the disk of radius sin(gamma), so on each ring it is an
+    arc centred on column 0 (the whole ring inside that disk), and the
+    arcs narrow towards the rim.
     """
     z = grid.nodes_z()[: grid.n_r - 1]
     return Cone(1.0 + 0.0j, gamma).contains(z)
+
+
+def _dilate(v: np.ndarray, width: int) -> np.ndarray:
+    """Circular window maximum, out[k] = max of v[k - width .. k + width]."""
+    for _ in range(width):
+        v = np.maximum(np.maximum(v, np.roll(v, 1)), np.roll(v, -1))
+    return v
 
 
 def nontangential_max(f: GridFunction, gamma: float) -> BoundaryFunction:
@@ -633,15 +644,21 @@ def nontangential_max(f: GridFunction, gamma: float) -> BoundaryFunction:
 
     For each xi the maximum of |f| over interior grid nodes inside the
     approach cone Gamma_{xi,gamma}, the cone at theta = 0 rolled to xi.
+    Ring j of the cone is the arc of half-width w_j about xi and w_j does
+    not grow outwards, so one pass from the centre dilates the running
+    maximum by w_{j-1} - w_j before taking ring j, and by the last w_j.
     Raises if the cones capture no node (grid too coarse for this gamma).
     """
     v = np.abs(f.require_unmasked("maximal function"))
     g = f.grid
-    base = _cone_mask(g, gamma)
-    if not np.any(base):
+    counts = np.count_nonzero(_cone_mask(g, gamma), axis=1)
+    rings = np.flatnonzero(counts)  # rings beyond the unit circle hold none
+    if rings.size == 0:
         raise ValueError(
             "empty cone at the grid resolution; use a finer grid or larger gamma"
         )
-    inner = v[: g.n_r - 1]
-    out = np.array([np.max(inner[np.roll(base, k, axis=1)]) for k in range(g.n_theta)])
-    return BoundaryFunction(out.astype(complex))
+    half = np.minimum(counts[rings] // 2, g.n_theta // 2)
+    acc = v[rings[0]]
+    for j, shrink in zip(rings[1:], half[:-1] - half[1:]):
+        acc = np.maximum(_dilate(acc, shrink), v[j])
+    return BoundaryFunction(_dilate(acc, half[-1]).astype(complex))

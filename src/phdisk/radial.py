@@ -19,16 +19,19 @@ of mpmath, relative to each cell's largest moment, and 24 nodes carry less
 roundoff (see `_GL_NODES`); 16 nodes would leave errors near 2e-8.
 
 The cubic of cell i is a fixed linear map of the four node values of its
-stencil, so the engine folds that map into the moment tables when it is
-built: W[s, i, a] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight
-of stencil node s in the integral over cell i.  A transform call then
-contracts node values with W[:, :, a_m] by four shifted slices, without
-forming the cubics.  Cumulation uses recurrences whose scaling factors
-are powers of ratios <= 1 (tabulated once per engine), so nothing
-overflows no matter the exponent.  The full integral int_0^1 f rho^a drho
-needs no recurrence: its node weights (the inner weights times
-((i+1)/n_r)^a <= 1, summed onto the nodes) are tabulated too, and it is
-one dot product per mode.
+stencil, and every integral folds that map into its moments:
+W[s, i, a] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight of
+stencil node s in the integral over cell i.  Whole cells are folded when
+the engine is built (both kernels per exponent, and rho log rho for the
+Green potential's mode 0); a call contracts node values with W[:, :, a_m]
+by four shifted slices.  Partial cells at off-node radii fold each
+target's moments onto its own cell's nodes.  No transform forms the
+cubics; `cell_coeffs` does, as the tests' reference.  Cumulation uses
+recurrences whose scaling factors are powers of ratios <= 1 (tabulated
+once per engine), so nothing overflows no matter the exponent.  The full
+integral int_0^1 f rho^a drho needs no recurrence: its node weights (the
+inner weights times ((i+1)/n_r)^a <= 1, summed onto the stencil nodes)
+are tabulated too, and it is one dot product per mode.
 
 Layout: the engine computes radius-major, on (n_r, M) arrays whose
 columns are node profiles, the layout `np.fft.fft(values, axis=1)` gives
@@ -129,21 +132,6 @@ def _stencil_data(n_r: int):
     return gather, coeff_maps
 
 
-def _spread_to_nodes(w: np.ndarray) -> np.ndarray:
-    """Sum per-cell stencil weights (4, n_cells, ...) onto the nodes (n_r, ...).
-
-    The transpose of the stencil gather: cell i >= 2 starts at node i - 2,
-    cells 0 and 1 share nodes 0..3 and the last cell takes the last four.
-    """
-    n = w.shape[1]
-    out = np.zeros(w.shape[1:])
-    out[:4] = w[:, 0] + w[:, 1]
-    for s in range(4):
-        out[s : n - 3 + s] += w[s, 2:-1]
-    out[-4:] += w[:, -1]
-    return out
-
-
 class RadialEngine:
     """Cached stencils and folded kernel weights for one radial grid size.
 
@@ -175,9 +163,22 @@ class RadialEngine:
         self.w_in = fold(True)
         self.w_out = fold(False)
         self.w_out[:, 0] = 0.0  # the cell touching the origin has no outer part
-        # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; spread onto the stencil nodes
+        # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; summed onto the stencil nodes
         reach = np.power(((cells + 1.0) / n_r)[:, None], exps[None, :])
-        self.w_full = _spread_to_nodes(self.w_in * reach)
+        self.w_full = np.zeros((n_r, a_max + 1))
+        np.add.at(self.w_full, self.gather.T, self.w_in * reach)
+        # rho log rho = h (i+x) (log h + log(i+x)), so cell i's moments are
+        # h (log h int x^q (i+x) dx + int x^q (i+x) log(i+x) dx): the first
+        # in closed form, the second by Gauss-Legendre (cells i >= 1; the
+        # origin cell is never an outer cell); a table of one exponent
+        xr, wr = _GL_REF
+        x = 0.5 * (xr + 1.0)
+        ix = cells[1:, None] + x
+        log_mom = np.zeros((n_r, 4))
+        log_mom[1:] = (ix * np.log(ix) * (0.5 * wr)) @ x[:, None] ** _Q
+        rholog = np.log(self.h) * (cells[:, None] / (_Q + 1.0) + 1.0 / (_Q + 2.0)) + log_mom
+        self.w_rholog = np.empty((4, n_r, 1))
+        np.matmul(rholog[:, None], self.h * maps, out=self.w_rholog.transpose(1, 2, 0))
         # node ratio (rho_{j+1}/rho_{j+2})^a of both recurrences, (n_r - 1, a)
         j = np.arange(1.0, n_r)
         self.ratio = np.power((j / (j + 1.0))[:, None], exps[None, :])
@@ -187,25 +188,6 @@ class RadialEngine:
         vals = profiles[:, self.gather]  # (M, n_cells, 4)
         return np.einsum("iqs,mis->miq", self.coeff_maps, vals)
 
-    def _log_tables(self):
-        """Moments of x^q (i+x) and x^q (i+x) log(i+x) per cell (cells i >= 1)."""
-        if not hasattr(self, "_log_alpha"):
-            i = np.arange(self.n_r, dtype=float)[:, None]
-            q = np.arange(4)[None, :]
-            self._log_alpha = i / (q + 1.0) + 1.0 / (q + 2.0)
-            xr, wr = _GL_REF
-            x = 0.5 * (xr + 1.0)
-            w = 0.5 * wr
-            beta = np.zeros((self.n_r, 4))
-            ii = np.arange(1, self.n_r, dtype=float)[:, None]
-            f = (ii + x[None, :]) * np.log(ii + x[None, :])
-            xq = np.ones_like(x)[None, :]
-            for qq in range(4):
-                beta[1:, qq] = np.sum(xq * f * w[None, :], axis=1)
-                xq = xq * x[None, :]
-            self._log_beta = beta
-        return self._log_alpha, self._log_beta
-
     def cumulative_out_rholog(self, profiles: np.ndarray) -> np.ndarray:
         """T[m, j] = int_{rho_{j+1}}^1 prof_m(rho) rho log(rho) drho.
 
@@ -213,16 +195,13 @@ class RadialEngine:
         cubics; interpolating through the log would leave a rough error
         that discrete Laplacians amplify.
         """
-        alpha, beta = self._log_tables()
-        coeffs = self.cell_coeffs(profiles)
-        logh = np.log(self.h)
-        c = self.h**2 * (
-            logh * np.einsum("miq,iq->mi", coeffs, alpha)
-            + np.einsum("miq,iq->mi", coeffs, beta)
-        )
-        T = np.zeros_like(c)
-        T[:, :-1] = np.cumsum(c[:, :0:-1], axis=1)[:, ::-1]
-        return T
+        P = np.asarray(profiles).T
+        T = np.empty(P.shape, dtype=np.result_type(P, float))
+        # row j holds cell j + 1; T[j] sums the rows from j to the rim
+        self._cell_integrals(self.w_rholog, P, slice(None), T, skip_origin=True)
+        T[-1] = 0.0
+        np.cumsum(T[-2::-1], axis=0, out=T[-2::-1])
+        return T.T
 
     def _exp_index(self, exps) -> slice | np.ndarray:
         """Exponent index into the tables: a slice when the exponents step
@@ -240,10 +219,11 @@ class RadialEngine:
     def _cell_integrals(self, table, P, e, out, skip_origin=False) -> np.ndarray:
         """out[i, m] = sum_s table[s, i, e_m] P[gather[i, s], m], radius-major.
 
-        P is (n_r, M), column m a node profile with exponent e_m.  Four
+        P is (n_r, M), column m a node profile with exponent e_m (a table
+        of one exponent, e = slice(None), serves every column).  Four
         shifted slices for the cells whose stencil starts at i - 2; cells
         0 and 1 share nodes 0..3 and the last cell takes the last four
-        nodes (the layout of `_stencil_data` and `_spread_to_nodes`).  With
+        nodes (the layout of `_stencil_data`).  With
         skip_origin, row i of out holds cell i + 1 and the last row is
         left alone.
         """
@@ -321,8 +301,10 @@ class RadialEngine:
         x = pos - cell
         x0, x1 = (0.0, x) if inner else (x, 1.0)
         nu = _moments(cell, x0, x1, exps[:, None], inner)
-        coeffs = self.cell_coeffs(profiles)[:, cell]
-        return cell, x, self.h * np.einsum("mkq,mkq->mk", coeffs, nu)
+        # fold each target's moments onto its own cell's stencil nodes
+        w = np.matmul(nu[:, :, None], self.h * self.coeff_maps[cell])[:, :, 0]
+        vals = np.asarray(profiles)[:, self.gather[cell]]
+        return cell, x, np.einsum("mks,mks->mk", w, vals)
 
     def cumulative_in_at(self, profiles, exps, targets) -> np.ndarray:
         """S at arbitrary radii in (0, 1], shape (M, len(targets))."""

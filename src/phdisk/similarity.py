@@ -144,14 +144,9 @@ def alpha_from_pair(
     factorization, w = e^s F solves dbar w = alpha conj(w) for this alpha.
     """
     Fv = F.require_unmasked("alpha_from_pair")
-    scale = float(np.max(np.abs(Fv)))
-    if scale == 0.0:
+    if not np.any(Fv):
         raise ValueError("F must not be identically zero")
-    thr = _threshold(scale, zero_threshold)
     _, dbar_s = wirtinger_derivatives(s)
-    with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
-        quotient = np.where(
-            np.abs(Fv) <= thr, 0.0, Fv / np.where(Fv == 0, 1.0, np.conj(Fv))
-        )
-        vals = dbar_s.values * np.exp(2j * s.values.imag) * quotient
-    return s.with_values(vals)
+    # F/conj(F) is the Beltrami phase of conj(F), with the same threshold
+    av = dbar_s.values * np.exp(2j * s.values.imag)
+    return s.with_values(beltrami_values(np.conj(Fv), av, zero_threshold))

@@ -362,6 +362,30 @@ class TestNontangentialMax:
             assert np.array_equal(np.roll(base, k, axis=1), sel), k
             assert M[k] == vals[sel].max()
 
+    @pytest.mark.parametrize(
+        "n_theta, n_r, gamma", [(8, 5, 0.1), (64, 33, 0.9), (128, 512, 0.02), (512, 64, 1.5)]
+    )
+    def test_cone_rings_are_centred_arcs(self, n_theta, n_r, gamma):
+        """What the window maximum relies on: each ring of the cone mask is an
+        arc centred on column 0 (or the whole ring), narrowing towards the rim."""
+        base = _cone_mask(make_grid(n_theta, n_r), gamma)
+        half = np.minimum(base.sum(axis=1) // 2, n_theta // 2)
+        k = np.arange(n_theta)
+        assert np.array_equal(np.minimum(k, n_theta - k)[None, :] <= half[:, None], base)
+        assert np.all(np.diff(half) <= 0)
+
+    def test_rings_beyond_the_circle_hold_no_cone_node(self):
+        """On a grid reaching past T the outer rings miss every cone; the
+        maximum is that of the rolled mask over the rings inside."""
+        grid = make_grid(64, 64, outer_radius=4.0)
+        rng = np.random.default_rng(9)
+        f = GridFunction(grid, rng.standard_normal((64, 64)))
+        base = _cone_mask(grid, 0.7)
+        assert not np.all(np.any(base, axis=1))
+        vals = np.abs(f.values[:63])
+        oracle = [vals[np.roll(base, k, axis=1)].max() for k in range(64)]
+        assert np.array_equal(nontangential_max(f, 0.7).values.real, oracle)
+
 
 class TestConeGeometry:
     def test_region_composition(self):
@@ -384,6 +408,25 @@ class TestBoundaryMasks:
         b = BoundaryFunction(vals)
         with pytest.raises(MaskedValueError):
             b.lp_norm(2.0)
+
+    def test_arithmetic_keeps_masks(self):
+        vals = np.ones(256, dtype=complex)
+        vals[3] = np.nan
+        b = BoundaryFunction(vals)
+        c = BoundaryFunction.from_function(256, np.cos)
+        for out in (b + 1, b - 1, b * 2, 2 * b, -b, b + c, c - b, c * b):
+            assert out.mask is not None and np.flatnonzero(out.mask).tolist() == [3]
+            with pytest.raises(MaskedValueError):
+                out.lp_norm(2.0)
+        assert (c + c).mask is None
+
+    def test_trace_arithmetic_keeps_mask(self, grid128):
+        vals = np.ones((128, 256), dtype=complex)
+        vals[-1, 7] = np.inf
+        tr = boundary_trace(GridFunction(grid128, vals)) + 0
+        assert tr.mask is not None and tr.mask[7]
+        with pytest.raises(MaskedValueError):
+            tr.mean()
 
     def test_fully_masked_ring_rejected(self, grid128):
         vals = np.ones((128, 256), dtype=complex)

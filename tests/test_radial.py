@@ -77,6 +77,85 @@ def test_folded_weights_match_cell_cubics(case):
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
+def test_cumulative_out_rholog_closed_form(case):
+    """int_r^1 rho^j rho log(rho) drho = -1/J^2 - r^J log(r)/J + r^J/J^2, J = j + 2."""
+    eng, r, exps, js, profiles = case
+    prof = r[None, :] ** POWERS[:, None]
+    T = eng.cumulative_out_rholog(prof)
+    J = (POWERS + 2.0)[:, None]
+    rJ = r[None, :] ** J
+    exact = -1.0 / J**2 - rJ * np.log(r) / J + rJ / J**2
+    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    assert np.max(err) < 1e-12
+
+
+def test_rholog_weights_match_cell_cubics(case):
+    """The folded rho log rho weights reproduce h int cubic * rho log rho cell
+    by cell for a rough profile (moments by a 40-node rule in rho itself)."""
+    eng, r, exps, js, profiles = case
+    prof = rough_profiles(6, 8, eng.n_r)
+    xg, wg = np.polynomial.legendre.leggauss(40)
+    x = 0.5 * (xg + 1.0)
+    rho = eng.h * (np.arange(1, eng.n_r)[:, None] + x)
+    mom = (rho * np.log(rho) * 0.5 * wg) @ x[:, None] ** np.arange(4)  # (cells 1.., q)
+    cells = eng.h * np.einsum("miq,iq->mi", eng.cell_coeffs(prof)[:, 1:], mom)
+    ref = np.zeros(prof.shape, dtype=complex)
+    ref[:, :-1] = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1]
+    got = eng.cumulative_out_rholog(prof)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def partial_targets(n_r):
+    """About 50 off-node radii in (0, 1), the first cell included, plus node radii."""
+    rng = np.random.default_rng(11)
+    off = np.concatenate([rng.uniform(0.0, 1.0, 46), rng.uniform(0.0, 1.0 / n_r, 4)])
+    nodes = np.array([1, 2, 3, n_r // 2, n_r - 1, n_r]) / n_r
+    return np.concatenate([off, nodes])
+
+
+def test_cumulative_in_at_closed_form(case):
+    """S_a(t) = int_0^t rho^j (rho/t)^a drho = t^{j+1}/(a+j+1) off and on the nodes.
+
+    Relative to the larger of the value and its value at the first node:
+    inside the origin cell S falls like t^{j+1}, while the extrapolated
+    cubic's coefficients carry rounding of the size of the first nodes.
+    """
+    eng, r, exps, js, profiles = case
+    t = partial_targets(eng.n_r)
+    S = eng.cumulative_in_at(profiles, exps, t)
+    exact = t[None, :] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
+    floor = r[0] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
+    assert np.max(np.abs(S - exact) / np.maximum(exact, floor)) < 1e-12
+
+
+def test_cumulative_out_at_closed_form(case):
+    """T_b(t) = int_t^1 rho^j (t/rho)^b drho = (t^b - t^{j+1})/(j+1-b), or -t^b log t."""
+    eng, r, exps, js, profiles = case
+    t = partial_targets(eng.n_r)
+    T = eng.cumulative_out_at(profiles, exps, t)
+    d = (js + 1 - exps)[:, None]
+    tb = t[None, :] ** exps[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.where(d == 0, -tb * np.log(t), (tb - t[None, :] ** (js + 1)[:, None]) / d)
+    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    assert np.max(err) < 1e-12
+
+
+@pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
+def test_partial_cells_match_cell_cubics(case, inner):
+    """The partial-cell integral of a rough profile is h sum_q c_q nu_q over the
+    target's cell, c its cubic's coefficients: cubic profiles are reproduced by
+    any consistent stencil, so only a rough one checks the stencil layout."""
+    eng, r, exps, js, profiles = case
+    prof = rough_profiles(5, len(exps), eng.n_r)
+    t = partial_targets(eng.n_r)
+    cell, x, part = eng._partial(prof, exps, t, inner)
+    x0, x1 = (0.0, x) if inner else (x, 1.0)
+    nu = _moments(cell, x0, x1, exps[:, None], inner)
+    ref = eng.h * np.einsum("mkq,mkq->mk", eng.cell_coeffs(prof)[:, cell], nu)
+    assert np.max(np.abs(part - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
 def test_whole_cell_moments_against_quad(inner):
     """Whole-cell moments against scipy's adaptive quadrature in x itself,
