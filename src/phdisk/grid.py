@@ -318,9 +318,6 @@ class BoundaryFunction:
         v = self.require_unmasked("L^p norm")
         return float(_lp_rows(v[None, :], p)[0] * (2.0 * np.pi / self.n_theta) ** (1.0 / p))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.require_unmasked("sup norm"))))
-
     def __add__(self, other):
         if isinstance(other, BoundaryFunction):
             return BoundaryFunction(self.values + other.values, _join(self, other))

@@ -17,6 +17,7 @@ functions are written at r = 1.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,34 +95,34 @@ def save_csv(path, f) -> None:
 
 
 def load_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if [c.strip() for c in header] != ["r", "theta", "re", "im"]:
+    with open(path) as fh:
+        if [c.strip() for c in fh.readline().split(",")] != ["r", "theta", "re", "im"]:
             raise ValueError(f"{path}: expected header r,theta,re,im")
-        for row in rd:
-            rows.append([float(x) for x in row])
-    arr = np.asarray(rows)
-    if arr.ndim != 2 or arr.shape[1] != 4:  # header only, or rows of other lengths
-        raise ValueError(f"{path}: expected one or more rows of 4 fields r,theta,re,im")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # header only: "input contained no data"
+            try:
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2)
+                if arr.shape[1] != 4:
+                    raise ValueError
+            except (ValueError, UserWarning) as exc:  # ragged, unparsable, no rows
+                raise ValueError(f"{path}: expected one or more rows of 4 fields r,theta,re,im") from exc
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    radii = np.unique(arr[:, 0])
-    thetas = np.unique(arr[:, 1])
-    n_r, n_theta = len(radii), len(thetas)
+    n_theta = int(np.count_nonzero(arr[:, 0] == arr[0, 0]))
+    n_r = len(arr) // n_theta
     if n_r * n_theta != len(arr):
         raise ValueError(f"{path}: nodes do not form a tensor grid")
-    R = max(float(radii[-1]), 1.0)
+    nodes = arr.reshape(n_r, n_theta, 4)
+    R = max(float(nodes[-1, 0, 0]), 1.0)
     for name, got, want in (
-        ("radii", radii, R * np.arange(1, n_r + 1) / n_r),
-        ("angles", thetas, 2.0 * np.pi * np.arange(n_theta) / n_theta),
+        ("radii", nodes[:, :, 0], R * np.arange(1, n_r + 1)[:, None] / n_r),
+        ("angles", nodes[:, :, 1], 2.0 * np.pi * np.arange(n_theta) / n_theta),
     ):
-        if np.any(np.abs(got - want) > 1e-12 * np.abs(want)):
+        if not np.all(np.abs(got - want) <= 1e-12 * np.abs(want)):
             raise ValueError(f"{path}: {name} do not lie on a polar grid")
-    vals = (arr[:, 2] + 1j * arr[:, 3]).reshape(n_r, n_theta)
+    vals = nodes[:, :, 2] + 1j * nodes[:, :, 3]
     if n_r == 1:
-        return BoundaryFunction(vals[0].copy())
-    return GridFunction(make_grid(n_theta, n_r, outer_radius=R), vals.copy())
+        return BoundaryFunction(vals[0])
+    return GridFunction(make_grid(n_theta, n_r, outer_radius=R), vals)
 
 
 def save(path, f) -> None:

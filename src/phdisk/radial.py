@@ -24,9 +24,9 @@ W[s, i, a] = h sum_q nu[a, i, q] coeff_maps[i, q, s] is the weight of
 stencil node s in the integral over cell i.  Whole cells are folded when
 the engine is built (both kernels per exponent, and rho log rho for the
 Green potential's mode 0); a call contracts node values with W[:, :, a_m]
-by four shifted slices.  Partial cells at off-node radii fold each
-target's moments onto its own cell's nodes.  No transform forms the
-cubics; `cell_coeffs` does, as the tests' reference.  Cumulation uses
+by four shifted slices.  At arbitrary radii, node radii read the sweep;
+only a radius inside a cell folds its partial-cell moments onto that
+cell's nodes.  No transform forms the cubics.  Cumulation uses
 recurrences whose scaling factors are powers of ratios <= 1 (tabulated
 once per engine), so nothing overflows no matter the exponent.  The full
 integral int_0^1 f rho^a drho needs no recurrence: its node weights (the
@@ -184,7 +184,7 @@ class RadialEngine:
         self.ratio = np.power((j / (j + 1.0))[:, None], exps[None, :])
 
     def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
-        """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r)."""
+        """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r); the tests' reference."""
         vals = profiles[:, self.gather]  # (M, n_cells, 4)
         return np.einsum("iqs,mis->miq", self.coeff_maps, vals)
 
@@ -290,9 +290,6 @@ class RadialEngine:
         """int_0^1 prof_m(rho) rho^{a_m} drho (kernel normalized at r=1)."""
         return self.full_moments(np.asarray(profiles).T, self._exp_index(exps))
 
-    # Arbitrary-target evaluation, used by the renormalized transform where
-    # the evaluation radii do not coincide with the source nodes.
-
     def _partial(self, profiles, exps, targets, inner: bool):
         """Each target's cell and local position x, and h int prof K over
         [0, x] (inner) or [x, 1] (outer) of that cell, (M, targets)."""
@@ -306,21 +303,32 @@ class RadialEngine:
         vals = np.asarray(profiles)[:, self.gather[cell]]
         return cell, x, np.einsum("mks,mks->mk", w, vals)
 
+    def _at(self, profiles, exps, targets, inner: bool) -> np.ndarray:
+        """S (inner) or T at radii in (0, 1]: node radii read the sweep, others
+        scale a node of their cell by (smaller / larger radius)^e and add the partial cell."""
+        t = np.asarray(targets, dtype=float)
+        if not np.all((t > 0.0) & (t <= 1.0)):
+            raise ValueError("target radii must lie in (0, 1]")
+        node = (self.cumulative_in if inner else self.cumulative_out)(profiles, exps)
+        k = np.floor(t / self.h + 1e-9).astype(int)
+        off = (t / self.h - k >= 1e-9) | (k == 0)
+        out = node[:, k - 1]  # column j of the sweep is radius rho_{j+1}
+        if np.any(off):
+            cell, x, part = self._partial(profiles, exps, t[off], inner)
+            # the node at the cell's inner (S) or outer (T) end; T is 0 at r = 1
+            j = cell + (not inner)
+            ratio = np.minimum(j, cell + x) / np.maximum(j, cell + x)
+            at_j = np.where(j >= 1, node[:, j - 1], 0.0)
+            out[:, off] = np.power(ratio, exps[:, None].astype(float)) * at_j + part
+        return out
+
     def cumulative_in_at(self, profiles, exps, targets) -> np.ndarray:
         """S at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        S = self.cumulative_in(profiles, exps)
-        cell, x, part = self._partial(profiles, exps, targets, inner=True)
-        prev = np.where(cell >= 1, S[:, cell - 1], 0.0)
-        scale = np.power(cell / (cell + x), exps[:, None].astype(float))
-        return np.where(x < 1e-9, prev, scale * prev + part)
+        return self._at(profiles, exps, targets, True)
 
     def cumulative_out_at(self, profiles, exps, targets) -> np.ndarray:
         """T at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        T = self.cumulative_out(profiles, exps)
-        cell, x, part = self._partial(profiles, exps, targets, inner=False)
-        scale = np.power((cell + x) / (cell + 1.0), exps[:, None].astype(float))
-        # T[:, -1] = 0, so the last cell needs no special case
-        return np.where((x < 1e-9) & (cell >= 1), T[:, cell - 1], part + scale * T[:, cell])
+        return self._at(profiles, exps, targets, False)
 
 
 _MAX_ENGINES = 4

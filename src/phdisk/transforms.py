@@ -242,18 +242,14 @@ def cauchy_renormalized(
     eng = _engine_for(grid)
     B = _source_modes(h.require_unmasked("angular transform"))
     radii = eval_grid.radii
-    # the engine runs once per distinct radius clipped to the unit circle;
-    # the radii ascend, so the distinct ones start where the clipped values step
-    clipped = np.minimum(radii, 1.0)
-    first = np.concatenate(([True], clipped[1:] != clipped[:-1]))
-    rim, at = clipped[first], np.cumsum(first) - 1
+    rim = np.minimum(radii, 1.0)
     p = np.arange(half, 0, -1)
     q = np.arange(half - 1)
     out = np.zeros((len(radii), N), dtype=complex)
     S = eng.cumulative_in_at(B[:, half + 1 :].T, p, rim)
-    out[:, half:] = 2.0 * S.T[at] * np.power((rim[at] / radii)[:, None], p[None, :])
+    out[:, half:] = 2.0 * S.T * np.power((rim / radii)[:, None], p[None, :])
     T = eng.cumulative_out_at(B[:, 1:half].T, q, rim)
-    out[:, : half - 1] = -2.0 * T.T[at]
+    out[:, : half - 1] = -2.0 * T.T
     return GridFunction(eval_grid, np.fft.ifft(out, axis=1, out=out))
 
 

@@ -14,9 +14,12 @@ from scipy.special import expi
 from phdisk import (
     BoundaryFunction,
     GridFunction,
+    beurling,
     cauchy,
+    cauchy_renormalized,
     green_potential,
     make_grid,
+    reflect_transform,
     solve_conductivity,
     solve_riesz,
     w12_norm,
@@ -36,6 +39,25 @@ CASES = {
     "cauchy_gauss_z": (cauchy, lambda z: gauss(z) * z, lambda z: np.exp(-1.0) - gauss(z)),
     # C(e^{-|z|^2}) = (1 - e^{-|z|^2}) / z
     "cauchy_gauss": (cauchy, gauss, lambda z: (1.0 - gauss(z)) / z),
+    # S(e^{-|z|^2}) = (|z|^2 e^{-|z|^2} - 1 + e^{-|z|^2}) / z^2
+    "beurling_gauss": (
+        beurling,
+        gauss,
+        lambda z: (np.abs(z) ** 2 * gauss(z) - 1.0 + gauss(z)) / z**2,
+    ),
+    # R(e^{-|z|^2} conj(z)) = -(1 - 2/e) z^2
+    "reflect_gauss_zbar": (
+        reflect_transform,
+        lambda z: gauss(z) * np.conj(z),
+        lambda z: -(1.0 - 2.0 / np.e) * z**2,
+    ),
+    # C_2(e^{-|z|^2}) on D_2.5: (1 - e^{-|z|^2}) / z on D, (1 - e^{-1}) / z
+    # beyond it; the radii 2.5 j/n_r put every odd target off the nodes
+    "cauchy_renormalized_gauss": (
+        lambda h: cauchy_renormalized(h, 2.5),
+        gauss,
+        lambda z: (1.0 - gauss(np.minimum(np.abs(z), 1.0))) / z,
+    ),
     # P(e^{-r^2}) = log(r)/2 - Ei(-r^2)/4 + Ei(-1)/4
     "green_gauss": (
         green_potential,
@@ -58,7 +80,7 @@ def test_observed_order(name):
     for n_r in N_RS:
         z = make_grid(N_THETA, n_r).nodes_z()
         out = op(GridFunction(make_grid(N_THETA, n_r), source(z)))
-        errors.append(float(np.max(np.abs(out.values - exact(z)))))
+        errors.append(float(np.max(np.abs(out.values - exact(out.grid.nodes_z())))))
     assert_order(errors)
 
 

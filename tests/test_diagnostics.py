@@ -420,6 +420,34 @@ class TestBoundarySobolev:
         g = BoundaryFunction.from_function(256, lambda th: 5.0 + 0 * th)
         assert boundary_sobolev_seminorm(g) == 0.0
 
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_matches_difference_loop(self, n):
+        """The spectral sum against the direct sum over arc distances d, on
+        smooth, rough and half-order data."""
+
+        def loop(v):
+            dtheta = 2.0 * np.pi / n
+            total = 0.0
+            for d in range(1, n):
+                lam = min(d, n - d) * dtheta
+                total += float(np.sum(np.abs(v - np.roll(v, -d)) ** 2)) / lam**2
+            return np.sqrt(total * dtheta * dtheta)
+
+        rng = np.random.default_rng(n)
+        th = 2.0 * np.pi * np.arange(n) / n
+        modes = np.zeros(n, dtype=complex)
+        modes[1 : n // 2] = np.exp(2j * np.pi * rng.random(n // 2 - 1)) / np.arange(1, n // 2)
+        data = {
+            "smooth": np.exp(np.cos(th)) + 1j * np.sin(2.0 * th),
+            "rough": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            # |theta - pi|^{1/2}, and modes decaying like 1/m: half-order only
+            "half-order": np.abs(th - np.pi) ** 0.5 + n * np.fft.ifft(modes),
+        }
+        for name, v in data.items():
+            ref = loop(v)
+            got = boundary_sobolev_seminorm(BoundaryFunction(v))
+            assert abs(got - ref) <= 1e-12 * ref, name
+
     def test_exponential_vs_refinement_oracle(self):
         coarse = boundary_sobolev_seminorm(BoundaryFunction.from_function(256, lambda th: np.exp(1j * th)))
         fine = boundary_sobolev_seminorm(BoundaryFunction.from_function(1024, lambda th: np.exp(1j * th)))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,29 @@ class TestCsv:
             save_csv(tmp_path / name, f)
             assert (tmp_path / name).read_bytes() == ref.read_bytes()
 
+    def test_round_trip_leaves_numpy_ma_unimported(self, tmp_path):
+        """A fresh interpreter saves and reloads a CSV grid, masked nodes
+        included, without importing numpy.ma (about 15 ms of a cold CLI run)."""
+        probe = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import phdisk as ph
+            g = ph.make_grid(16, 8, outer_radius=2.0)
+            mask = np.zeros((8, 16), bool)
+            mask[2, 3] = True
+            f = ph.GridFunction(g, g.nodes_z(), mask=mask)
+            ph.save_csv(sys.argv[1], f)
+            back = ph.load_csv(sys.argv[1])
+            assert back.mask[2, 3] and back.mask.sum() == 1 and back.grid.outer_radius == 2.0
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        p = tmp_path / "f.csv"
+        res = subprocess.run([sys.executable, "-c", probe, str(p)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_header_check(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y,z\n1,2,3\n")
@@ -171,6 +195,23 @@ class TestCsv:
         p.write_text("r,theta,re,im\n" + body)
         with pytest.raises(ValueError, match="h.csv: expected one or more rows of 4 fields"):
             load_csv(p)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "".join(f"1.0,{2.0 * np.pi * k / 8!r},0.0{',0.0' * (k % 2)}\n" for k in range(8)),
+            "1.0,0.0,0.0,zero\n",
+        ],
+        ids=["header-only", "ragged", "non-numeric"],
+    )
+    def test_unparsable_rows_rejected_without_warning(self, tmp_path, body):
+        p = tmp_path / "h.csv"
+        p.write_text("r,theta,re,im\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h.csv: expected one or more rows of 4 fields"):
+                load_csv(p)
 
 
 class TestSlices:

@@ -142,6 +142,47 @@ def test_cumulative_out_at_closed_form(case):
 
 
 @pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
+def test_node_targets_read_the_sweep(case, inner):
+    """At every node radius, r = 1 included, the arbitrary-radius integrals
+    are the sweep's node values exactly: no partial cell is added."""
+    eng, r, exps, js, profiles = case
+    prof = rough_profiles(6, len(exps), eng.n_r)
+    at, sweep = (
+        (eng.cumulative_in_at, eng.cumulative_in) if inner
+        else (eng.cumulative_out_at, eng.cumulative_out)
+    )
+    assert np.array_equal(at(prof, exps, r), sweep(prof, exps))
+
+
+def test_node_targets_skip_partial_cells(monkeypatch):
+    """`cauchy_renormalized` on D_1 and D_4 evaluates at node radii and the
+    unit circle only, so no target reaches the partial-cell quadrature."""
+    from phdisk import GridFunction, cauchy_renormalized, make_grid
+
+    seen = []
+    partial = RadialEngine._partial
+
+    def counting(self, profiles, exps, targets, inner):
+        seen.append(len(targets))
+        return partial(self, profiles, exps, targets, inner)
+
+    monkeypatch.setattr(RadialEngine, "_partial", counting)
+    g = make_grid(256, 256)
+    h = GridFunction(g, np.exp(-np.abs(g.nodes_z()) ** 2))
+    for R in (1.0, 4.0):
+        cauchy_renormalized(h, R)
+    assert sum(seen) == 0
+
+
+@pytest.mark.parametrize("target", [0.0, 1.5, np.nan])
+@pytest.mark.parametrize("method", ["cumulative_in_at", "cumulative_out_at"])
+def test_target_outside_unit_interval_raises(method, target):
+    eng = RadialEngine(16, 5)
+    with pytest.raises(ValueError):
+        getattr(eng, method)(np.ones((2, 16)), np.array([1, 2]), np.array([0.5, target]))
+
+
+@pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
 def test_partial_cells_match_cell_cubics(case, inner):
     """The partial-cell integral of a rough profile is h sum_q c_q nu_q over the
     target's cell, c its cubic's coefficients: cubic profiles are reproduced by
