@@ -574,7 +574,7 @@ def w12_norm(f: GridFunction) -> float:
     return w12_norm_modes(np.fft.fft(v, axis=1), f.grid)
 
 
-def w12_norm_modes(modes: np.ndarray, grid: DiskGrid, work=None) -> float:
+def w12_norm_modes(modes: np.ndarray, grid: DiskGrid) -> float:
     """sobolev_norm(f, 2) of the f whose angular modes are `modes`.
 
     `modes` is np.fft.fft(f.values, axis=1): radius-major, FFT order,
@@ -582,13 +582,10 @@ def w12_norm_modes(modes: np.ndarray, grid: DiskGrid, work=None) -> float:
     |f_r -+ i f_theta / r| / 2, whose angular modes are (D V +- n V / r) / 2
     with D the radial stencils of wirtinger_derivatives.  No derivative
     grids, phase factors or inverse FFT are formed, and `modes` is left
-    alone.  `work` is a pair of C-ordered (n_r, n_theta) complex arrays
-    it may overwrite; two are allocated when it is None.
+    alone.
     """
     modes = np.ascontiguousarray(modes)
-    if work is None:
-        work = np.empty((2,) + modes.shape, dtype=complex)
-    dr, nv = work
+    dr, nv = np.empty((2,) + modes.shape, dtype=complex)
     h = grid.radial_step
     # h (f_r -+ i f_theta / r) has modes D V -+ (h n / r) V
     _apply_radial_stencils(modes, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0, out=dr)

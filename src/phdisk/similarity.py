@@ -64,9 +64,9 @@ def beltrami_ratio(
 
 
 def beltrami_values(
-    wv: np.ndarray, av: np.ndarray, zero_threshold: float | None = None, out=None
+    wv: np.ndarray, av: np.ndarray, zero_threshold: float | None = None
 ) -> np.ndarray:
-    """Values of `beltrami_ratio`, in `out` (a C-ordered complex array) when given.
+    """Values of `beltrami_ratio`.
 
     Formed in one pass as alpha (conj(w)/|w|)^2 with the threshold applied
     to |w|, so nodes at or below it are exactly 0.  |w| is taken as
@@ -80,8 +80,7 @@ def beltrami_values(
     if not math.isfinite(scale):
         raise MaskedValueError("Beltrami ratio over non-finite nodes is not defined")
     small = mod <= _threshold(scale, zero_threshold)
-    if out is None:
-        out = np.empty(wv.shape, dtype=complex)
+    out = np.empty(wv.shape, dtype=complex)
     np.conjugate(wv, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: 0/0
         re_im = out.view(float).reshape(*out.shape, 2)  # a view of the C-ordered out

@@ -1,15 +1,22 @@
-"""Fixed-point solvers for the constructive boundary problems.
+"""Solvers for the constructive boundary problems.
 
-Existence in the theory comes from a compactness argument that gives no
-algorithm; here each problem is solved by iterating the contraction-shaped
-map the construction suggests, in one shared loop (`_picard`) that mixes
-each step with the last ANDERSON_WINDOW = 3 steps (Anderson acceleration
-with real coefficients, mixing weight `damping`).  Safeguard: whenever the
-residual g(x) - x grows, the history is dropped and the weight halved, and
-the loop fails explicitly if the residual keeps growing at the floor.
-Nothing is asserted about rates: reports carry the whole increment history
-and the engaged damping level.  Each problem is one loop, on plain
-arrays; the Riesz solver runs it on the angular modes of s.
+The generalized M. Riesz problem is real-linear in w, and is solved as
+the integral equation of generalized analytic functions (Vekua 1962),
+w - (C + R)(alpha conj(w)) = H, by restarted GMRES on the real view of
+the values (`_gmres`, Saad & Schultz 1986), with restart length
+RESTART = 8.  It needs no smallness of alpha: constant alpha = 3 and
+sigma = e^{4x} converge.  Its conductivity wrapper solves the same
+equation.
+
+The parametrizations are nonlinear in s and are solved by iterating
+the contraction-shaped map the construction suggests, in one loop
+(`_picard`) that mixes each step with the last ANDERSON_WINDOW = 3 steps
+(Anderson acceleration with real coefficients, mixing weight
+`damping`).  Safeguard: whenever the residual g(x) - x grows, the
+history is dropped and the weight halved, and the loop fails explicitly
+if the residual keeps growing at the floor.  Nothing is asserted about
+rates: reports carry the whole increment history and the engaged
+damping level.  Every loop runs on plain arrays.
 
 The three problems:
 
@@ -19,8 +26,8 @@ The three problems:
  * parametrize_real: same equation with tr Re s = psi, int_T Im s =
    lambda (joint map on phi and its boundary trace u, one Green map and
    one Cauchy transform a step); the two share one body,
- * solve_riesz: w with Re tr w = psi, int_T Im tr w = c (alternating
-   factorization/extension construction), plus its conductivity wrapper.
+ * solve_riesz: w with Re tr w = psi, int_T Im tr w = c (the linear
+   equation above), plus its conductivity wrapper.
 """
 
 from __future__ import annotations
@@ -41,16 +48,14 @@ from .grid import (
     w12_norm_modes,
     wirtinger_derivatives,
 )
-from .similarity import beltrami_ratio, beltrami_values, reconstruct, residual_beltrami
+from .similarity import beltrami_ratio, reconstruct, residual_beltrami
 from .transforms import (
-    Workspace,
     _cauchy_reflect_modes,
     _poisson_values,
     cauchy,
     cauchy_trace,
     conjugate_function,
     green_potential,
-    poisson_extend,
     riesz_extension,
 )
 
@@ -67,6 +72,7 @@ __all__ = [
 
 DAMPING_FLOOR = 1.0 / 64.0
 ANDERSON_WINDOW = 3
+RESTART = 8
 
 
 @dataclass(frozen=True)
@@ -128,19 +134,19 @@ class SolverDivergence(RuntimeError):
 
 
 def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
-    """Anderson-mixed fixed-point loop shared by all solvers.
+    """Anderson-mixed fixed-point loop shared by the two parametrizations.
 
     `state` is the initial iterate, a complex array, which is left alone;
     `apply_map` takes an iterate to an array of the same shape, whose
     buffer is overwritten by the residual: it may be a work array the map
     reuses, since the loop is done with it before the next evaluation.
     `step_norm` takes a residual to a float.  Nothing is wrapped per
-    step, so a map may run in any linear coordinates of its problem, the
-    Riesz map on unnormalized angular modes: the mixing coefficients below
-    are least-squares solutions, unchanged when every iterate is scaled
-    alike.  Each step evaluates the map once, forms the residual
-    f = g(x) - x and mixes it with the last ANDERSON_WINDOW differences
-    (Anderson 1965; Walker & Ni 2011, type II, mixing weight tau):
+    step, so a map may run in any linear coordinates of its problem: the
+    mixing coefficients below are least-squares solutions, unchanged
+    when every iterate is scaled alike.  Each step evaluates the map
+    once, forms the residual f = g(x) - x and mixes it with the last
+    ANDERSON_WINDOW differences (Anderson 1965; Walker & Ni 2011, type
+    II, mixing weight tau):
 
         x+ = x + tau (f - sum_i gamma_i v_i),   v_i = dx_i / tau + df_i,
 
@@ -234,6 +240,81 @@ def _mix(v, df, slot, gamma, f) -> None:
     f += out
 
 
+def _gmres(rhs: np.ndarray, x: np.ndarray, apply, scratch: np.ndarray, cfg: SolverConfig):
+    """Restarted GMRES(RESTART) for A x = rhs on complex arrays, x updated in place.
+
+    `apply(v, out)` writes A v into `out`.  A need only be real-linear (it
+    may conjugate), so this is GMRES on the real view R^{2N} (Saad &
+    Schultz 1986): the Krylov basis is orthonormal under Re <a, b>, and
+    the Hessenberg matrix and its Givens rotations are real.  The first
+    cycle starts from the true residual rhs - A x, formed over rhs, which
+    becomes the first basis vector; a restart starts from the residual
+    the last cycle left, V q with q the rotated least-squares residual,
+    which costs no application.  The other basis vectors are allocated
+    one at a time, as each is first needed, and every scaled vector is
+    formed in `scratch`, an array of x's shape.
+
+    Applications of A are counted up to cfg.max_iter; after each,
+    ||r|| / ||rhs|| is recorded (from the least-squares problem inside a
+    cycle), and the loop stops once it is at most tol / 10.  Returns
+    (history, converged).
+    """
+    bnorm = math.sqrt(_real_dot(rhs, rhs))
+    target = 0.1 * cfg.tol * bnorm
+    basis = [rhs, np.empty_like(x)]
+    r = rhs
+    apply(x, basis[1])
+    r -= basis[1]
+    res = math.sqrt(_real_dot(r, r))
+    history = [res / bnorm]
+    while res > target and len(history) < cfg.max_iter:
+        r /= res
+        hess = np.zeros((RESTART + 1, RESTART))
+        rot = np.zeros((RESTART, 2))  # (cos, sin) of each Givens rotation
+        g = np.zeros(RESTART + 1)
+        g[0] = res
+        k = 0
+        while k < RESTART and res > target and len(history) < cfg.max_iter:
+            if len(basis) == k + 1:
+                basis.append(np.empty_like(x))
+            v = basis[k + 1]
+            apply(basis[k], v)
+            for i in range(k + 1):  # modified Gram-Schmidt
+                hess[i, k] = h = _real_dot(basis[i], v)
+                v -= np.multiply(basis[i], h, out=scratch)
+            hess[k + 1, k] = h = math.sqrt(_real_dot(v, v))
+            if h > 0.0:
+                v /= h
+            for i in range(k):
+                cs, sn = rot[i]
+                a, b = hess[i, k], hess[i + 1, k]
+                hess[i, k], hess[i + 1, k] = cs * a + sn * b, cs * b - sn * a
+            d = math.hypot(hess[k, k], hess[k + 1, k])
+            cs, sn = hess[k, k] / d, hess[k + 1, k] / d
+            rot[k] = cs, sn
+            hess[k, k] = d
+            g[k + 1] = -sn * g[k]
+            g[k] *= cs
+            k += 1
+            res = abs(float(g[k]))
+            history.append(res / bnorm)
+        y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
+        for i in range(k):
+            x += np.multiply(basis[i], y[i], out=scratch)
+        if res > target and len(history) < cfg.max_iter:
+            # the residual V q, q = G_1^T ... G_k^T (g_k e_k), into basis[0]
+            q = np.zeros(k + 1)
+            q[k] = g[k]
+            for i in reversed(range(k)):
+                cs, sn = rot[i]
+                q[i], q[i + 1] = cs * q[i] - sn * q[i + 1], sn * q[i] + cs * q[i + 1]
+            r *= q[0]
+            for i in range(1, k + 1):
+                r += np.multiply(basis[i], q[i], out=scratch)
+            res = math.sqrt(_real_dot(r, r))
+    return history, res <= target
+
+
 def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
     if float(np.max(np.abs(psi.values.imag))) > 1e-10:
         raise ValueError(f"{name} must be real-valued")
@@ -284,10 +365,10 @@ def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
     return BoundaryFunction(values - psi.values.real).lp_norm(p)
 
 
-def _finish(name, loop, w, alpha, mismatch, defects, constant) -> SolveReport:
-    """The report of a solve from `_picard`'s (x, history, converged, tau)
-    and the solution w; raises SolverDivergence if the loop did not converge."""
-    _, history, converged, tau = loop
+def _finish(name, history, converged, tau, w, alpha, mismatch, defects, constant) -> SolveReport:
+    """The report of a solve from its loop's increment history, convergence
+    flag and final damping, and the solution w; raises SolverDivergence
+    if the loop did not converge."""
     report = SolveReport(
         iterations=len(history),
         increment_history=history,
@@ -341,7 +422,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
     defects = dict(zip(keys, (mismatch, mean_def)))
     constant = _instrument(w12_norm(s), alpha, psi, lam)
     name = "parametrize_imag" if imag else "parametrize_real"
-    return s, _finish(name, loop, w, alpha, mismatch, defects, constant)
+    return s, _finish(name, *loop[1:], w, alpha, mismatch, defects, constant)
 
 
 def parametrize_imag(
@@ -424,68 +505,75 @@ def solve_riesz(
 ) -> tuple[GridFunction, BoundaryFunction, SolveReport]:
     """Generalized M. Riesz problem: w with Re w_T = psi, int_T Im w_T = c.
 
-    Alternates the real_on_T factorization update s = C(beta) - R(beta)
-    with the boundary reconstruction of the holomorphic factor from
-    e^{-h} psi and its conjugate (h = Re tr s), damping as configured.
-    Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
-    generalized conjugate function.
+    Solves the real-linear integral equation of generalized analytic
+    functions (Vekua 1962)
+
+        A w = w - (C + R)(alpha conj(w)) = H,   H = riesz_extension(psi) + i c / 2 pi,
+
+    by `_gmres` on the values of w, with H scaled to max |H| = 1 and w
+    scaled back.  Its solution has dbar w = alpha conj(w), and since
+    C + R is pure imaginary on T with zero boundary mean, Re w_T = psi
+    and int_T Im w_T = c.  The loop stops at ||A w - H|| <= (tol / 10)
+    ||H||; one plain step w = H + (C + R)(alpha conj(w)) then puts both
+    boundary conditions at rounding.  The start is e^{initial_s} H (H when
+    initial_s is None).  SolverConfig.damping and zero_threshold do not
+    act here, and report.iterations counts applications of A, with
+    ||A w - H|| / ||H|| after each in increment_history.  Returns
+    (w, psi_sharp, report) with psi_sharp = Im w_T the generalized
+    conjugate function.
     """
     cfg = cfg or SolverConfig()
     psi = _require_real(psi, "psi")
     grid = alpha.grid
-    dtheta = 2.0 * np.pi / grid.n_theta
     if psi.lp_norm(2.0) == 0.0 and c == 0.0:
         w = GridFunction.zeros(grid)
         return w, BoundaryFunction.zeros(grid.n_theta), SolveReport(converged=True)
 
-    def holo_factor(h: np.ndarray) -> BoundaryFunction:
-        """Boundary values of the holomorphic factor for h = Re tr s."""
-        eh = np.exp(h)
-        phi = BoundaryFunction((np.exp(-h) * psi.values.real).astype(complex))
-        phit = conjugate_function(phi)
-        c0 = (c - float(np.sum(eh * phit.values.real)) * dtheta) / (
-            float(np.sum(eh)) * dtheta
-        )
-        return BoundaryFunction(phi.values.real + 1j * (phit.values.real + c0))
+    H = _holo_with_real_trace(psi, c, grid).values
+    scale = float(np.max(np.abs(H)))
+    H /= scale
+    x = H.copy()
+    if initial_s is not None:
+        x *= np.exp(initial_s.require_unmasked("initial state"))
+    av = alpha.require_unmasked("coefficient")
+    # the source modes of every application; once a pass has swept them
+    # they are spent, and their memory, read as a C-ordered array of w's
+    # shape, takes the loop's scaled vectors
+    modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
+    scratch = modes.reshape(-1)[: x.size].reshape(x.shape)
 
-    # the step's work arrays, reused by every step of this solve
-    work = Workspace(grid)
-    av = alpha.require_unmasked("Beltrami ratio")
+    def reflect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(C + R)(alpha conj(v)) in out: 2 FFTs and one sweep."""
+        h = np.conjugate(v, out=out)
+        h *= av
+        _cauchy_reflect_modes(h, 1.0, 1.0, grid, modes, out)
+        return np.fft.ifft(out, axis=1, out=out)
 
-    def riesz_map(X: np.ndarray) -> np.ndarray:
-        """Angular modes of C(beta) - R(beta) for s with angular modes X."""
-        s = np.fft.ifft(X, axis=1, out=work.out)
-        F = _poisson_values(holo_factor(s[-1].real), grid, out=work.vals)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            w = np.exp(s, out=s)
-            w *= F
-        beta = beltrami_values(w, av, cfg.zero_threshold, out=work.vals)
-        return _cauchy_reflect_modes(beta, 1.0, -1.0, work)
+    def apply(v: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(v, reflect(v, out), out=out)
 
-    def step_norm(f: np.ndarray) -> float:
-        # after the sweep the step's source values and modes are spent
-        return w12_norm_modes(f, grid, (work.vals, work.spare))
+    history, converged = _gmres(H, x, apply, scratch, cfg)
+    # H became the first basis vector: the same bits again, for the plain step
+    H = _holo_with_real_trace(psi, c, grid).values
+    H /= scale
+    w = reflect(x, x)
+    w += H
+    w *= scale
+    del modes, scratch, H  # not held through the report
 
-    if initial_s is None:
-        X0 = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    else:
-        X0 = np.fft.fft(initial_s.require_unmasked("initial state"), axis=1)
-    loop = _picard(X0, riesz_map, step_norm, cfg)
-    del work  # its buffers are not held through the report
-
-    s = GridFunction(grid, np.fft.ifft(loop[0], axis=1))
-    F = poisson_extend(holo_factor(s.values[-1].real), grid)
-    w = reconstruct(s, F)
-    psi_sharp = BoundaryFunction(boundary_trace(w).values.imag.astype(complex))
-    tr_s = boundary_trace(s)
+    w = GridFunction(grid, w)
+    tr = w.values[grid.boundary_ring_index]
+    psi_sharp = BoundaryFunction(tr.imag.astype(complex))
+    dtheta = 2.0 * np.pi / grid.n_theta
     defects = {
-        "im_trace_sup": float(np.max(np.abs(tr_s.values.imag))),
-        "re_mean": abs(float(np.sum(tr_s.values.real)) * dtheta),
+        "re_trace_sup": float(np.max(np.abs(tr.real - psi.values.real))),
+        "im_mean": abs(float(np.sum(tr.imag)) * dtheta - c),
     }
-    mismatch = _mismatch(boundary_trace(w).values.real, psi, cfg.p)
+    mismatch = _mismatch(tr.real, psi, cfg.p)
     denom = psi.lp_norm(cfg.p) + abs(c)
     constant = hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0
-    return w, psi_sharp, _finish("solve_riesz", loop, w, alpha, mismatch, defects, constant)
+    report = _finish("solve_riesz", history, converged, 1.0, w, alpha, mismatch, defects, constant)
+    return w, psi_sharp, report
 
 
 def conductivity_residual(sigma: GridFunction, u: GridFunction) -> float:
@@ -514,17 +602,17 @@ def solve_conductivity(
     if np.any(sv <= 0.0):
         raise ValueError("sigma must be strictly positive on the grid")
     grid = sigma.grid
+    ring = grid.boundary_ring_index
     # alpha = dbar log sigma^{1/2}; the d part and log sigma^{1/2} are not
-    # kept through the solve
+    # kept through the solve, nor alpha past it, and sigma^{1/2} is formed
+    # after it
     alpha = wirtinger_derivatives(GridFunction(grid, 0.5 * np.log(sv).astype(complex)))[1]
-    sqrt_sigma = np.sqrt(sv)
-    psi_w = BoundaryFunction(
-        (sqrt_sigma[grid.boundary_ring_index] * psi.values.real).astype(complex)
-    )
+    psi_w = BoundaryFunction((np.sqrt(sv[ring]) * psi.values.real).astype(complex))
     w, _, report = solve_riesz(alpha, psi_w, 0.0, cfg)
+    del alpha
+    sqrt_sigma = np.sqrt(sv)
     u = GridFunction(grid, (w.values.real / sqrt_sigma).astype(complex))
     v = GridFunction(grid, (sqrt_sigma * w.values.imag).astype(complex))
-    ring = grid.boundary_ring_index
     weighted = _mismatch(sqrt_sigma[ring] * u.values.real[ring], psi_w, cfg.p)
     report.extra = {
         "pde_residual": conductivity_residual(sigma, u),

@@ -20,12 +20,12 @@ integral for source mode 1 - m; `cauchy` and `reflect_transform` are its
 two halves.  `cauchy_trace` gives C(h) on T alone: there the outward
 integrals vanish and the inward ones are full moments, one dot product
 per mode and no sweep.  The mode-space core of `cauchy_reflect`,
-`_cauchy_reflect_modes`, takes values and leaves the output modes in the
-workspace without the inverse FFT, so a solver that iterates on modes
-(`solve_riesz`) pays one forward FFT per pass.  The work arrays live in
-a `Workspace`, which a solve allocates once and passes to every step;
-the public transforms allocate their own per call, and this module
-keeps no work arrays of its own.
+`_cauchy_reflect_modes`, takes values and returns the output modes
+without the inverse FFT, in buffers its caller may pass: `solve_riesz`
+allocates them once and applies C + R to alpha conj(w) through it, one
+FFT pair and one sweep an application, with the output written over
+the source values.  The public transforms allocate per call, and this
+module keeps no work arrays of its own.
 
 Sign and normalization conventions:
 
@@ -74,27 +74,6 @@ def _engine_for(grid: DiskGrid):
     return get_engine(grid.n_r, grid.n_theta // 2 + 2)
 
 
-class Workspace:
-    """Work arrays of `cauchy_reflect` and of a Riesz step on one grid.
-
-    `modes` takes the source modes (see `_source_modes`); `out` holds the
-    output modes and, after the in-place inverse FFT, the values; `vals`
-    holds a step's source values.  Once a pass has swept them, the source
-    modes are spent, and `spare`, their memory read as a C-ordered
-    (n_r, n_theta) array, is scratch.  A solve allocates one and passes
-    it to every step, so its result is overwritten by the next call; the
-    public transforms allocate one per call.
-    """
-
-    def __init__(self, grid: DiskGrid):
-        self.grid = grid
-        shape = (grid.n_r, grid.n_theta)
-        self.modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
-        self.spare = self.modes.reshape(-1)[: grid.n_r * grid.n_theta].reshape(shape)
-        self.out = np.empty(shape, dtype=complex)
-        self.vals = np.empty(shape, dtype=complex)
-
-
 def _modes(f: GridFunction) -> np.ndarray:
     """Angular modes times n_theta, radius-major (n_r, n_theta), FFT order.
 
@@ -117,9 +96,16 @@ def _source_modes(values: np.ndarray, buf: np.ndarray | None = None) -> np.ndarr
     return buf
 
 
-def _cauchy_reflect_modes(values: np.ndarray, c: float, r: float, work: Workspace) -> np.ndarray:
-    """Output modes of c C(h) + r R(h) in work.out, c in {0, 1}, for the
-    h with these values on work.grid.
+def _cauchy_reflect_modes(
+    values: np.ndarray,
+    c: float,
+    r: float,
+    grid: DiskGrid,
+    modes: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Output modes of c C(h) + r R(h), c in {0, 1}, for the h with these
+    values on the grid.
 
     Column j of the modes is angular mode n (FFT order).  Source mode
     n <= 0 feeds output mode n - 1 of C through the inward integral with
@@ -129,18 +115,22 @@ def _cauchy_reflect_modes(values: np.ndarray, c: float, r: float, work: Workspac
     and output modes 0, ..., n_theta/2 - 2 in the columns of the same
     number with exponents 0, ..., n_theta/2 - 2.  Both runs of exponents
     are consecutive, so the engine's weights are views, and one sweep
-    fills both blocks of work.out in place.  R's output mode m >= 1 is
+    fills both blocks of the output in place.  R's output mode m >= 1 is
     -2 conj(M_m) r^m with M_m the full moment of source mode 1 - m at
     exponent m: the last node of C's inward integral in column
     n_theta - m, or, without C, one dot product per mode.  The modes are
-    those of `np.fft.fft(values, axis=1)`, unnormalized; work.modes is
-    spent when this returns.
+    those of `np.fft.fft(values, axis=1)`, unnormalized.
+
+    `modes`, an (n_r, n_theta + 1) buffer, takes the source modes (see
+    `_source_modes`) and is spent when this returns; `out`, an
+    (n_r, n_theta) array, takes the output modes and may be `values`
+    itself, which the forward FFT reads before anything is written.  Both
+    are allocated when None.
     """
-    grid = work.grid
     half = grid.n_theta // 2
     eng = _engine_for(grid)
-    B = _source_modes(values, work.modes)
-    O = work.out
+    B = _source_modes(values, modes)
+    O = np.empty(values.shape, dtype=complex) if out is None else out
     inward = (B[:, half + 1 :], slice(half, 0, -1), O[:, half:])
     if c:
         outward = (B[:, 1:half], slice(0, half - 1), O[:, : half - 1])
@@ -163,7 +153,7 @@ def _cauchy_reflect_modes(values: np.ndarray, c: float, r: float, work: Workspac
 
 
 def _cauchy_reflect(h: GridFunction, c: float, r: float) -> GridFunction:
-    O = _cauchy_reflect_modes(h.require_unmasked("angular transform"), c, r, Workspace(h.grid))
+    O = _cauchy_reflect_modes(h.require_unmasked("angular transform"), c, r, h.grid)
     return h.with_values(np.fft.ifft(O, axis=1, out=O))
 
 
@@ -171,8 +161,8 @@ def cauchy_reflect(h: GridFunction, sign: float) -> GridFunction:
     """C(h) + sign R(h) from one FFT pair and one radial sweep.
 
     sign = -1 gives the real_on_T exponent C - R of the similarity
-    factorization and the Riesz solver's step, sign = +1 the
-    imaginary_on_T one.
+    factorization, sign = +1 the imaginary_on_T one and the operator of
+    the Riesz solver's integral equation.
     """
     return _cauchy_reflect(h, 1.0, sign)
 
@@ -207,13 +197,13 @@ def beurling(h: GridFunction) -> GridFunction:
     source in band.
     """
     grid = h.grid
-    work = Workspace(grid)
-    C = _cauchy_reflect_modes(h.require_unmasked("angular transform"), 1.0, 0.0, work)
+    modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
+    C = _cauchy_reflect_modes(h.require_unmasked("angular transform"), 1.0, 0.0, grid, modes)
     half = grid.n_theta // 2
     out = np.roll(C, -1, axis=1)
     out *= (grid.mode_numbers + 1.0)[None, :]
     out /= grid.radii[:, None]
-    out += np.roll(work.modes[:, : grid.n_theta], -2, axis=1)
+    out += np.roll(modes[:, : grid.n_theta], -2, axis=1)
     out[:, half - 2 : half] = 0.0
     return h.with_values(np.fft.ifft(out, axis=1, out=out))
 

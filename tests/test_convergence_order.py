@@ -14,6 +14,7 @@ from scipy.special import expi
 from phdisk import (
     BoundaryFunction,
     GridFunction,
+    SolverConfig,
     beurling,
     cauchy,
     cauchy_renormalized,
@@ -94,6 +95,27 @@ def test_w12_norm_observed_order():
     for n_r in N_RS:
         g = make_grid(N_THETA, n_r)
         errors.append(abs(w12_norm(GridFunction(g, gauss(g.nodes_z()))) - exact))
+    assert_order(errors)
+
+
+# Constant coefficient, kappa up to 3: w = e^{2 kappa x} is real and solves
+# dbar w = kappa conj(w) with Re w = e^{2 kappa cos theta} on T and
+# int_T Im w = 0.  The factorization iteration stalled or failed to
+# contract at kappa = 2 and 3; the linear solve takes 17, 26, 46 and 67
+# operator applications at every mesh.
+KAPPAS = (0.5, 1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_constant_coefficient_riesz_observed_order(kappa):
+    errors = []
+    for n in (64, 128, 256):
+        g = make_grid(n, n)
+        psi = BoundaryFunction(np.exp(2.0 * kappa * np.cos(g.thetas)))
+        cfg = SolverConfig(tol=1e-12)
+        w, _, _ = solve_riesz(GridFunction.constant(g, kappa), psi, 0.0, cfg)
+        exact = np.exp(2.0 * kappa * g.nodes_z().real)
+        errors.append(float(np.max(np.abs(w.values - exact))) / np.exp(2.0 * kappa))
     assert_order(errors)
 
 
