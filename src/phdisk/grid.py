@@ -516,7 +516,9 @@ def _real_view(a: np.ndarray) -> np.ndarray:
 
 
 def _radial_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    return _apply_radial_stencils(values, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0) / h
+    out = _apply_radial_stencils(values, _FD_INTERIOR, _FD_FORWARD, _FD_SKEW1, -1.0)
+    out /= h
+    return out
 
 
 def _radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -527,17 +529,35 @@ def _radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def wirtinger_derivatives(f: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """(d f, dbar f) via spectral d_theta and 4th-order radial differences."""
+    """(d f, dbar f) via spectral d_theta and 4th-order radial differences.
+
+    d = e^{-i theta} (f_r - i f_theta / r) / 2 and dbar its conjugate
+    counterpart are built in place: f_r in one buffer, i f_theta / r in
+    the angular modes' buffer, then d over f_r and dbar over the modes,
+    one block of rows at a time, so that no other full-size array is
+    formed.
+    """
     v = f.require_unmasked("differentiation")
     g = f.grid
     dr = _radial_derivative(v, g.radial_step)
-    modes = np.fft.fft(v, axis=1)
-    dtheta = np.fft.ifft(1j * g.mode_numbers[None, :] * modes, axis=1)
-    inv_r = 1.0 / g.radii[:, None]
-    phase = np.exp(-1j * g.thetas)[None, :]
-    d = 0.5 * phase * (dr - 1j * inv_r * dtheta)
-    dbar = 0.5 * np.conj(phase) * (dr + 1j * inv_r * dtheta)
-    return f.with_values(d), f.with_values(dbar)
+    # products keep the operand order of the out-of-place formulas, which
+    # complex multiplication needs for the same bits
+    t = np.fft.fft(v, axis=1)
+    np.multiply(1j * g.mode_numbers, t, out=t)
+    np.fft.ifft(t, axis=1, out=t)
+    np.multiply(1j * (1.0 / g.radii[:, None]), t, out=t)
+    # (dr, t) -> (dr - t, dr + t), blocks of about 4096 values
+    rows = max(1, 4096 // g.n_theta)
+    tmp = np.empty((rows, g.n_theta), dtype=complex)
+    for j in range(0, g.n_r, rows):
+        a, b = dr[j : j + rows], t[j : j + rows]
+        diff = np.subtract(a, b, out=tmp[: len(a)])
+        b += a
+        a[...] = diff
+    phase = np.exp(-1j * g.thetas)
+    np.multiply(0.5 * phase, dr, out=dr)
+    np.multiply(0.5 * np.conj(phase), t, out=t)
+    return f.with_values(dr), f.with_values(t)
 
 
 def laplacian(f: GridFunction) -> GridFunction:

@@ -331,7 +331,10 @@ class RadialEngine:
         return self._at(profiles, exps, targets, False)
 
 
-_MAX_ENGINES = 4
+# a nested Riesz solve uses one engine per level, coarsest first: a
+# cache smaller than its chain (five engines at 512^2, 512 down to 32)
+# would evict every engine before its next use
+_MAX_ENGINES = 8
 # least recently used first: a hit moves its engine to the end
 _ENGINES: dict[tuple[int, int], RadialEngine] = {}
 

@@ -312,6 +312,11 @@ class TestCli:
         u = load(tmp_path / "o" / "u.phd1")
         z = u.grid.nodes_z()
         assert np.max(np.abs(u.values - z.real)) < 1e-10
+        # the nested solve reports its coarse level (128 x 32) next to the
+        # conductivity wrapper's own keys
+        extra = json.loads((tmp_path / "o" / "report.json").read_text())["solve"]["extra"]
+        assert set(extra) == {"coarse_iterations", "pde_residual", "weighted_boundary_match"}
+        assert len(extra["coarse_iterations"]) == 1
 
     def test_nonconvergence_exit_code(self, tmp_path):
         g = make_grid(256, 64)

@@ -31,6 +31,33 @@ from phdisk.solvers import DAMPING_FLOOR, _picard
 CFG = SolverConfig(tol=1e-10, max_iter=200)
 
 
+def complex_alpha(g):
+    z = g.nodes_z()
+    return GridFunction(g, 0.6 * np.exp(1j * z.real) + 0.4j * z**2 - 0.3 * np.conj(z))
+
+
+def scipy_riesz(alpha, psi, c, restart=60):
+    """Oracle: SciPy's GMRES on the real 2N view of
+    A w = w - (C + R)(alpha conj(w)) = H, H = riesz_extension(psi) + i c / 2 pi."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    g = alpha.grid
+    H = riesz_extension(psi, g).values + 1j * c / (2 * np.pi)
+
+    def matvec(u):
+        w = np.ascontiguousarray(u, dtype=float).reshape(-1).view(complex).reshape(H.shape)
+        h = GridFunction(g, alpha.values * np.conj(w))
+        Aw = w - cauchy(h).values - reflect_transform(h).values
+        return np.ascontiguousarray(Aw).reshape(-1).view(float)
+
+    n = 2 * H.size
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    b = np.ascontiguousarray(H).reshape(-1).view(float)
+    sol, info = gmres(op, b, rtol=1e-13, atol=0.0, restart=restart, maxiter=10)
+    assert info == 0
+    return sol.view(complex).reshape(H.shape)
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -241,9 +268,9 @@ class TestSolveRiesz:
         psi = BoundaryFunction.from_function(256, lambda th: np.exp(np.cos(th)))
         w, psi_sharp, rep = solve_riesz(alpha, psi, 0.0, CFG)
         assert np.max(np.abs(w.values - np.exp(z.real))) <= 1e-4
-        # the measured operator applications and error (2.3e-12) of the
-        # linear solve
-        assert rep.iterations == 15
+        # the measured fine-grid operator applications and error (6.6e-12)
+        # of the nested linear solve; a cold start from H takes 15
+        assert rep.iterations == 2
         assert np.max(np.abs(w.values - np.exp(z.real))) <= 1e-11
         assert np.max(np.abs(psi_sharp.values)) <= 1e-8
         assert rep.normalization_defects["re_trace_sup"] <= 1e-8
@@ -365,33 +392,91 @@ class TestSolveRiesz:
         assert len(err.value.report.increment_history) == 2
 
     def test_matches_scipy_gmres(self):
-        # oracle: SciPy's GMRES on the real 2N view of the same equation
-        # A w = w - (C + R)(alpha conj(w)) = H, with a non-constant complex alpha
-        from scipy.sparse.linalg import LinearOperator, gmres
-
+        # oracle: SciPy's GMRES on the real 2N view of the same equation,
+        # with a non-constant complex alpha; 32 x 16 never coarsens
         g = make_grid(32, 16)
-        z = g.nodes_z()
-        alpha = GridFunction(g, 0.6 * np.exp(1j * z.real) + 0.4j * z**2 - 0.3 * np.conj(z))
+        alpha = complex_alpha(g)
         psi = BoundaryFunction.from_function(32, lambda th: 1.0 + 0.5 * np.cos(th) - 0.3 * np.sin(2 * th))
-        c = 0.4
-        H = riesz_extension(psi, g).values + 1j * c / (2 * np.pi)
-
-        def matvec(u):
-            w = np.ascontiguousarray(u, dtype=float).reshape(-1).view(complex).reshape(H.shape)
-            h = GridFunction(g, alpha.values * np.conj(w))
-            Aw = w - cauchy(h).values - reflect_transform(h).values
-            return np.ascontiguousarray(Aw).reshape(-1).view(float)
-
-        n = 2 * H.size
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        b = np.ascontiguousarray(H).reshape(-1).view(float)
-        sol, info = gmres(op, b, rtol=1e-13, atol=0.0, restart=n, maxiter=10)
-        assert info == 0
-        ref = sol.view(complex).reshape(H.shape)
-        w, _, rep = solve_riesz(alpha, psi, c, SolverConfig(tol=1e-12))
-        assert rep.converged
+        ref = scipy_riesz(alpha, psi, 0.4, restart=2 * g.n_r * g.n_theta)
+        w, _, rep = solve_riesz(alpha, psi, 0.4, SolverConfig(tol=1e-12))
+        assert rep.converged and "coarse_iterations" not in rep.extra
         assert np.max(np.abs(w.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    def test_nested_matches_scipy_gmres(self):
+        # 64^2 is solved on 32^2 first, and the fine loop starts from there
+        g = make_grid(64, 64)
+        alpha = complex_alpha(g)
+        psi = BoundaryFunction.from_function(64, lambda th: 1.0 + 0.5 * np.cos(th) - 0.3 * np.sin(2 * th))
+        ref = scipy_riesz(alpha, psi, 0.4)
+        w, _, rep = solve_riesz(alpha, psi, 0.4, SolverConfig(tol=1e-12))
+        assert rep.converged and len(rep.extra["coarse_iterations"]) == 1
+        assert rep.iterations < rep.extra["coarse_iterations"][0]
+        assert np.max(np.abs(w.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_nested_start_is_fine_grid_accurate(self):
+        # e^x at 128^2 from 64^2 and 32^2: the prolonged start is within
+        # reach of the fine stopping rule (2 applications, 15 cold)
+        g = make_grid(128, 128)
+        psi = BoundaryFunction.from_function(128, lambda th: np.exp(np.cos(th)))
+        w, _, rep = solve_riesz(GridFunction.constant(g, 0.5), psi, 0.0, CFG)
+        assert len(rep.extra["coarse_iterations"]) == 2
+        assert rep.increment_history[0] <= 1e-8
+        assert rep.iterations <= 4
+        assert np.max(np.abs(w.values - np.exp(g.nodes_z().real))) <= 1e-9
+
+    def test_unconverged_coarse_level_is_not_used(self):
+        # the critical closed form at t = 8 stalls on every level; the fine
+        # loop must start from H, with ||A H - H|| / ||H|| its first entry,
+        # and the solve raises instead of returning a wrong answer
+        g = make_grid(64, 64)
+        z = g.nodes_z()
+        L = np.log(np.e / np.abs(z))
+        alpha = GridFunction(g, -8.0 * z / (2.0 * np.abs(z) ** 2 * L))
+        psi = BoundaryFunction(np.ones(64))
+        with pytest.raises(SolverDivergence) as err:
+            solve_riesz(alpha, psi, 0.0)
+        rep = err.value.report
+        assert not rep.converged and rep.iterations == SolverConfig().max_iter
+        assert rep.extra["coarse_iterations"] == [SolverConfig().max_iter]
+        H = riesz_extension(psi, g)
+        h = GridFunction(g, alpha.values * np.conj(H.values))
+        r = cauchy(h).values + reflect_transform(h).values
+        expected = np.linalg.norm(r) / np.linalg.norm(H.values)
+        assert abs(rep.increment_history[0] - expected) <= 1e-12 * expected
+
+    def test_nested_levels_share_the_engine_cache(self, monkeypatch):
+        # 512^2 runs five levels, 512 down to 32; with fewer cached engines
+        # than levels, every solve would rebuild all five
+        from phdisk import radial
+
+        g = make_grid(512, 512)
+        psi = BoundaryFunction.from_function(512, np.cos)
+        solve_riesz(GridFunction.zeros(g), psi, 0.0, CFG)
+        builds = []
+        monkeypatch.setattr(radial, "RadialEngine", lambda *a: builds.append(a))
+        _, _, rep = solve_riesz(GridFunction.zeros(g), psi, 0.0, CFG)
+        assert len(rep.extra["coarse_iterations"]) == 4 and builds == []
+
+    def test_data_vanishing_on_the_half_grid(self):
+        # psi = 1 on odd samples only: the half-grid problem has H = 0 and
+        # its solution w = 0 starts the fine loop
+        g = make_grid(64, 64)
+        alpha = GridFunction.constant(g, 0.5)
+        psi = BoundaryFunction(np.arange(64) % 2.0)
+        w, _, rep = solve_riesz(alpha, psi, 0.0, SolverConfig(tol=1e-12))
+        assert rep.converged and rep.extra["coarse_iterations"] == [0]
+        ref = scipy_riesz(alpha, psi, 0.0)
+        assert np.max(np.abs(w.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_prolongation_exact_on_cubic_bandlimited(self):
+        # radial cubics and angular modes below the coarse Nyquist mode (and
+        # its cosine) are reproduced to rounding; the half grid keeps the
+        # odd rows and even columns
+        g = make_grid(64, 32)
+        r, th = g.radii[:, None], g.thetas[None, :]
+        f = (1.0 + r - 2.0 * r**2 + 0.5 * r**3) * (np.exp(1j * th) + 0.3 * np.exp(-15j * th) + np.cos(16 * th))
+        out = solvers._prolong(f[1::2, ::2], g)
+        assert np.max(np.abs(out - f)) <= 1e-13
     def test_hardy_counterexample_growth(self):
         # the real-normalized holomorphic factor of the log-singular member
         # leaves every H^2 bound behind as the rim is refined
@@ -478,6 +563,21 @@ class TestConductivity:
         assert rep.converged
         assert rep.extra["weighted_boundary_match"] <= 1e-10
         assert rep.extra["pde_residual"] <= 1e-5
+
+    def test_critical_power_matches_scipy_gmres(self):
+        # sigma = log(e/|z|)^8: GMRES(8) started from H stalls here (relative
+        # residual 0.63); the nested start converges (35 applications at
+        # 64^2) to the solution of SciPy's GMRES(60)
+        g = make_grid(64, 64)
+        sigma = GridFunction(g, np.log(np.e / np.abs(g.nodes_z())) ** 8)
+        psi = BoundaryFunction.from_function(64, lambda th: 1.5 + np.cos(th) + 0.3 * np.sin(2 * th))
+        u, _, w, rep = solve_conductivity(sigma, psi, CFG)
+        assert rep.converged
+        assert set(rep.extra) == {"coarse_iterations", "pde_residual", "weighted_boundary_match"}
+        assert rep.extra["weighted_boundary_match"] <= 1e-10
+        alpha = wirtinger_derivatives(GridFunction(g, 0.5 * np.log(sigma.values.real).astype(complex)))[1]
+        ref = scipy_riesz(alpha, psi, 0.0)
+        assert np.max(np.abs(w.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_rejects_nonpositive_sigma(self, grid256):
         vals = np.ones((grid256.n_r, grid256.n_theta), dtype=complex)
