@@ -103,7 +103,6 @@ def _solver_config(cfg: dict, solvers_mod):
     return solvers_mod.SolverConfig(
         tol=float(block.get("tol", 1e-8)),
         max_iter=_integral(block.get("max_iter", 200)),
-        damping=float(block.get("damping", 1.0)),
         zero_threshold=block.get("zero_threshold"),
         p=float(block.get("p", 2.0)),
     )

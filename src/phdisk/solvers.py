@@ -10,19 +10,20 @@ sigma = e^{4x} converge.  The solve is nested (`_riesz_values`; Brandt
 half grid first, recursively down to 32 x 32, and each converged coarse
 solution, interpolated (`_prolong`), starts the next finer loop.  At
 256^2 the fine loop then takes 2-3 applications instead of 15, and
-sigma = log(e/|z|)^8, where GMRES(8) from H stalls, converges.  Reports
-count fine-grid applications.  Its conductivity wrapper solves the same
-equation.
+sigma = log(e/|z|)^8, where GMRES(8) from H stalls, converges.  A
+coarse level that does not converge ends the descent, and the given
+grid starts from H.  Reports count fine-grid applications.  Its
+conductivity wrapper solves the same equation.
 
 The parametrizations are nonlinear in s and are solved by iterating
 the contraction-shaped map the construction suggests, in one loop
-(`_picard`) that mixes each step with the last ANDERSON_WINDOW = 3 steps
-(Anderson acceleration with real coefficients, mixing weight
-`damping`).  Safeguard: whenever the residual g(x) - x grows, the
-history is dropped and the weight halved, and the loop fails explicitly
-if the residual keeps growing at the floor.  Nothing is asserted about
-rates: reports carry the whole increment history and the engaged
-damping level.  Every loop runs on plain arrays.
+(`_picard`) that mixes each step with the last ANDERSON_WINDOW = 3
+difference pairs (windowed Anderson acceleration with real
+coefficients, mixing weight tau, starting at 1).  Safeguard: whenever
+the residual g(x) - x grows, the history is dropped and tau halved, and
+the loop fails explicitly if the residual keeps growing at the floor.
+Nothing is asserted about rates: reports carry the whole increment
+history and the final tau.  Every loop runs on plain arrays.
 
 The three problems:
 
@@ -59,7 +60,9 @@ from .radial import _stencil_data
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
 from .transforms import (
     _cauchy_reflect_modes,
+    _extend,
     _poisson_values,
+    _riesz_modes,
     cauchy,
     cauchy_trace,
     conjugate_function,
@@ -87,7 +90,6 @@ RESTART = 8
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    damping: float = 1.0
     zero_threshold: float | None = None
     p: float = 2.0
 
@@ -96,8 +98,6 @@ class SolverConfig:
             raise ValueError("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
         zt = self.zero_threshold
         if zt is not None and not (
             isinstance(zt, numbers.Real) and math.isfinite(zt) and zt >= 0.0
@@ -145,41 +145,33 @@ def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
     """Anderson-mixed fixed-point loop shared by the two parametrizations.
 
     `state` is the initial iterate, a complex array, which is left alone;
-    `apply_map` takes an iterate to an array of the same shape, whose
-    buffer is overwritten by the residual: it may be a work array the map
-    reuses, since the loop is done with it before the next evaluation.
-    `step_norm` takes a residual to a float.  Nothing is wrapped per
-    step, so a map may run in any linear coordinates of its problem: the
-    mixing coefficients below are least-squares solutions, unchanged
-    when every iterate is scaled alike.  Each step evaluates the map
-    once, forms the residual f = g(x) - x and mixes it with the last
-    ANDERSON_WINDOW differences (Anderson 1965; Walker & Ni 2011, type
-    II, mixing weight tau):
+    `apply_map` takes an iterate to a new array of the same shape, which
+    the loop keeps.  `step_norm` takes a residual to a float.  Nothing is
+    wrapped per step, so a map may run in any linear coordinates of its
+    problem: the mixing coefficients below are least-squares solutions,
+    unchanged when every iterate is scaled alike.  Each step evaluates
+    the map once, forms the residual f = g(x) - x and mixes it with the
+    last ANDERSON_WINDOW difference pairs (Anderson 1965; Walker & Ni
+    2011, type II, mixing weight tau):
 
-        x+ = x + tau (f - sum_i gamma_i v_i),   v_i = dx_i / tau + df_i,
+        x+ = x + tau f - sum_i gamma_i (dx_i + tau df_i),
 
     with dx_i, df_i the differences of successive iterates and residuals
     and gamma minimizing ||f - sum_i gamma_i df_i|| over real coefficients
-    (the maps are only real-linear; the Gram matrix Re <df_i, df_j> gains
-    one row per step).  The increment recorded, and tested against
-    cfg.tol, is tau step_norm(f), the increment of a plain damped step.
-    Safeguard: when the Euclidean norm of f grows, the history is cleared
-    and tau halved down to DAMPING_FLOOR; five growths at the floor end
-    the loop unconverged.
+    (the maps are only real-linear: the Gram matrix is Re <df_i, df_j>).
+    The increment recorded, and tested against cfg.tol, is
+    tau step_norm(f), the increment of a plain damped step.  Safeguard:
+    tau starts at 1; when the Euclidean norm of f grows, the history is
+    cleared and tau halved down to DAMPING_FLOOR; five growths at the
+    floor end the loop unconverged.
 
     Returns (x, history, converged, tau), x a new array.
     """
-    tau = cfg.damping
+    tau = 1.0
     x = np.array(state, dtype=complex)
-
-    # ring buffers, one slot per difference; slot `pending` holds
-    # -sum_i gamma_i v_i and f of the last step until the next residual
-    # completes its pair
-    v = np.empty((ANDERSON_WINDOW,) + x.shape, dtype=complex)
-    df = np.empty_like(v)
-    gram = np.zeros((ANDERSON_WINDOW, ANDERSON_WINDOW))
-    live: list[int] = []  # slots of complete pairs, oldest first
-    pending = None
+    dxs: list[np.ndarray] = []  # the window's pairs, oldest first
+    dfs: list[np.ndarray] = []
+    last = None  # (f, x+ - x) of the last step, until the next f completes its pair
     history: list[float] = []
     prev = math.inf
     bad_at_floor = 0
@@ -188,37 +180,30 @@ def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
         f -= x
         res = math.sqrt(_real_dot(f, f))
         if not res <= prev:
-            live.clear()
-            pending = None
+            dxs.clear()
+            dfs.clear()
+            last = None
             if tau > DAMPING_FLOOR:
                 tau = max(tau / 2.0, DAMPING_FLOOR)
             else:
                 bad_at_floor += 1
         prev = res
-        inc = tau * step_norm(f)
-        if pending is not None:
-            np.subtract(f, df[pending], out=df[pending])
-            v[pending] += f
-            live.append(pending)
-            for j in live:
-                gram[pending, j] = gram[j, pending] = _real_dot(df[pending], df[j])
-        gamma = {}
-        if live:
-            rhs = [_real_dot(df[i], f) for i in live]
-            coef = np.linalg.lstsq(gram[np.ix_(live, live)], rhs, rcond=1e-12)[0]
-            gamma = dict(zip(live, coef))
-        # this step's pair takes the oldest slot once the window is full
-        if len(live) == ANDERSON_WINDOW:
-            pending = live.pop(0)
-        else:
-            pending = min(set(range(ANDERSON_WINDOW)) - set(live))
-        _mix(v, df, pending, gamma, f)
-        if tau != 1.0:
-            f *= tau
-        x += f
-        del f  # not held through the next map evaluation
-        history.append(inc)
-        if inc < cfg.tol:
+        history.append(tau * step_norm(f))
+        if last is not None:
+            dfs.append(np.subtract(f, last[0], out=last[0]))
+            dxs.append(last[1])
+        step = f * tau
+        if dfs:
+            gram = [[_real_dot(a, b) for b in dfs] for a in dfs]
+            gamma = np.linalg.lstsq(gram, [_real_dot(d, f) for d in dfs], rcond=1e-12)[0]
+            for c, dx, df in zip(gamma, dxs, dfs):
+                step -= c * dx
+                step -= (c * tau) * df
+        x += step
+        last = f, step
+        if len(dfs) == ANDERSON_WINDOW:  # the next pair takes the oldest's place
+            del dxs[0], dfs[0]
+        if history[-1] < cfg.tol:
             return x, history, True, tau
         if bad_at_floor >= 5:
             return x, history, False, tau
@@ -228,24 +213,6 @@ def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a, b>, the Euclidean inner product of real and imaginary parts."""
     return float(np.vdot(a, b).real)
-
-
-def _mix(v, df, slot, gamma, f) -> None:
-    """In place: v[slot] = -sum_i gamma_i v_i, df[slot] = f, f += v[slot].
-
-    `slot` holds the oldest pair (or none); its own term goes first, and
-    df[slot] is then free as the scratch buffer of the other axpys.
-    """
-    out, scratch = v[slot], df[slot]
-    if slot in gamma:
-        out *= -gamma.pop(slot)
-    else:
-        out.fill(0.0)
-    for i, c in gamma.items():
-        np.multiply(v[i], -c, out=scratch)
-        out += scratch
-    np.copyto(scratch, f)
-    f += out
 
 
 def _gmres(rhs: np.ndarray, x: np.ndarray, apply, scratch: np.ndarray, cfg: SolverConfig):
@@ -329,10 +296,12 @@ def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
     return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
 
 
-def _holo_with_real_trace(psi, lam_imag_integral, grid):
-    """Holomorphic A, tr Re A = psi, int_T Im A = lam_imag_integral."""
-    A = riesz_extension(psi, grid)
-    return A + GridFunction.constant(grid, 1j * lam_imag_integral / (2.0 * np.pi))
+def _holo_with_real_trace(psi, lam_imag_integral, grid, out=None) -> np.ndarray:
+    """Values of the holomorphic A with tr Re A = psi and int_T Im A =
+    lam_imag_integral, extended from psi's modes; in `out` when given."""
+    A = _extend(grid, _riesz_modes(psi), out)
+    A += 1j * lam_imag_integral / (2.0 * np.pi)
+    return A
 
 
 def _assemble_s(m: GridFunction, phi2: np.ndarray, grid) -> GridFunction:
@@ -411,7 +380,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
     if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
         raise ValueError("F must not be identically zero")
     A = _holo_with_real_trace(psi, -lam if imag else lam, grid)
-    H = A * 1j if imag else A
+    H = GridFunction(grid, A * 1j if imag else A)
     with np.errstate(under="ignore"):
         Fp = F.with_values(np.exp(H.values) * F.values)
     beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
@@ -483,9 +452,9 @@ def parametrize_real(
         if phi0 is not None:
             x0[:n_r] = phi0
             x0[n_r] = phi0[-1] - np.mean(phi0[-1])
-        g = np.empty_like(x0)
 
         def joint_map(x):
+            g = np.empty_like(x)
             # Gauss-Seidel order: u+ is read from the new phi+, so u acts
             # on itself within one step.  In the Jacobi order (u+ from x's
             # phi) it does so only through two, u -> phi -> u, and on
@@ -530,21 +499,23 @@ def _prolong(wc: np.ndarray, grid) -> np.ndarray:
     return np.fft.ifft(out, axis=1, out=out)
 
 
-def _riesz_values(av, psi, c, grid, cfg, s0):
+def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
     """Values of the solution w of A w = H on `grid`, nested coarse to fine.
 
-    When n_r is even and both halves of the grid are at least 32, the
-    problem is first solved on the half grid: the odd rows and even
-    columns of alpha (`av`) and of s0, the even samples of psi.  If that
-    solve converged, its w, prolonged (`_prolong`), starts `_gmres` here;
-    if not, the start is H.  The coarsest level starts from e^{s0} H (H
-    when s0 is None).  Each level runs GMRES to its own stopping rule and
-    closes with the plain step; H = 0 (psi zero on the samples a coarse
-    level keeps, and c = 0) gives w = 0 without an application.  Returns
-    (w, histories, converged): histories holds each level's, coarsest
-    first.
+    H = E(psi + i psi~) + i c / 2 pi (`_holo_with_real_trace`).  When n_r
+    is even and both halves of the grid are at least 32, the problem is
+    first solved on the half grid: the odd rows and even columns of alpha
+    (`av`) and of s0, the even samples of psi.  If that solve converged, its w, prolonged (`_prolong`), starts
+    `_gmres` here; if not, the descent ends: a coarse level returns
+    (None, histories, False) without a loop of its own, and the given
+    grid (`given`) starts from H.  The coarsest level starts from
+    e^{s0} H (H when s0 is None).  Each level runs GMRES to its own
+    stopping rule and closes with the plain step; H = 0 (psi and c zero,
+    on the samples the level keeps) gives w = 0 without an application.
+    Returns (w, histories, converged): histories holds the loops run,
+    coarsest first.
     """
-    H = _holo_with_real_trace(psi, c, grid).values
+    H = _holo_with_real_trace(psi, c, grid)
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
         return np.zeros_like(H), [[]], True
@@ -561,10 +532,13 @@ def _riesz_values(av, psi, c, grid, cfg, s0):
             coarse,
             cfg,
             None if s0 is None else s0[1::2, ::2],
+            given=False,
         )
         if ok:
             x = _prolong(wc, grid)
             x /= scale
+        elif not given:
+            return None, histories, False
         del wc
     elif s0 is not None:
         x = H * np.exp(s0)
@@ -587,10 +561,11 @@ def _riesz_values(av, psi, c, grid, cfg, s0):
         np.subtract(v, reflect(v, out), out=out)
 
     history, converged = _gmres(H, x, apply, scratch, cfg)
-    # H became the first basis vector: the same bits again, for the plain step
-    H = _holo_with_real_trace(psi, c, grid).values
-    H /= scale
+    # H became the first basis vector: the same bits again, in the spent
+    # modes, for the plain step
     w = reflect(x, x)
+    H = _holo_with_real_trace(psi, c, grid, scratch)
+    H /= scale
     w += H
     w *= scale
     return w, histories + [history], converged
@@ -619,9 +594,10 @@ def solve_riesz(
     (`_riesz_values`): on grids with even n_r and both sides at least 64
     the same problem is solved on the half grid first, down to sides of
     32, and each converged coarse solution, interpolated, starts the
-    next finer loop.  The coarsest start is e^{initial_s} H (H when
-    initial_s is None).  SolverConfig.damping and zero_threshold do not
-    act here.  report.iterations counts applications of A on the given
+    next finer loop; an unconverged coarse level ends the descent, and
+    the given grid starts from H.  The coarsest start is e^{initial_s} H
+    (H when initial_s is None).  SolverConfig.zero_threshold does not act
+    here.  report.iterations counts applications of A on the given
     grid, with ||A w - H|| / ||H|| after each in increment_history;
     extra["coarse_iterations"] holds the coarse levels' counts, coarsest
     first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
@@ -630,10 +606,6 @@ def solve_riesz(
     cfg = cfg or SolverConfig()
     psi = _require_real(psi, "psi")
     grid = alpha.grid
-    if psi.lp_norm(2.0) == 0.0 and c == 0.0:
-        w = GridFunction.zeros(grid)
-        return w, BoundaryFunction.zeros(grid.n_theta), SolveReport(converged=True)
-
     s0 = None if initial_s is None else initial_s.require_unmasked("initial state")
     av = alpha.require_unmasked("coefficient")
     w, histories, converged = _riesz_values(av, psi, c, grid, cfg, s0)

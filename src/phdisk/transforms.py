@@ -336,9 +336,19 @@ def harmonicity_defect(u: GridFunction) -> float:
     return lp_norm_disk(u - ext, 2.0, r_max=0.9)
 
 
+def _riesz_modes(psi: BoundaryFunction) -> np.ndarray:
+    """Modes of `riesz_extension(psi)`, for `_extend`: psi's modes doubled
+    for n > 0 and dropped for n < 0; the mean and, for even n_theta, the
+    Nyquist mode are their own conjugates and keep weight 1."""
+    weight = 1.0 + np.sign(psi.mode_numbers)
+    if psi.n_theta % 2 == 0:
+        weight[psi.n_theta // 2] = 1.0
+    return psi.modes() * weight
+
+
 def riesz_extension(psi: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Holomorphic g with Re tr g = psi and int_T Im tr g = 0 (psi real)."""
-    return GridFunction(grid, _extend(grid, psi.modes() * (1.0 + np.sign(psi.mode_numbers))))
+    return GridFunction(grid, _extend(grid, _riesz_modes(psi)))
 
 
 @dataclass(frozen=True)

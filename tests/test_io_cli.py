@@ -357,12 +357,14 @@ class TestCli:
             ({"max_iter": "2.7"}, "max_iter"),
             ({"zero_threshold": "abc"}, "zero_threshold"),
             ({"gamma": 0.7}, "solver keys"),
+            ({"damping": 0.5}, "solver keys"),
         ],
-        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc", "gamma=0.7"],
+        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc", "gamma=0.7", "damping=0.5"],
     )
     def test_solver_block_rejects_bad_values(self, tmp_path, block, key):
         # 2.7 used to run as 2 iterations; 'abc' used to fail inside the
-        # solve; gamma, which no solver reads, used to be accepted
+        # solve; gamma, which no solver reads, used to be accepted; damping
+        # is gone, the fixed-point loop picks its own mixing weight
         save_phd1(tmp_path / "alpha.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
         save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(16, np.cos))
         cfg = {
@@ -375,6 +377,7 @@ class TestCli:
         err = json.loads(res.stderr)
         assert err["error"] == "validation"
         assert err["message"].startswith(f"{key} must")
+        assert next(iter(block)) in err["message"]
 
     @pytest.mark.parametrize("value", [50, 50.0, "50", "50.0", " 50 "])
     def test_solver_block_accepts_integral_max_iter(self, value):

@@ -62,8 +62,6 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
 
     @pytest.mark.parametrize(
         "bad",
@@ -444,6 +442,32 @@ class TestSolveRiesz:
         expected = np.linalg.norm(r) / np.linalg.norm(H.values)
         assert abs(rep.increment_history[0] - expected) <= 1e-12 * expected
 
+    def test_unconverged_coarse_level_ends_the_descent(self):
+        # t = 8 at 128^2: the 32^2 level stalls, so 64^2 is not solved and
+        # the given grid starts from H (200 + 200 applications, not 600)
+        g = make_grid(128, 128)
+        z = g.nodes_z()
+        alpha = GridFunction(g, -8.0 * z / (2.0 * np.abs(z) ** 2 * np.log(np.e / np.abs(z))))
+        with pytest.raises(SolverDivergence) as err:
+            solve_riesz(alpha, BoundaryFunction(np.ones(128)), 0.0)
+        rep = err.value.report
+        assert rep.iterations == SolverConfig().max_iter
+        assert rep.extra["coarse_iterations"] == [SolverConfig().max_iter]
+
+    @pytest.mark.parametrize(
+        "psi",
+        [np.arange(64) % 2.0, np.cos(32 * np.arange(64) * 2 * np.pi / 64)],
+        ids=["k-mod-2", "cos-32t"],
+    )
+    def test_nyquist_mode_is_kept(self, psi):
+        # the Nyquist mode of psi is its own conjugate: the extension keeps
+        # it with weight 1 (weight 0 left re_trace_sup at 0.5 and 1.0)
+        g = make_grid(64, 64)
+        w, _, rep = solve_riesz(GridFunction.constant(g, 0.5), BoundaryFunction(psi), 0.0, CFG)
+        assert rep.converged
+        assert rep.normalization_defects["re_trace_sup"] <= 1e-14
+        assert np.max(np.abs(w.values[-1].real - psi)) <= 1e-14
+
     def test_nested_levels_share_the_engine_cache(self, monkeypatch):
         # 512^2 runs five levels, 512 down to 32; with fewer cached engines
         # than levels, every solve would rebuild all five
@@ -524,6 +548,47 @@ class TestPicardLoop:
         assert np.max(np.abs(x - x_star)) <= 1e-10
         assert np.max(np.abs(u - x_star)) <= 1e-10
         assert np.all(x0 == 0.0)  # the caller's initial state is left alone
+
+    @staticmethod
+    def _dense_anderson(g, x0, norm, tol, window=3):
+        """Reference Anderson(window), type II with beta = 1 (Walker & Ni 2011):
+        x+ = x + f - (dX + dF) gamma, gamma = argmin ||f - dF gamma|| over real
+        vectors, dX and dF the last min(window, k) differences of iterates
+        and residuals as columns, solved on the stacked real and imaginary
+        parts.  Returns every iterate, the one after the last step included."""
+        xs, fs = [np.array(x0, dtype=complex)], []
+        while True:
+            k = len(xs) - 1
+            fs.append(g(xs[k]) - xs[k])
+            cols = range(k - min(window, k), k)
+            dX = np.stack([xs[i + 1] - xs[i] for i in cols] or [0 * x0], axis=1)
+            dF = np.stack([fs[i + 1] - fs[i] for i in cols] or [0 * x0], axis=1)
+            real = np.vstack([dF.real, dF.imag])
+            gamma = np.linalg.lstsq(real, np.concatenate([fs[k].real, fs[k].imag]), rcond=None)[0]
+            xs.append(xs[k] + fs[k] - (dX + dF) @ gamma)
+            if norm(fs[k]) < tol:
+                return xs
+
+    def test_matches_dense_reference(self):
+        # the contracting map of test_beats_plain_iteration, where tau stays 1
+        rng = np.random.default_rng(31)
+        lin = 0.6 * rng.uniform(0.5, 1.0, self.N) * np.exp(2j * np.pi * rng.uniform(size=self.N))
+        conj_lin = 0.3 * np.exp(2j * np.pi * rng.uniform(size=self.N))
+        g, _ = self._affine_map(lin, conj_lin, rng)
+        tol = 1e-12
+        seen = []
+
+        def recorded(u):
+            seen.append(u.copy())
+            return g(u)
+
+        x0 = np.zeros(self.N, dtype=complex)
+        x, history, converged, tau = _picard(x0, recorded, self._norm, SolverConfig(tol=tol, max_iter=500))
+        ref = self._dense_anderson(g, x0, self._norm, tol)
+        assert converged and tau == 1.0
+        assert len(ref) == len(seen) + 1 == len(history) + 1
+        for u, v in zip(seen + [x], ref):
+            assert np.max(np.abs(u - v)) <= 1e-12
 
     def test_expanding_map_reaches_floor(self):
         rng = np.random.default_rng(32)
