@@ -49,7 +49,6 @@ from .transforms import (
     beurling,
     cauchy,
     cauchy_renormalized,
-    cauchy_trace,
     conjugate_function,
     green_potential,
     harmonic_conjugate,

@@ -15,24 +15,27 @@ coarse level that does not converge ends the descent, and the given
 grid starts from H.  Reports count fine-grid applications.  Its
 conductivity wrapper solves the same equation.
 
-The parametrizations are nonlinear in s and are solved by iterating
-the contraction-shaped map the construction suggests, in one loop
-(`_picard`) that mixes each step with the last ANDERSON_WINDOW = 3
-difference pairs (windowed Anderson acceleration with real
-coefficients, mixing weight tau, starting at 1).  Safeguard: whenever
-the residual g(x) - x grows, the history is dropped and tau halved, and
-the loop fails explicitly if the residual keeps growing at the floor.
-Nothing is asserted about rates: reports carry the whole increment
-history and the final tau.  Every loop runs on plain arrays.
+The parametrizations are nonlinear in s.  Once the prescribed trace is
+absorbed into a holomorphic shift H of F, s - H is the exponent of the
+similarity factorization (Bers 1953, Vekua 1962; `similarity.factorize`)
+of the solution it defines, s - H = (C -+ R)(beta e^{-2i Im(s - H)}).
+Both iterate that formula on phi = Im(s - H), in one loop (`_picard`)
+that mixes each step with the last ANDERSON_WINDOW = 3 difference pairs
+(windowed Anderson acceleration with real coefficients, mixing weight
+tau, starting at 1).  Safeguard: whenever the residual g(x) - x grows,
+the history is dropped and tau halved, and the loop fails explicitly if
+the residual keeps growing at the floor.  Nothing is asserted about
+rates: reports carry the whole increment history and the final tau.
+Every loop runs on plain arrays.
 
 The three problems:
 
  * parametrize_imag: s with dbar(e^s F) = alpha conj(e^s F),
-   tr Im s = psi, int_T Re s = lambda (map: Green potential of
-   4 Im d(beta e^{-2i phi})),
+   tr Im s = psi, int_T Re s = lambda (map: Im (C - R)(beta e^{-2i phi}),
+   C - R real on T),
  * parametrize_real: same equation with tr Re s = psi, int_T Im s =
-   lambda (joint map on phi and its boundary trace u, one Green map and
-   one Cauchy transform a step); the two share one body,
+   lambda (map: Im (C + R)(beta e^{-2i phi}), C + R pure imaginary on
+   T); the two share one body and one `cauchy_reflect` a step,
  * solve_riesz: w with Re tr w = psi, int_T Im tr w = c (the linear
    equation above), plus its conductivity wrapper.
 """
@@ -58,17 +61,7 @@ from .grid import (
 )
 from .radial import _stencil_data
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
-from .transforms import (
-    _cauchy_reflect_modes,
-    _extend,
-    _poisson_values,
-    _riesz_modes,
-    cauchy,
-    cauchy_trace,
-    conjugate_function,
-    green_potential,
-    riesz_extension,
-)
+from .transforms import _cauchy_reflect_modes, _extend, _riesz_modes, cauchy_reflect
 
 __all__ = [
     "SolverConfig",
@@ -304,32 +297,9 @@ def _holo_with_real_trace(psi, lam_imag_integral, grid, out=None) -> np.ndarray:
     return A
 
 
-def _assemble_s(m: GridFunction, phi2: np.ndarray, grid) -> GridFunction:
-    """s = m + holomorphic correction chosen so that Im s = phi2 on T."""
-    tau = BoundaryFunction(phi2[grid.boundary_ring_index] - boundary_trace(m).values.imag)
-    return m + riesz_extension(tau, grid) * 1j
-
-
-def _green_map(grid, beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Values of G(phi) = P(4 Im d(beta e^{-2i phi})) from the values of
-    beta and of phi, whose real part is read."""
-    g = GridFunction(grid, beta * np.exp(-2j * phi.real))
-    dg, _ = wirtinger_derivatives(g)
-    return green_potential(g.with_values(4.0 * dg.values.imag.astype(complex))).values
-
-
 def _phi_norm(d: np.ndarray, grid) -> float:
     """w12_norm of the grid increment with values d."""
     return w12_norm_modes(np.fft.fft(d, axis=1), grid)
-
-
-def _u_norm(d: np.ndarray) -> float:
-    # sum (1+|n|) |d_n|^2 is the W^{1,2}(D) norm (squared, up to the
-    # usual constants) of the harmonic extension of the boundary
-    # increment, which is the leading term of the s increment
-    d = BoundaryFunction(d)
-    n = np.abs(d.mode_numbers)
-    return float(np.sqrt(2.0 * np.pi * np.sum((1.0 + n) * np.abs(d.modes()) ** 2)))
 
 
 def _instrument(s_norm, alpha, psi, lam):
@@ -362,17 +332,24 @@ def _finish(name, history, converged, tau, w, alpha, mismatch, defects, constant
     return report
 
 
-def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
-    """Body shared by the two parametrizations.
+def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
+    """Body shared by the two parametrizations: the similarity
+    factorization of `similarity.factorize`, iterated to its fixed point.
 
     The prescribed trace is absorbed into the holomorphic shift H = iA
     (`imag`: tr Im s = psi, int_T Re s = lam) or H = A (tr Re s = psi,
-    int_T Im s = lam), A from `_holo_with_real_trace`; F becomes e^H F and
-    beta its Beltrami ratio.  `problem(beta, grid, phi0)` gives the
-    fixed-point problem as (x0, apply_map, step_norm) for `_picard`, on a
-    state whose first n_r rows are phi = Im s', s' = s - H; phi0 is
-    Im(initial_s - H), or None.  Then s = C(beta e^{-2i phi}) plus the
-    holomorphic correction with Im s' = phi, plus H.
+    int_T Im s = lam), A from `_holo_with_real_trace`; F becomes
+    F' = e^H F and beta = alpha conj(F')/F' its Beltrami ratio.  Then
+    w = e^{s'} F', s' = s - H, solves dbar w = alpha conj(w) exactly when
+
+        s' = (C + sign R)(beta e^{-2i Im s'}),
+
+    with sign = -1 for `imag` (C - R is real on T) and +1 otherwise
+    (C + R is pure imaginary on T).  Both have zero boundary mean, so H
+    alone carries the trace and the mean, at every step.  `_picard` finds
+    the fixed point phi of phi -> Im (C + sign R)(beta e^{-2i phi}),
+    starting from Im(initial_s - H), or 0; then
+    s = H + (C + sign R)(beta e^{-2i phi}).
     """
     cfg = cfg or SolverConfig()
     psi = _require_real(psi, "psi")
@@ -383,13 +360,18 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s, problem):
     H = GridFunction(grid, A * 1j if imag else A)
     with np.errstate(under="ignore"):
         Fp = F.with_values(np.exp(H.values) * F.values)
-    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold)
+    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold).values
+    sign = -1.0 if imag else 1.0
 
-    phi0 = None if initial_s is None else (initial_s - H).values.imag
-    loop = _picard(*problem(beta.values, grid, phi0), cfg)
-    phi = loop[0][: grid.n_r].real
-    m = cauchy(beta.with_values(beta.values * np.exp(-2j * phi)))
-    s = _assemble_s(m, phi, grid) + H
+    def exponent(phi: np.ndarray) -> GridFunction:
+        return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi.real)), sign)
+
+    def apply_map(phi: np.ndarray) -> np.ndarray:
+        return exponent(phi).values.imag.astype(complex)
+
+    x0 = np.zeros(beta.shape) if initial_s is None else (initial_s - H).values.imag
+    loop = _picard(x0, apply_map, lambda d: _phi_norm(d, grid), cfg)
+    s = exponent(loop[0]) + H
     w = reconstruct(s, F)
 
     tr_s = boundary_trace(s).values
@@ -414,16 +396,12 @@ def parametrize_imag(
     """Sobolev factor s with w = e^s F pseudo-holomorphic, tr Im s = psi,
     int_T Re s = lam.
 
-    The boundary data and the holomorphic factor are absorbed first
-    (replace F by e^{iA} F and alpha by alpha conj(F')/F'), leaving the
-    homogeneous fixed point phi = G(phi) for phi = Im s'.
+    With the boundary data absorbed into F' = e^{iA} F, s - iA is the
+    real_on_T exponent (C - R)(beta e^{-2i Im(s - iA)}) of the
+    factorization of w, beta = alpha conj(F')/F'; its imaginary part is
+    iterated to the fixed point.
     """
-
-    def problem(beta, grid, phi0):
-        x0 = np.zeros((grid.n_r, grid.n_theta)) if phi0 is None else phi0
-        return x0, lambda x: _green_map(grid, beta, x), lambda d: _phi_norm(d, grid)
-
-    return _parametrize(True, alpha, F, psi, lam, cfg, initial_s, problem)
+    return _parametrize(True, alpha, F, psi, lam, cfg, initial_s)
 
 
 def parametrize_real(
@@ -436,42 +414,12 @@ def parametrize_real(
 ) -> tuple[GridFunction, SolveReport]:
     """Variant prescribing tr Re s = psi and int_T Im s = lam.
 
-    Here Im s' is not zero on T: its trace is a zero-mean boundary
-    function u, and phi = Im s' solves phi = E u + G(phi) (E the
-    harmonic extension), while u is fixed by the trace of
-    C(beta e^{-2i phi}): with tr0 that trace less its mean, u is Im tr0
-    minus the conjugate function of Re tr0.  Both are one fixed point
-    on the stacked state x of shape (n_r + 1, n_theta): rows 0..n_r-1
-    hold phi and row n_r holds u.  Its increment is measured as
-    w12_norm(phi) plus the W^{1,2} norm of u's harmonic extension.
+    With F' = e^A F, s - A is the imaginary_on_T exponent
+    (C + R)(beta e^{-2i Im(s - A)}) of the factorization of w: the same
+    map as `parametrize_imag` with the sign of R turned, and no separate
+    unknown for the boundary trace of Im s.
     """
-
-    def problem(beta, grid, phi0):
-        n_r = grid.n_r
-        x0 = np.zeros((n_r + 1, grid.n_theta), dtype=complex)
-        if phi0 is not None:
-            x0[:n_r] = phi0
-            x0[n_r] = phi0[-1] - np.mean(phi0[-1])
-
-        def joint_map(x):
-            g = np.empty_like(x)
-            # Gauss-Seidel order: u+ is read from the new phi+, so u acts
-            # on itself within one step.  In the Jacobi order (u+ from x's
-            # phi) it does so only through two, u -> phi -> u, and on
-            # criterion 06's data the residual keeps growing: the weight
-            # falls to the damping floor and the loop stops unconverged
-            # after 30 steps, its increment stalled at about 8e-5.
-            phi = _poisson_values(BoundaryFunction(x[n_r]), grid, out=g[:n_r])
-            phi += _green_map(grid, beta, x[:n_r])
-            tr = cauchy_trace(GridFunction(grid, beta * np.exp(-2j * phi.real))).values
-            tr0 = tr - np.mean(tr)
-            re = BoundaryFunction(tr0.real.astype(complex))
-            g[n_r] = tr0.imag - conjugate_function(re).values
-            return g
-
-        return x0, joint_map, lambda f: _phi_norm(f[:n_r], grid) + _u_norm(f[n_r])
-
-    return _parametrize(False, alpha, F, psi, lam, cfg, initial_s, problem)
+    return _parametrize(False, alpha, F, psi, lam, cfg, initial_s)
 
 
 def _prolong(wc: np.ndarray, grid) -> np.ndarray:

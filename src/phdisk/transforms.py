@@ -17,9 +17,7 @@ views, and one `RadialEngine.sweep` serves every run.
 `cauchy_reflect` gives C(h) + sign R(h) from one FFT pair and one sweep,
 since R's moment for output mode m is the last node of C's inward
 integral for source mode 1 - m; `cauchy` and `reflect_transform` are its
-two halves.  `cauchy_trace` gives C(h) on T alone: there the outward
-integrals vanish and the inward ones are full moments, one dot product
-per mode and no sweep.  The mode-space core of `cauchy_reflect`,
+two halves, and the parametrizations iterate it.  Its mode-space core,
 `_cauchy_reflect_modes`, takes values and returns the output modes
 without the inverse FFT, in buffers its caller may pass: `solve_riesz`
 allocates them once and applies C + R to alpha conj(w) through it, one
@@ -55,7 +53,6 @@ from .radial import get_engine
 
 __all__ = [
     "cauchy",
-    "cauchy_trace",
     "beurling",
     "cauchy_renormalized",
     "reflect_transform",
@@ -118,8 +115,13 @@ def _cauchy_reflect_modes(
     fills both blocks of the output in place.  R's output mode m >= 1 is
     -2 conj(M_m) r^m with M_m the full moment of source mode 1 - m at
     exponent m: the last node of C's inward integral in column
-    n_theta - m, or, without C, one dot product per mode.  The modes are
-    those of `np.fft.fft(values, axis=1)`, unnormalized.
+    n_theta - m, or, without C, one dot product per mode.  Band rule: R
+    keeps m = 1, ..., n_theta/2, the partners of C's output modes -1, ...,
+    -n_theta/2; its mode n_theta/2 lands in the Nyquist column beside C's
+    mode -n_theta/2, which is the same e^{i n_theta theta / 2} on the grid,
+    so C + R is pure imaginary and C - R real on T for every source in
+    band, mode 1 - n_theta/2 included.  The modes are those of
+    `np.fft.fft(values, axis=1)`, unnormalized.
 
     `modes`, an (n_r, n_theta + 1) buffer, takes the source modes (see
     `_source_modes`) and is spent when this returns; `out`, an
@@ -136,9 +138,9 @@ def _cauchy_reflect_modes(
         outward = (B[:, 1:half], slice(0, half - 1), O[:, : half - 1])
         eng.sweep(inward=[inward], outward=[outward])
         O[:, half - 1] = 0.0
-        moments = O[-1, half + 1 :]  # exponents half - 1, ..., 1
+        moments = O[-1, half:]  # exponents half, ..., 1
     else:
-        moments = eng.full_moments(B[:, half + 2 :], slice(half - 1, 0, -1))
+        moments = eng.full_moments(B[:, half + 1 :], slice(half, 0, -1))
     # R's coefficients, before C's scaling below overwrites `moments`
     coef = (-2.0 * r) * np.conj(moments[::-1])
     if c:
@@ -148,7 +150,8 @@ def _cauchy_reflect_modes(
         O.fill(0.0)
     if r:
         # the source modes are spent: their buffer takes the R term
-        O[:, 1:half] += np.multiply(grid.mode_powers[:, 1:half], coef, out=B[:, 1:half])
+        cols = slice(1, half + 1)
+        O[:, cols] += np.multiply(grid.mode_powers[:, cols], coef, out=B[:, cols])
     return O
 
 
@@ -170,23 +173,6 @@ def cauchy_reflect(h: GridFunction, sign: float) -> GridFunction:
 def cauchy(h: GridFunction) -> GridFunction:
     """Area Cauchy transform C(h) on the grid (h extended by zero off D)."""
     return _cauchy_reflect(h, 1.0, 0.0)
-
-
-def cauchy_trace(h: GridFunction) -> BoundaryFunction:
-    """Boundary trace of C(h) on T, without the interior of C(h).
-
-    At r = 1 the outward integrals vanish and the inward ones are the full
-    moments: output mode -m (m = 1, ..., n_theta/2) is 2 M_m, M_m the full
-    moment of source mode 1 - m at exponent m, and every other mode is 0.
-    One forward FFT, one dot product per mode and one n_theta-point
-    inverse FFT; equal to `cauchy(h)` on its boundary ring up to rounding.
-    """
-    grid = h.grid
-    half = grid.n_theta // 2
-    B = _source_modes(h.require_unmasked("angular transform"))
-    out = np.zeros(grid.n_theta, dtype=complex)
-    out[half:] = 2.0 * _engine_for(grid).full_moments(B[:, half + 1 :], slice(half, 0, -1))
-    return BoundaryFunction(np.fft.ifft(out, out=out))
 
 
 def beurling(h: GridFunction) -> GridFunction:
@@ -300,18 +286,13 @@ def _extend(grid: DiskGrid, modes: np.ndarray, out: np.ndarray | None = None) ->
     return np.fft.ifft(vals, axis=1, out=vals)
 
 
-def _poisson_values(u: BoundaryFunction, grid: DiskGrid, out: np.ndarray | None = None) -> np.ndarray:
-    """Values of `poisson_extend(u, grid)`, in `out` when given."""
-    if u.n_theta != grid.n_theta:
-        raise ValueError("boundary function does not match grid angles")
-    vals = _extend(grid, u.modes(), out)
-    vals[-1] = u.values
-    return vals
-
-
 def poisson_extend(u: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Harmonic extension: mode n goes to u_n r^{|n|}; the ring equals u."""
-    return GridFunction(grid, _poisson_values(u, grid))
+    if u.n_theta != grid.n_theta:
+        raise ValueError("boundary function does not match grid angles")
+    vals = _extend(grid, u.modes())
+    vals[-1] = u.values
+    return GridFunction(grid, vals)
 
 
 def conjugate_function(psi: BoundaryFunction) -> BoundaryFunction:

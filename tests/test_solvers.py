@@ -12,12 +12,13 @@ from phdisk import (
     boundary_trace,
     cauchy,
     conductivity_residual,
-    green_potential,
+    factorize,
     hardy_norm,
     lp_norm_disk,
     make_grid,
     parametrize_imag,
     parametrize_real,
+    reconstruct,
     reflect_transform,
     riesz_extension,
     solve_conductivity,
@@ -144,9 +145,14 @@ class TestParametrizeImag:
         )
         alpha = GridFunction(grid256, dbar_s * np.exp(2j * s_exact.imag))
         psi = BoundaryFunction.from_function(256, lambda t: b * np.sin(t) + c + d * np.cos(t))
-        s, rep = parametrize_imag(alpha, GridFunction.constant(grid256, 1.0), psi, a * np.pi, CFG)
+        F = GridFunction.constant(grid256, 1.0)
+        s, rep = parametrize_imag(alpha, F, psi, a * np.pi, CFG)
         assert w12_norm(s - GridFunction(grid256, s_exact)) <= 1e-8
         assert rep.converged and 1 < rep.iterations <= 100
+        # s - H is the real_on_T exponent of the factorization of e^s F
+        H = riesz_extension(psi, grid256) * 1j + a / 2
+        again = factorize(reconstruct(s, F), alpha, "real_on_T").s
+        assert w12_norm(again - (s - H)) <= 1e-9
 
     def test_rejects_zero_F(self, grid256):
         with pytest.raises(ValueError, match="identically zero"):
@@ -169,6 +175,10 @@ class TestParametrizeReal:
         assert w12_norm(s - GridFunction(grid256, z.real.astype(complex))) <= 1e-4
         assert rep.converged and rep.iterations <= 100
         assert rep.residual_beltrami <= 1e-5
+        # s - H is the imaginary_on_T exponent of the factorization of e^s F
+        H = riesz_extension(psi, grid256)
+        again = factorize(reconstruct(s, F), alpha, "imaginary_on_T").s
+        assert w12_norm(again - (s - H)) <= 1e-9
 
     def test_zero_case(self, grid256):
         s, _ = parametrize_real(
@@ -201,16 +211,17 @@ class TestParametrizeReal:
         assert w12_norm(s1 - s2) <= 10 * CFG.tol
 
 
-    def test_one_green_map_per_iteration(self, grid256, monkeypatch):
-        # criterion 06's data: phi and its trace u are one fixed point, so
-        # each reported step runs exactly one Green map
+    def test_one_cauchy_reflect_per_iteration(self, grid256, monkeypatch):
+        # criterion 06's data: each reported step runs one C + R pass, and
+        # one more assembles s from the fixed point
         calls = []
+        cauchy_reflect = solvers.cauchy_reflect
 
-        def counted(psi):
-            calls.append(1)
-            return green_potential(psi)
+        def counted(h, sign):
+            calls.append(sign)
+            return cauchy_reflect(h, sign)
 
-        monkeypatch.setattr(solvers, "green_potential", counted)
+        monkeypatch.setattr(solvers, "cauchy_reflect", counted)
         _, rep = parametrize_real(
             GridFunction.constant(grid256, 0.5),
             GridFunction.constant(grid256, 1.0),
@@ -218,8 +229,25 @@ class TestParametrizeReal:
             0.0,
             CFG,
         )
+        assert rep.converged and rep.iterations <= 30
+        assert calls == [1.0] * (rep.iterations + 1)
+
+    def test_strong_coefficient_keeps_trace(self):
+        # at alpha = 2 the source beta e^{-2i phi} reaches mode
+        # 1 - n_theta/2, and tr Re s = psi holds only if R keeps the
+        # partner of C's Nyquist column
+        g = make_grid(128, 128)
+        s, rep = parametrize_real(
+            GridFunction.constant(g, 2.0),
+            GridFunction.constant(g, 1.0),
+            BoundaryFunction.from_function(128, np.cos),
+            0.0,
+            CFG,
+        )
         assert rep.converged
-        assert len(calls) == rep.iterations <= 60
+        assert rep.normalization_defects["re_trace"] <= 1e-12
+        tr = boundary_trace(s).values.real
+        assert np.max(np.abs(tr - np.cos(g.thetas))) <= 1e-12
 
     def test_divergence_raises_with_report(self, grid256):
         with pytest.raises(SolverDivergence, match="parametrize_real") as err:

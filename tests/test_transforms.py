@@ -15,7 +15,6 @@ from phdisk import (
     boundary_trace,
     cauchy,
     cauchy_renormalized,
-    cauchy_trace,
     conjugate_function,
     green_potential,
     harmonic_conjugate,
@@ -51,34 +50,6 @@ class TestCauchy:
             _, dbar = wirtinger_derivatives(cauchy(h))
             rel = lp_norm_disk(dbar - h, 2.0, r_max=0.9) / lp_norm_disk(h, 2.0, r_max=0.9)
             assert rel <= 1e-6
-
-
-class TestCauchyTrace:
-    """The trace-only path against the boundary ring of the full transform."""
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_equals_boundary_ring_of_cauchy(self, n):
-        grid = make_grid(n, n)
-        rng = np.random.default_rng(n)
-        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for h in (GridFunction(grid, noise), seeded_field(grid, n)):
-            ref = cauchy(h).values[-1]
-            got = cauchy_trace(h)
-            assert isinstance(got, BoundaryFunction)
-            assert np.max(np.abs(got.values - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    def test_characteristic_function(self, grid256):
-        # C(1) = conj z, which is e^{-i theta} on T
-        one = GridFunction.constant(grid256, 1.0)
-        got = cauchy_trace(one).values
-        assert np.max(np.abs(got - np.exp(-1j * grid256.thetas))) < 1e-13
-        assert np.max(np.abs(got - cauchy(one).values[-1])) <= 1e-14
-
-    def test_masked_source_raises(self, grid128):
-        vals = seeded_field(grid128, 3).values.copy()
-        vals[5, 7] = np.nan
-        with pytest.raises(MaskedValueError):
-            cauchy_trace(GridFunction(grid128, vals))
 
 
 def test_transforms_leave_numpy_ma_unimported():
@@ -445,6 +416,17 @@ class TestCauchyReflect:
         ref = cauchy(beta).values + sign * reflect_transform(beta).values
         got = cauchy_reflect(beta, sign).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_boundary_identities_over_the_full_band(self, n):
+        # C + R is pure imaginary and C - R real on T for a source with
+        # content at every mode, 1 - n_theta/2 (C's Nyquist output) included
+        grid = make_grid(n, n)
+        rng = np.random.default_rng(n + 1)
+        h = GridFunction(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        bound = 1e-14 * np.max(np.abs(h.values))
+        assert np.max(np.abs(cauchy_reflect(h, 1.0).values[-1].real)) <= bound
+        assert np.max(np.abs(cauchy_reflect(h, -1.0).values[-1].imag)) <= bound
 
     @pytest.mark.parametrize("imaginary_on_T", [False, True])
     def test_masked_source_raises(self, grid128, imaginary_on_T):
