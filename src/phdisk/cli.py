@@ -94,18 +94,25 @@ def _integral(value):
     return value
 
 
+def _number(params: dict, key: str, default: float | None = None) -> float:
+    """params[key] (`default` when absent) as a float, else a ConfigError."""
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number; got {value!r}") from None
+
+
 def _solver_config(cfg: dict, solvers_mod):
     block = cfg.get("solver", {})
     known = [f.name for f in dataclasses.fields(solvers_mod.SolverConfig)]
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
-    return solvers_mod.SolverConfig(
-        tol=float(block.get("tol", 1e-8)),
-        max_iter=_integral(block.get("max_iter", 200)),
-        zero_threshold=block.get("zero_threshold"),
-        p=float(block.get("p", 2.0)),
-    )
+    kwargs = {k: _number(block, k) if k in ("tol", "p") else v for k, v in block.items()}
+    if "max_iter" in kwargs:
+        kwargs["max_iter"] = _integral(kwargs["max_iter"])
+    return solvers_mod.SolverConfig(**kwargs)
 
 
 def _emit(outdir: Path, name: str, obj, cfg, io_mod) -> str:
@@ -122,9 +129,9 @@ def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
         if target not in fields:
             raise ConfigError(f"emit_slices refers to unknown field {target!r}")
         if "radius" in spec:
-            along, value = "radius", float(spec["radius"])
+            along, value = "radius", _number(spec, "radius")
         elif "angle" in spec:
-            along, value = "angle", float(spec["angle"])
+            along, value = "angle", _number(spec, "angle")
         else:
             raise ConfigError("each slice needs a 'radius' or 'angle' key")
         path = outdir / f"{target}_{along}_{value:g}.csv"
@@ -136,9 +143,8 @@ def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
 def _run_selftest(verbose: bool) -> dict:
     import numpy as np
 
-    from .grid import GridFunction, make_grid
+    from .grid import BoundaryFunction, GridFunction, make_grid
     from .transforms import beurling, cauchy, conjugate_function, green_potential
-    from .grid import BoundaryFunction
 
     g = make_grid(256, 64)
     z = g.nodes_z()
@@ -188,7 +194,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         elif which == "green":
             fields["out"] = transforms.green_potential(h)
         elif which == "cauchy2":
-            R = float(cfg.get("params", {}).get("R", 1.0))
+            R = _number(cfg.get("params", {}), "R", 1.0)
             fields["out"] = transforms.cauchy_renormalized(h, R)
         else:
             raise ConfigError(f"unknown transform {which!r}")
@@ -212,7 +218,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         params = cfg.get("params", {})
         A, res = transforms.solve_dbar(
             data["a"], data["psi"],
-            float(params.get("lambda", 0.0)), float(params.get("theta0", 0.0)),
+            _number(params, "lambda", 0.0), _number(params, "theta0", 0.0),
         )
         fields["A"] = A
         report["residuals"] = res.to_dict()
@@ -221,13 +227,11 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         data = _load_inputs(cfg, ["alpha", "F", "psi"], io_mod)
         params = cfg.get("params", {})
         scfg = _solver_config(cfg, solvers)
-        variant = params.get("normalization", "imaginary_on_T")
-        fn = (
-            solvers.parametrize_imag
-            if variant == "imaginary_on_T"
-            else solvers.parametrize_real
-        )
-        s, rep = fn(data["alpha"], data["F"], data["psi"], float(params.get("lambda", 0.0)), scfg)
+        variant = params.get("normalization", similarity.IMAGINARY_ON_T)
+        if variant not in (similarity.IMAGINARY_ON_T, similarity.REAL_ON_T):
+            raise ConfigError(f"unknown normalization {variant!r}")
+        fn = solvers.parametrize_imag if variant == similarity.IMAGINARY_ON_T else solvers.parametrize_real
+        s, rep = fn(data["alpha"], data["F"], data["psi"], _number(params, "lambda", 0.0), scfg)
         fields["s"] = s
         fields["w"] = similarity.reconstruct(s, data["F"])
         report["solve"] = rep.to_dict()
@@ -237,7 +241,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         params = cfg.get("params", {})
         scfg = _solver_config(cfg, solvers)
         w, psi_sharp, rep = solvers.solve_riesz(
-            data["alpha"], data["psi"], float(params.get("c", 0.0)), scfg
+            data["alpha"], data["psi"], _number(params, "c", 0.0), scfg
         )
         fields["w"] = w
         fields["psi_sharp"] = psi_sharp
@@ -267,7 +271,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
             fam = diagnostics.ArcFamily(int(params.get("max_level", 5)))
             report["diagnostic"] = {
                 "name": "ap_constant",
-                "value": diagnostics.ap_constant(data["weight"], float(params.get("p", 2.0)), fam),
+                "value": diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
             }
         elif name == "jn":
             data = _load_inputs(cfg, ["h"], io_mod)
@@ -293,12 +297,12 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         elif name == "multiplier":
             data = _load_inputs(cfg, ["f", "g"], io_mod)
             rep = diagnostics.multiplier_ratio(
-                data["f"], data["g"], float(params.get("p", 2.0)), float(params.get("gamma", 0.785398))
+                data["f"], data["g"], _number(params, "p", 2.0), _number(params, "gamma", 0.785398)
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "trace-convergence":
             data = _load_inputs(cfg, ["w"], io_mod)
-            rep = diagnostics.trace_convergence(data["w"], float(params.get("p", 2.0)))
+            rep = diagnostics.trace_convergence(data["w"], _number(params, "p", 2.0))
             report["diagnostic"] = rep.to_dict()
         elif name == "boundary-sobolev":
             data = _load_inputs(cfg, ["g"], io_mod)

@@ -1,9 +1,10 @@
 """Grid file formats.
 
 PHD1 binary: magic "PHD1", little-endian u32 n_r, u32 n_theta, then
-n_r * n_theta complex values as interleaved little-endian float64
-(re, im), row-major by radius.  Boundary functions use n_r = 1.  Masked
-nodes round-trip as NaN pairs.
+n_r * n_theta complex values as little-endian complex128 (float64 re,
+then im), row-major by radius; the values round-trip bit for bit,
+signed zeros included.  Boundary functions use n_r = 1.  Masked nodes
+round-trip as NaN pairs.
 
 PHD1 has no field for the outer radius, so it holds unit-disk grids
 only; grids on D_R (R > 1) are saved as CSV.
@@ -50,13 +51,10 @@ def save_phd1(path, f) -> None:
             "save as CSV to keep the radius"
         )
     n_r, n_theta, vals = _payload(f)
-    flat = np.empty(n_r * n_theta * 2, dtype="<f8")
-    flat[0::2] = vals.real.ravel()
-    flat[1::2] = vals.imag.ravel()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array([n_r, n_theta], dtype="<u4").tobytes())
-        fh.write(flat.tobytes())
+        fh.write(vals.astype("<c16").tobytes())
 
 
 def load_phd1(path):
@@ -66,13 +64,12 @@ def load_phd1(path):
         raise ValueError(f"{path}: not a PHD1 file")
     n_r, n_theta = np.frombuffer(raw[4:12], dtype="<u4")
     n_r, n_theta = int(n_r), int(n_theta)
-    flat = np.frombuffer(raw[12:], dtype="<f8")
-    if flat.size != 2 * n_r * n_theta:
+    if len(raw) - 12 != 16 * n_r * n_theta:
         raise ValueError(f"{path}: truncated payload")
-    vals = (flat[0::2] + 1j * flat[1::2]).reshape(n_r, n_theta)
+    vals = np.frombuffer(raw, dtype="<c16", offset=12).reshape(n_r, n_theta).astype(complex)
     if n_r == 1:
-        return BoundaryFunction(vals[0].copy())
-    return GridFunction(make_grid(n_theta, n_r), vals.copy())
+        return BoundaryFunction(vals[0])
+    return GridFunction(make_grid(n_theta, n_r), vals)
 
 
 def save_csv(path, f) -> None:

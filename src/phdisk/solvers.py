@@ -61,7 +61,7 @@ from .grid import (
 )
 from .radial import _stencil_data
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
-from .transforms import _cauchy_reflect_modes, _extend, _riesz_modes, cauchy_reflect
+from .transforms import _cauchy_reflect_modes, _holo_with_real_trace, _require_real, cauchy_reflect
 
 __all__ = [
     "SolverConfig",
@@ -137,22 +137,21 @@ class SolverDivergence(RuntimeError):
 def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
     """Anderson-mixed fixed-point loop shared by the two parametrizations.
 
-    `state` is the initial iterate, a complex array, which is left alone;
-    `apply_map` takes an iterate to a new array of the same shape, which
-    the loop keeps.  `step_norm` takes a residual to a float.  Nothing is
-    wrapped per step, so a map may run in any linear coordinates of its
-    problem: the mixing coefficients below are least-squares solutions,
-    unchanged when every iterate is scaled alike.  Each step evaluates
-    the map once, forms the residual f = g(x) - x and mixes it with the
-    last ANDERSON_WINDOW difference pairs (Anderson 1965; Walker & Ni
-    2011, type II, mixing weight tau):
+    `state` is the initial iterate, a real array, which is left alone;
+    `apply_map` takes an iterate to a new real array of the same shape,
+    which the loop keeps.  `step_norm` takes a residual to a float.
+    Nothing is wrapped per step, so a map may run in any linear
+    coordinates of its problem: the mixing coefficients below are
+    least-squares solutions, unchanged when every iterate is scaled
+    alike.  Each step evaluates the map once, forms the residual
+    f = g(x) - x and mixes it with the last ANDERSON_WINDOW difference
+    pairs (Anderson 1965; Walker & Ni 2011, type II, mixing weight tau):
 
         x+ = x + tau f - sum_i gamma_i (dx_i + tau df_i),
 
     with dx_i, df_i the differences of successive iterates and residuals
-    and gamma minimizing ||f - sum_i gamma_i df_i|| over real coefficients
-    (the maps are only real-linear: the Gram matrix is Re <df_i, df_j>).
-    The increment recorded, and tested against cfg.tol, is
+    and gamma minimizing ||f - sum_i gamma_i df_i||, by the Gram matrix
+    <df_i, df_j>.  The increment recorded, and tested against cfg.tol, is
     tau step_norm(f), the increment of a plain damped step.  Safeguard:
     tau starts at 1; when the Euclidean norm of f grows, the history is
     cleared and tau halved down to DAMPING_FLOOR; five growths at the
@@ -161,7 +160,7 @@ def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
     Returns (x, history, converged, tau), x a new array.
     """
     tau = 1.0
-    x = np.array(state, dtype=complex)
+    x = np.array(state, dtype=float)
     dxs: list[np.ndarray] = []  # the window's pairs, oldest first
     dfs: list[np.ndarray] = []
     last = None  # (f, x+ - x) of the last step, until the next f completes its pair
@@ -283,20 +282,6 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, scratch: np.ndarray, cfg: Solv
     return history, res <= target
 
 
-def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
-    if float(np.max(np.abs(psi.values.imag))) > 1e-10:
-        raise ValueError(f"{name} must be real-valued")
-    return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
-
-
-def _holo_with_real_trace(psi, lam_imag_integral, grid, out=None) -> np.ndarray:
-    """Values of the holomorphic A with tr Re A = psi and int_T Im A =
-    lam_imag_integral, extended from psi's modes; in `out` when given."""
-    A = _extend(grid, _riesz_modes(psi), out)
-    A += 1j * lam_imag_integral / (2.0 * np.pi)
-    return A
-
-
 def _phi_norm(d: np.ndarray, grid) -> float:
     """w12_norm of the grid increment with values d."""
     return w12_norm_modes(np.fft.fft(d, axis=1), grid)
@@ -364,10 +349,10 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     sign = -1.0 if imag else 1.0
 
     def exponent(phi: np.ndarray) -> GridFunction:
-        return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi.real)), sign)
+        return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi)), sign)
 
     def apply_map(phi: np.ndarray) -> np.ndarray:
-        return exponent(phi).values.imag.astype(complex)
+        return exponent(phi).values.imag.copy()  # contiguous, without the complex pass
 
     x0 = np.zeros(beta.shape) if initial_s is None else (initial_s - H).values.imag
     loop = _picard(x0, apply_map, lambda d: _phi_norm(d, grid), cfg)

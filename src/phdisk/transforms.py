@@ -296,7 +296,11 @@ def poisson_extend(u: BoundaryFunction, grid: DiskGrid) -> GridFunction:
 
 
 def conjugate_function(psi: BoundaryFunction) -> BoundaryFunction:
-    """Boundary conjugate: Fourier multiplier -i sgn(n), zero mean output."""
+    """Boundary conjugate: Fourier multiplier -i sgn(n), zero mean output.
+
+    The Nyquist mode, negative in `fftfreq` order, gets +i: H^2 = -I holds
+    on zero-mean data, but a real Nyquist component comes back imaginary
+    (cos 32t on 64 angles gives i (-1)^k; `riesz_extension` keeps Im = 0)."""
     modes = psi.modes().copy()
     mult = -1j * np.sign(psi.mode_numbers)
     return BoundaryFunction(np.fft.ifft(modes * mult * psi.n_theta))
@@ -317,19 +321,28 @@ def harmonicity_defect(u: GridFunction) -> float:
     return lp_norm_disk(u - ext, 2.0, r_max=0.9)
 
 
-def _riesz_modes(psi: BoundaryFunction) -> np.ndarray:
-    """Modes of `riesz_extension(psi)`, for `_extend`: psi's modes doubled
-    for n > 0 and dropped for n < 0; the mean and, for even n_theta, the
+def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
+    if float(np.max(np.abs(psi.values.imag))) > 1e-10:
+        raise ValueError(f"{name} must be real-valued")
+    return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
+
+
+def _holo_with_real_trace(psi, lam_imag_integral, grid, out=None) -> np.ndarray:
+    """Values of the holomorphic A with tr Re A = psi and int_T Im A =
+    lam_imag_integral, in `out` when given: psi's modes doubled for n > 0
+    and dropped for n < 0, extended; the mean and, for even n_theta, the
     Nyquist mode are their own conjugates and keep weight 1."""
     weight = 1.0 + np.sign(psi.mode_numbers)
     if psi.n_theta % 2 == 0:
         weight[psi.n_theta // 2] = 1.0
-    return psi.modes() * weight
+    A = _extend(grid, psi.modes() * weight, out)
+    A += 1j * lam_imag_integral / (2.0 * np.pi)
+    return A
 
 
 def riesz_extension(psi: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Holomorphic g with Re tr g = psi and int_T Im tr g = 0 (psi real)."""
-    return GridFunction(grid, _extend(grid, _riesz_modes(psi)))
+    return GridFunction(grid, _holo_with_real_trace(psi, 0.0, grid))
 
 
 @dataclass(frozen=True)
@@ -352,23 +365,20 @@ def solve_dbar(
 ) -> tuple[GridFunction, DbarResiduals]:
     """Unique A with dbar A = a, tr Re(e^{i theta0} A) = psi, int_T Im(e^{i theta0} A) = lam.
 
-    A = C(a) + Phi with Phi holomorphic assembled from the Poisson
-    extension of psi - tr Re(e^{i theta0} C(a)) and its conjugate; the
-    free imaginary constant hits lam.  The returned residuals report how
-    well the discrete A meets all three conditions.
+    A = e^{-i theta0} [(C + R)(e^{i theta0} a) + H], H the holomorphic
+    function with tr Re H = psi and int_T Im H = lam
+    (`_holo_with_real_trace`).  R is holomorphic, so dbar A = a; C + R is
+    pure imaginary on T with zero boundary mean, so H alone carries the
+    trace and the mean.  The returned residuals report how well the
+    discrete A meets all three conditions.
     """
-    if float(np.max(np.abs(psi.values.imag))) > 1e-10:
-        raise ValueError("psi must be real-valued")
+    psi = _require_real(psi, "psi")
     grid = a.grid
     rot = np.exp(1j * theta0)
-    Ca = cauchy(a)
-    g_tr = boundary_trace(Ca * rot)
-    eta = BoundaryFunction(np.real(g_tr.values).astype(complex))
-    target = BoundaryFunction(psi.values.real.astype(complex)) - eta
-    holo = riesz_extension(target, grid)
-    im_so_far = (g_tr + boundary_trace(holo)).values.imag
-    c = (lam - float(np.sum(im_so_far)) * 2.0 * np.pi / grid.n_theta) / (2.0 * np.pi)
-    A = Ca + (holo + GridFunction.constant(grid, 1j * c)) * np.conj(rot)
+    vals = cauchy_reflect(a * rot, 1.0).values
+    vals += _holo_with_real_trace(psi, lam, grid)
+    vals *= np.conj(rot)
+    A = a.with_values(vals)
 
     _, dbar_A = wirtinger_derivatives(A)
     res_dbar = lp_norm_disk(dbar_A - a, 2.0, r_max=0.9)

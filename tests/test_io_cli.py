@@ -34,12 +34,17 @@ class TestPhd1:
         assert np.array_equal(g.values, f.values)
 
     def test_boundary_round_trip(self, tmp_path):
-        b = BoundaryFunction.from_function(256, lambda th: np.exp(1j * th) + 2)
+        # bit for bit, signed zeros included: 1 - 0j and -0 - 0j used to
+        # come back with imaginary part +0
+        vals = BoundaryFunction.from_function(256, lambda th: np.exp(1j * th) + 2).values
+        vals[:2] = complex(1.0, -0.0), complex(-0.0, -0.0)
+        b = BoundaryFunction(vals)
         p = tmp_path / "b.phd1"
         save_phd1(p, b)
         g = load_phd1(p)
         assert isinstance(g, BoundaryFunction)
-        assert np.array_equal(g.values, b.values)
+        assert g.values.tobytes() == b.values.tobytes()
+        assert np.signbit(g.values[:2].view(float)).tolist() == [False, True, True, True]
 
     def test_mask_round_trips_as_nan(self, grid128, tmp_path):
         vals = np.ones((128, 256), dtype=complex)
@@ -379,6 +384,40 @@ class TestCli:
         assert err["message"].startswith(f"{key} must")
         assert next(iter(block)) in err["message"]
 
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [
+            ("solve-riesz", {"solver": {"tol": None}}, "tol"),
+            ("solve-riesz", {"solver": {"p": [2]}}, "p"),
+            ("solve-riesz", {"params": {"c": "one"}}, "c"),
+            ("solve-dbar", {"params": {"lambda": None}}, "lambda"),
+            ("solve-dbar", {"params": {"theta0": [0.3]}}, "theta0"),
+            ("diagnose", {"diagnostic": "ap", "params": {"p": None}}, "p"),
+            ("diagnose", {"diagnostic": "multiplier", "params": {"gamma": {}}}, "gamma"),
+            ("transform", {"transform": "cauchy2", "params": {"R": None}}, "R"),
+            ("solve-riesz", {"emit_slices": [{"field": "w", "radius": None}]}, "radius"),
+        ],
+        ids=["tol", "solver-p", "c", "lambda", "theta0", "ap-p", "gamma", "R", "slice-radius"],
+    )
+    def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, key):
+        # these used to exit as "internal", with a TypeError traceback
+        from phdisk import cli
+
+        g = make_grid(16, 8)
+        inputs = {}
+        for name in ("alpha", "a", "h", "f", "g"):
+            inputs[name] = str(tmp_path / f"{name}.phd1")
+            save_phd1(inputs[name], GridFunction.constant(g, 0.5))
+        for name in ("psi", "weight"):
+            inputs[name] = str(tmp_path / f"{name}.phd1")
+            save_phd1(inputs[name], BoundaryFunction.from_function(16, lambda th: 2.0 + np.cos(th)))
+        (tmp_path / "cfg.json").write_text(json.dumps({"inputs": inputs, **extra}))
+        code = cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"{key} must be a number")
+
     @pytest.mark.parametrize("value", [50, 50.0, "50", "50.0", " 50 "])
     def test_solver_block_accepts_integral_max_iter(self, value):
         from phdisk import cli, solvers
@@ -460,6 +499,79 @@ class TestCli:
         assert np.max(np.abs(s.values - z.real)) < 1e-10
         report = json.loads((tmp_path / "f" / "report.json").read_text())
         assert report["factorization"]["residual_holo"] < 1e-6
+
+    def test_solve_dbar_command(self, tmp_path):
+        # a = 1, psi = 0: A = conj(z) - z
+        g = make_grid(64, 64)
+        save_phd1(tmp_path / "a.phd1", GridFunction.constant(g, 1.0))
+        save_phd1(tmp_path / "psi.phd1", BoundaryFunction.zeros(64))
+        cfg = {"inputs": {"a": str(tmp_path / "a.phd1"), "psi": str(tmp_path / "psi.phd1")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = run_cli("solve-dbar", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d"))
+        assert res.returncode == 0, res.stderr
+        A = load(tmp_path / "d" / "A.phd1")
+        z = A.grid.nodes_z()
+        assert np.max(np.abs(A.values - (np.conj(z) - z))) < 1e-13
+        report = json.loads((tmp_path / "d" / "report.json").read_text())
+        assert report["residuals"]["trace"] < 1e-12 and report["residuals"]["mean"] < 1e-12
+
+    def _beltrami(self, tmp_path, alpha, psi, params):
+        g = alpha.grid
+        save_phd1(tmp_path / "alpha.phd1", alpha)
+        save_phd1(tmp_path / "F.phd1", GridFunction.constant(g, 1.0))
+        save_phd1(tmp_path / "psi.phd1", psi)
+        cfg = {
+            "inputs": {name: str(tmp_path / f"{name}.phd1") for name in ("alpha", "F", "psi")},
+            "params": params,
+            "solver": {"tol": 1e-10},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        return run_cli("solve-beltrami", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "b"))
+
+    def test_solve_beltrami_real_on_T(self, tmp_path):
+        # criterion 06's data: alpha = 1/2, F = 1, tr Re s = cos, s = x
+        g = make_grid(64, 64)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        res = self._beltrami(tmp_path, GridFunction.constant(g, 0.5), psi, {"normalization": "real_on_T"})
+        assert res.returncode == 0, res.stderr
+        s = load(tmp_path / "b" / "s.phd1")
+        assert np.max(np.abs(s.values - g.nodes_z().real)) < 1e-8
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["solve"]["converged"] is True
+        assert set(report["solve"]["normalization_defects"]) == {"re_trace", "im_mean"}
+
+    def test_solve_beltrami_imaginary_on_T(self, tmp_path):
+        # the manufactured non-harmonic case: s = a x^2 + i(b y + c r^2 + d r^2 x)
+        g = make_grid(64, 64)
+        z = g.nodes_z()
+        a, b, c, d = 0.3, 0.4, 0.28, 0.32
+        x, y = z.real, z.imag
+        r2 = x**2 + y**2
+        s_exact = a * x**2 + 1j * (b * y + c * r2 + d * r2 * x)
+        dbar_s = 0.5 * (
+            2 * a * x - b - 2 * c * y - 2 * d * x * y + 1j * (2 * c * x + d * (3 * x**2 + y**2))
+        )
+        alpha = GridFunction(g, dbar_s * np.exp(2j * s_exact.imag))
+        psi = BoundaryFunction.from_function(64, lambda t: b * np.sin(t) + c + d * np.cos(t))
+        params = {"normalization": "imaginary_on_T", "lambda": a * np.pi}
+        res = self._beltrami(tmp_path, alpha, psi, params)
+        assert res.returncode == 0, res.stderr
+        s = load(tmp_path / "b" / "s.phd1")
+        assert np.max(np.abs(s.values - s_exact)) < 1e-8
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["solve"]["converged"] is True and report["solve"]["iterations"] > 1
+        assert set(report["solve"]["normalization_defects"]) == {"im_trace", "re_mean"}
+
+    def test_solve_beltrami_rejects_unknown_normalization(self, tmp_path):
+        # "imaginary_on_t" used to run parametrize_real
+        g = make_grid(64, 64)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        res = self._beltrami(tmp_path, GridFunction.constant(g, 0.5), psi, {"normalization": "imaginary_on_t"})
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "validation"
+        assert "imaginary_on_t" in err["message"]
+        assert not (tmp_path / "b" / "s.phd1").exists()
 
     def test_diagnose_command(self, tmp_path):
         save_phd1(tmp_path / "wgt.phd1", BoundaryFunction.from_function(256, lambda th: 2.0 + 0 * th))

@@ -550,10 +550,18 @@ class TestPicardLoop:
         return float(np.linalg.norm(d))
 
     def _affine_map(self, lin, conj_lin, rng):
-        # g(u) = lin u + conj_lin conj(u) + c, only real-linear, fixed point x*
-        x_star = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        # g(v) = lin v + conj_lin conj(v) + c on C^N, only real-linear, fixed
+        # point x*; the loop runs on its real view u = (Re v, Im v) in R^{2N}
+        N = self.N
+        x_star = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         c = x_star - lin * x_star - conj_lin * np.conj(x_star)
-        return (lambda u: lin * u + conj_lin * np.conj(u) + c), x_star
+
+        def g(u):
+            v = u[:N] + 1j * u[N:]
+            gv = lin * v + conj_lin * np.conj(v) + c
+            return np.concatenate([gv.real, gv.imag])
+
+        return g, np.concatenate([x_star.real, x_star.imag])
 
     def test_beats_plain_iteration(self):
         rng = np.random.default_rng(31)
@@ -562,14 +570,14 @@ class TestPicardLoop:
         g, x_star = self._affine_map(lin, conj_lin, rng)
         tol = 1e-12
         # plain iteration (tau = 1, no history) under the same stopping rule
-        u, plain = np.zeros(self.N, dtype=complex), 0
+        u, plain = np.zeros(2 * self.N), 0
         while True:
             gu = g(u)
             plain += 1
             if self._norm(gu - u) < tol:
                 break
             u = gu
-        x0 = np.zeros(self.N, dtype=complex)
+        x0 = np.zeros(2 * self.N)
         x, history, converged, tau = _picard(x0, g, self._norm, SolverConfig(tol=tol, max_iter=500))
         assert converged and tau == 1.0
         assert len(history) < plain
@@ -580,19 +588,17 @@ class TestPicardLoop:
     @staticmethod
     def _dense_anderson(g, x0, norm, tol, window=3):
         """Reference Anderson(window), type II with beta = 1 (Walker & Ni 2011):
-        x+ = x + f - (dX + dF) gamma, gamma = argmin ||f - dF gamma|| over real
-        vectors, dX and dF the last min(window, k) differences of iterates
-        and residuals as columns, solved on the stacked real and imaginary
-        parts.  Returns every iterate, the one after the last step included."""
-        xs, fs = [np.array(x0, dtype=complex)], []
+        x+ = x + f - (dX + dF) gamma, gamma = argmin ||f - dF gamma||, dX and
+        dF the last min(window, k) differences of iterates and residuals as
+        columns.  Returns every iterate, the one after the last step included."""
+        xs, fs = [np.array(x0, dtype=float)], []
         while True:
             k = len(xs) - 1
             fs.append(g(xs[k]) - xs[k])
             cols = range(k - min(window, k), k)
             dX = np.stack([xs[i + 1] - xs[i] for i in cols] or [0 * x0], axis=1)
             dF = np.stack([fs[i + 1] - fs[i] for i in cols] or [0 * x0], axis=1)
-            real = np.vstack([dF.real, dF.imag])
-            gamma = np.linalg.lstsq(real, np.concatenate([fs[k].real, fs[k].imag]), rcond=None)[0]
+            gamma = np.linalg.lstsq(dF, fs[k], rcond=None)[0]
             xs.append(xs[k] + fs[k] - (dX + dF) @ gamma)
             if norm(fs[k]) < tol:
                 return xs
@@ -610,7 +616,7 @@ class TestPicardLoop:
             seen.append(u.copy())
             return g(u)
 
-        x0 = np.zeros(self.N, dtype=complex)
+        x0 = np.zeros(2 * self.N)
         x, history, converged, tau = _picard(x0, recorded, self._norm, SolverConfig(tol=tol, max_iter=500))
         ref = self._dense_anderson(g, x0, self._norm, tol)
         assert converged and tau == 1.0
@@ -622,7 +628,7 @@ class TestPicardLoop:
         rng = np.random.default_rng(32)
         g, _ = self._affine_map(np.full(self.N, 2.0), np.full(self.N, 0.5j), rng)
         _, history, converged, tau = _picard(
-            np.zeros(self.N, dtype=complex), g, self._norm, SolverConfig(tol=1e-12, max_iter=200)
+            np.zeros(2 * self.N), g, self._norm, SolverConfig(tol=1e-12, max_iter=200)
         )
         assert not converged
         assert tau == DAMPING_FLOOR

@@ -23,6 +23,7 @@ from phdisk import (
     make_grid,
     poisson_extend,
     reflect_transform,
+    riesz_extension,
     solve_dbar,
     wirtinger_derivatives,
 )
@@ -372,6 +373,22 @@ class TestSolveDbar:
         A0, _ = solve_dbar(GridFunction.zeros(grid256), psi, 0.5)
         _, dbar = wirtinger_derivatives(A0)
         assert lp_norm_disk(dbar, 2.0, r_max=0.9) <= 1e-8
+
+    def test_full_band_source(self):
+        # content in every mode, source mode 1 - n_theta/2 (C's Nyquist
+        # output) included: A is (C + R) of the rotated source plus the
+        # Riesz shift, rotated back, and trace and mean hold at rounding
+        grid = make_grid(64, 32)
+        rng = np.random.default_rng(17)
+        a = GridFunction(grid, rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64)))
+        psi = BoundaryFunction(rng.standard_normal(64))
+        lam, theta0 = 0.5, 0.7
+        A, res = solve_dbar(a, psi, lam, theta0)
+        assert res.trace <= 1e-12 and res.mean <= 1e-12
+        rot = np.exp(1j * theta0)
+        shift = riesz_extension(psi, grid).values + 1j * lam / (2 * np.pi)
+        ref = np.conj(rot) * (cauchy_reflect(a * rot, 1.0).values + shift)
+        assert np.max(np.abs(A.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_rejects_complex_psi(self, grid256):
         with pytest.raises(ValueError, match="real"):
