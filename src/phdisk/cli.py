@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -51,11 +52,14 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object; got {cfg!r}")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -65,7 +69,7 @@ def _require(cfg: dict, key: str):
 
 
 def _load_inputs(cfg: dict, names, io_mod) -> dict:
-    inputs = cfg.get("inputs", {})
+    inputs = _object(cfg, "inputs")
     out = {}
     for name in names:
         if name not in inputs:
@@ -77,42 +81,64 @@ def _load_inputs(cfg: dict, names, io_mod) -> dict:
     return out
 
 
-def _integral(value):
-    """An integral float or numeric string as an int, else `value` as given.
-
-    JSON writers may emit 50 as 50.0 and configs may quote numbers; a
-    value with a fractional part is left for SolverConfig to reject
-    rather than truncated.
-    """
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+def _object(cfg: dict, key: str) -> dict:
+    """cfg[key] ({} when absent), which must be a JSON object, else a ConfigError."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object; got {value!r}")
     return value
 
 
-def _number(params: dict, key: str, default: float | None = None) -> float:
-    """params[key] (`default` when absent) as a float, else a ConfigError."""
+def _number(params: dict, key: str, default: float | None = None, integral: bool = False):
+    """params[key] (`default` when absent) as a finite float, or as an int
+    when `integral`, else a ConfigError naming the key.
+
+    Configs may quote numbers and JSON writers may emit 50 as 50.0, so
+    numeric strings and integral floats are read; a fractional value of
+    an integral key is rejected rather than truncated, and a boolean is
+    not a number.
+    """
     value = params.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number; got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number; got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number; got {value!r}")
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer; got {value!r}")
+    return int(number)
+
+
+def _numbers(params: dict, key: str, default, length: int | None = None) -> tuple:
+    """params[key] (`default` when absent) as a tuple of `_number`s: a
+    non-empty list, of `length` entries when given, else a ConfigError."""
+    value = params.get(key, default)
+    if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
+        what = f"a list of {length} numbers" if length else "a non-empty list of numbers"
+        raise ConfigError(f"{key} must be {what}; got {value!r}")
+    items = {f"{key}[{i}]": v for i, v in enumerate(value)}
+    return tuple(_number(items, k) for k in items)
+
+
+def _zero_threshold(params: dict):
+    """params["zero_threshold"] as a `_number`, or None (the relative
+    default) when absent or null."""
+    return None if params.get("zero_threshold") is None else _number(params, "zero_threshold")
 
 
 def _solver_config(cfg: dict, solvers_mod):
-    block = cfg.get("solver", {})
+    block = _object(cfg, "solver")
     known = [f.name for f in dataclasses.fields(solvers_mod.SolverConfig)]
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
-    kwargs = {k: _number(block, k) if k in ("tol", "p") else v for k, v in block.items()}
-    if "max_iter" in kwargs:
-        kwargs["max_iter"] = _integral(kwargs["max_iter"])
-    return solvers_mod.SolverConfig(**kwargs)
+    kwargs = {k: _number(block, k, integral=k == "max_iter") for k in block if k != "zero_threshold"}
+    return solvers_mod.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
 
 
 def _emit(outdir: Path, name: str, obj, cfg, io_mod) -> str:
@@ -125,6 +151,8 @@ def _emit(outdir: Path, name: str, obj, cfg, io_mod) -> str:
 def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
     done = []
     for spec in cfg.get("emit_slices", []):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"each slice must be a JSON object; got {spec!r}")
         target = spec.get("field")
         if target not in fields:
             raise ConfigError(f"emit_slices refers to unknown field {target!r}")
@@ -177,6 +205,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     report: dict = {}
     fields: dict = {}
+    params = _object(cfg, "params")
 
     if command == "selftest":
         report.update(_run_selftest(verbose))
@@ -194,7 +223,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         elif which == "green":
             fields["out"] = transforms.green_potential(h)
         elif which == "cauchy2":
-            R = _number(cfg.get("params", {}), "R", 1.0)
+            R = _number(params, "R", 1.0)
             fields["out"] = transforms.cauchy_renormalized(h, R)
         else:
             raise ConfigError(f"unknown transform {which!r}")
@@ -202,12 +231,11 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "factorize":
         data = _load_inputs(cfg, ["w", "alpha"], io_mod)
-        params = cfg.get("params", {})
         fac = similarity.factorize(
             data["w"],
             data["alpha"],
             params.get("normalization", "real_on_T"),
-            params.get("zero_threshold"),
+            _zero_threshold(params),
         )
         fields["s"] = fac.s
         fields["F"] = fac.F
@@ -215,7 +243,6 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "solve-dbar":
         data = _load_inputs(cfg, ["a", "psi"], io_mod)
-        params = cfg.get("params", {})
         A, res = transforms.solve_dbar(
             data["a"], data["psi"],
             _number(params, "lambda", 0.0), _number(params, "theta0", 0.0),
@@ -225,7 +252,6 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "solve-beltrami":
         data = _load_inputs(cfg, ["alpha", "F", "psi"], io_mod)
-        params = cfg.get("params", {})
         scfg = _solver_config(cfg, solvers)
         variant = params.get("normalization", similarity.IMAGINARY_ON_T)
         if variant not in (similarity.IMAGINARY_ON_T, similarity.REAL_ON_T):
@@ -238,7 +264,6 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "solve-riesz":
         data = _load_inputs(cfg, ["alpha", "psi"], io_mod)
-        params = cfg.get("params", {})
         scfg = _solver_config(cfg, solvers)
         w, psi_sharp, rep = solvers.solve_riesz(
             data["alpha"], data["psi"], _number(params, "c", 0.0), scfg
@@ -256,10 +281,9 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "diagnose":
         name = _require(cfg, "diagnostic")
-        params = cfg.get("params", {})
         if name == "bmo":
             data = _load_inputs(cfg, ["h"], io_mod)
-            fam = diagnostics.ArcFamily(int(params.get("max_level", 5)))
+            fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
             seminorm, table = diagnostics.bmo_oscillation(data["h"], fam)
             report["diagnostic"] = {
                 "name": "bmo_oscillation",
@@ -268,31 +292,31 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
             }
         elif name == "ap":
             data = _load_inputs(cfg, ["weight"], io_mod)
-            fam = diagnostics.ArcFamily(int(params.get("max_level", 5)))
+            fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
             report["diagnostic"] = {
                 "name": "ap_constant",
                 "value": diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
             }
         elif name == "jn":
             data = _load_inputs(cfg, ["h"], io_mod)
-            arc = params.get("arc", [0.0, 2.0 * np.pi])
-            rep = diagnostics.jn_exp_check(data["h"], (float(arc[0]), float(arc[1])))
+            arc = _numbers(params, "arc", [0.0, 2.0 * np.pi], length=2)
+            rep = diagnostics.jn_exp_check(data["h"], arc)
             report["diagnostic"] = rep.to_dict()
         elif name == "exp-integrability":
             data = _load_inputs(cfg, ["f"], io_mod)
             rep = diagnostics.exp_integrability_report(
-                data["f"], tuple(params.get("ells", (1.0, 2.0, 3.0)))
+                data["f"], _numbers(params, "ells", (1.0, 2.0, 3.0))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "equicontinuity":
             data = _load_inputs(cfg, ["beta"], io_mod)
             rep = diagnostics.equicontinuity_modulus(
-                data["beta"], tuple(params.get("side_lengths", (0.5, 0.25, 0.125, 0.0625)))
+                data["beta"], _numbers(params, "side_lengths", (0.5, 0.25, 0.125, 0.0625))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "c2-growth":
             data = _load_inputs(cfg, ["h"], io_mod)
-            rep = diagnostics.c2_growth_curve(data["h"], tuple(params.get("radii", (1.0, 10.0, 100.0))))
+            rep = diagnostics.c2_growth_curve(data["h"], _numbers(params, "radii", (1.0, 10.0, 100.0)))
             report["diagnostic"] = rep.to_dict()
         elif name == "multiplier":
             data = _load_inputs(cfg, ["f", "g"], io_mod)

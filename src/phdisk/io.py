@@ -62,6 +62,8 @@ def load_phd1(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a PHD1 file")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of 12 bytes)")
     n_r, n_theta = np.frombuffer(raw[4:12], dtype="<u4")
     n_r, n_theta = int(n_r), int(n_theta)
     if len(raw) - 12 != 16 * n_r * n_theta:

@@ -51,7 +51,11 @@ class Factorization:
 
 def _threshold(scale: float, zero_threshold: float | None) -> float:
     # relative by default so the convention is scale-free
-    return 1e-12 * scale if zero_threshold is None else float(zero_threshold)
+    if zero_threshold is None:
+        return 1e-12 * scale
+    if not (math.isfinite(zero_threshold) and zero_threshold >= 0.0):
+        raise ValueError("zero_threshold must be None or a finite number >= 0")
+    return float(zero_threshold)
 
 
 def beltrami_ratio(

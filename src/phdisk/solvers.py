@@ -207,19 +207,19 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _gmres(rhs: np.ndarray, x: np.ndarray, apply, scratch: np.ndarray, cfg: SolverConfig):
+def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
     """Restarted GMRES(RESTART) for A x = rhs on complex arrays, x updated in place.
 
     `apply(v, out)` writes A v into `out`.  A need only be real-linear (it
     may conjugate), so this is GMRES on the real view R^{2N} (Saad &
     Schultz 1986): the Krylov basis is orthonormal under Re <a, b>, and
     the Hessenberg matrix and its Givens rotations are real.  The first
-    cycle starts from the true residual rhs - A x, formed over rhs, which
-    becomes the first basis vector; a restart starts from the residual
-    the last cycle left, V q with q the rotated least-squares residual,
-    which costs no application.  The other basis vectors are allocated
-    one at a time, as each is first needed, and every scaled vector is
-    formed in `scratch`, an array of x's shape.
+    cycle starts from the true residual rhs - A x; a restart starts from
+    the residual the last cycle left, V q with q the rotated
+    least-squares residual, which costs no application.  `rhs` is left
+    alone: the basis vectors and one scratch vector for the scaled
+    vectors are this loop's own, the basis allocated one vector at a
+    time, as each is first needed.
 
     Applications of A are counted up to cfg.max_iter; after each,
     ||r|| / ||rhs|| is recorded (from the least-squares problem inside a
@@ -228,10 +228,10 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, scratch: np.ndarray, cfg: Solv
     """
     bnorm = math.sqrt(_real_dot(rhs, rhs))
     target = 0.1 * cfg.tol * bnorm
-    basis = [rhs, np.empty_like(x)]
-    r = rhs
+    basis = [np.empty_like(x), np.empty_like(x)]
+    scratch = np.empty_like(x)
     apply(x, basis[1])
-    r -= basis[1]
+    r = np.subtract(rhs, basis[1], out=basis[0])
     res = math.sqrt(_real_dot(r, r))
     history = [res / bnorm]
     while res > target and len(history) < cfg.max_iter:
@@ -337,8 +337,8 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     s = H + (C + sign R)(beta e^{-2i phi}).
     """
     cfg = cfg or SolverConfig()
-    psi = _require_real(psi, "psi")
     grid = alpha.grid
+    psi = _require_real(psi, "psi", grid)
     if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
         raise ValueError("F must not be identically zero")
     A = _holo_with_real_trace(psi, -lam if imag else lam, grid)
@@ -438,13 +438,15 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
     H = E(psi + i psi~) + i c / 2 pi (`_holo_with_real_trace`).  When n_r
     is even and both halves of the grid are at least 32, the problem is
     first solved on the half grid: the odd rows and even columns of alpha
-    (`av`) and of s0, the even samples of psi.  If that solve converged, its w, prolonged (`_prolong`), starts
-    `_gmres` here; if not, the descent ends: a coarse level returns
-    (None, histories, False) without a loop of its own, and the given
-    grid (`given`) starts from H.  The coarsest level starts from
-    e^{s0} H (H when s0 is None).  Each level runs GMRES to its own
-    stopping rule and closes with the plain step; H = 0 (psi and c zero,
-    on the samples the level keeps) gives w = 0 without an application.
+    (`av`) and of s0, the even samples of psi.  If that solve converged,
+    its w, prolonged (`_prolong`), starts `_gmres` here; if not, the
+    descent ends: a coarse level returns (None, histories, False) without
+    a loop of its own, and the given grid (`given`) starts from H.  The
+    coarsest level starts from e^{s0} H (H when s0 is None).  Each level
+    forms H once, runs GMRES to its own stopping rule and closes with the
+    plain step w = H + (C + R)(alpha conj(w)); the source-mode buffer of
+    its applications is allocated once.  H = 0 (psi and c zero, on the
+    samples the level keeps) gives w = 0 without an application.
     Returns (w, histories, converged): histories holds the loops run,
     coarsest first.
     """
@@ -477,11 +479,7 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
         x = H * np.exp(s0)
     if x is None:
         x = H.copy()
-    # the source modes of every application; once a pass has swept them
-    # they are spent, and their memory, read as a C-ordered array of w's
-    # shape, takes the loop's scaled vectors
     modes = np.empty((n_r, n_t + 1), dtype=complex)
-    scratch = modes.reshape(-1)[: x.size].reshape(x.shape)
 
     def reflect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(C + R)(alpha conj(v)) in out: 2 FFTs and one sweep."""
@@ -493,12 +491,8 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
     def apply(v: np.ndarray, out: np.ndarray) -> None:
         np.subtract(v, reflect(v, out), out=out)
 
-    history, converged = _gmres(H, x, apply, scratch, cfg)
-    # H became the first basis vector: the same bits again, in the spent
-    # modes, for the plain step
+    history, converged = _gmres(H, x, apply, cfg)
     w = reflect(x, x)
-    H = _holo_with_real_trace(psi, c, grid, scratch)
-    H /= scale
     w += H
     w *= scale
     return w, histories + [history], converged
@@ -537,8 +531,8 @@ def solve_riesz(
     generalized conjugate function.
     """
     cfg = cfg or SolverConfig()
-    psi = _require_real(psi, "psi")
     grid = alpha.grid
+    psi = _require_real(psi, "psi", grid)
     s0 = None if initial_s is None else initial_s.require_unmasked("initial state")
     av = alpha.require_unmasked("coefficient")
     w, histories, converged = _riesz_values(av, psi, c, grid, cfg, s0)
@@ -581,11 +575,11 @@ def solve_conductivity(
     weighted boundary match of the trace-limit clause.
     """
     cfg = cfg or SolverConfig()
-    psi = _require_real(psi, "psi")
+    grid = sigma.grid
+    psi = _require_real(psi, "psi", grid)
     sv = sigma.require_unmasked("conductivity").real
     if np.any(sv <= 0.0):
         raise ValueError("sigma must be strictly positive on the grid")
-    grid = sigma.grid
     ring = grid.boundary_ring_index
     # alpha = dbar log sigma^{1/2}; the d part and log sigma^{1/2} are not
     # kept through the solve, nor alpha past it, and sigma^{1/2} is formed

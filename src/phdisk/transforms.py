@@ -280,9 +280,9 @@ def green_potential(psi: GridFunction) -> GridFunction:
     return psi.with_values(np.fft.ifft(out, axis=1, out=out))
 
 
-def _extend(grid: DiskGrid, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _extend(grid: DiskGrid, modes: np.ndarray) -> np.ndarray:
     """Values of sum_n modes_n r^{|n|} e^{in theta} (modes as `BoundaryFunction.modes`)."""
-    vals = np.multiply(grid.mode_powers, modes * grid.n_theta, out=out)
+    vals = grid.mode_powers * (modes * grid.n_theta)
     return np.fft.ifft(vals, axis=1, out=vals)
 
 
@@ -321,28 +321,34 @@ def harmonicity_defect(u: GridFunction) -> float:
     return lp_norm_disk(u - ext, 2.0, r_max=0.9)
 
 
-def _require_real(psi: BoundaryFunction, name: str) -> BoundaryFunction:
+def _require_real(psi: BoundaryFunction, name: str, grid: DiskGrid) -> BoundaryFunction:
+    """psi as real boundary data on the angles of `grid`, else a ValueError."""
+    if psi.n_theta != grid.n_theta:
+        raise ValueError(
+            f"boundary function does not match grid angles: {name} has {psi.n_theta} "
+            f"samples, the grid {grid.n_theta} angles"
+        )
     if float(np.max(np.abs(psi.values.imag))) > 1e-10:
         raise ValueError(f"{name} must be real-valued")
     return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
 
 
-def _holo_with_real_trace(psi, lam_imag_integral, grid, out=None) -> np.ndarray:
+def _holo_with_real_trace(psi, lam_imag_integral, grid) -> np.ndarray:
     """Values of the holomorphic A with tr Re A = psi and int_T Im A =
-    lam_imag_integral, in `out` when given: psi's modes doubled for n > 0
+    lam_imag_integral: psi's modes doubled for n > 0
     and dropped for n < 0, extended; the mean and, for even n_theta, the
     Nyquist mode are their own conjugates and keep weight 1."""
     weight = 1.0 + np.sign(psi.mode_numbers)
     if psi.n_theta % 2 == 0:
         weight[psi.n_theta // 2] = 1.0
-    A = _extend(grid, psi.modes() * weight, out)
+    A = _extend(grid, psi.modes() * weight)
     A += 1j * lam_imag_integral / (2.0 * np.pi)
     return A
 
 
 def riesz_extension(psi: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Holomorphic g with Re tr g = psi and int_T Im tr g = 0 (psi real)."""
-    return GridFunction(grid, _holo_with_real_trace(psi, 0.0, grid))
+    return GridFunction(grid, _holo_with_real_trace(_require_real(psi, "psi", grid), 0.0, grid))
 
 
 @dataclass(frozen=True)
@@ -372,8 +378,8 @@ def solve_dbar(
     trace and the mean.  The returned residuals report how well the
     discrete A meets all three conditions.
     """
-    psi = _require_real(psi, "psi")
     grid = a.grid
+    psi = _require_real(psi, "psi", grid)
     rot = np.exp(1j * theta0)
     vals = cauchy_reflect(a * rot, 1.0).values
     vals += _holo_with_real_trace(psi, lam, grid)

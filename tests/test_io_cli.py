@@ -61,6 +61,14 @@ class TestPhd1:
         with pytest.raises(ValueError, match="not a PHD1"):
             load_phd1(p)
 
+    def test_short_header(self, tmp_path):
+        # 6 bytes used to fail inside numpy: "buffer size must be a
+        # multiple of element size"
+        p = tmp_path / "short.phd1"
+        p.write_bytes(b"PHD1\x01\x00")
+        with pytest.raises(ValueError, match="short.phd1: truncated header"):
+            load_phd1(p)
+
     def test_byte_determinism(self, grid128, tmp_path):
         f = GridFunction(grid128, grid128.nodes_z())
         p1, p2 = tmp_path / "a.phd1", tmp_path / "b.phd1"
@@ -385,27 +393,44 @@ class TestCli:
         assert next(iter(block)) in err["message"]
 
     @pytest.mark.parametrize(
-        "command, extra, key",
+        "command, extra, message",
         [
-            ("solve-riesz", {"solver": {"tol": None}}, "tol"),
-            ("solve-riesz", {"solver": {"p": [2]}}, "p"),
-            ("solve-riesz", {"params": {"c": "one"}}, "c"),
-            ("solve-dbar", {"params": {"lambda": None}}, "lambda"),
-            ("solve-dbar", {"params": {"theta0": [0.3]}}, "theta0"),
-            ("diagnose", {"diagnostic": "ap", "params": {"p": None}}, "p"),
-            ("diagnose", {"diagnostic": "multiplier", "params": {"gamma": {}}}, "gamma"),
-            ("transform", {"transform": "cauchy2", "params": {"R": None}}, "R"),
-            ("solve-riesz", {"emit_slices": [{"field": "w", "radius": None}]}, "radius"),
+            ("solve-riesz", {"solver": {"tol": None}}, "tol must be a number"),
+            ("solve-riesz", {"solver": {"p": [2]}}, "p must be a number"),
+            ("solve-riesz", {"params": {"c": "one"}}, "c must be a number"),
+            ("solve-dbar", {"params": {"lambda": None}}, "lambda must be a number"),
+            ("solve-dbar", {"params": {"theta0": [0.3]}}, "theta0 must be a number"),
+            ("diagnose", {"diagnostic": "ap", "params": {"p": None}}, "p must be a number"),
+            ("diagnose", {"diagnostic": "multiplier", "params": {"gamma": {}}}, "gamma must be a number"),
+            ("transform", {"transform": "cauchy2", "params": {"R": None}}, "R must be a number"),
+            ("solve-riesz", {"emit_slices": [{"field": "w", "radius": None}]}, "radius must be a number"),
+            ("diagnose", {"diagnostic": "bmo", "params": {"max_level": None}}, "max_level must be a number"),
+            ("diagnose", {"diagnostic": "ap", "params": {"max_level": 2.7}}, "max_level must be an integer"),
+            ("diagnose", {"diagnostic": "jn", "params": {"arc": 5}}, "arc must be a list of 2 numbers"),
+            ("diagnose", {"diagnostic": "jn", "params": {"arc": [0.0, np.pi, 1.0]}}, "arc must be a list of 2"),
+            ("diagnose", {"diagnostic": "exp-integrability", "params": {"ells": "ab"}}, "ells must be a non-empty list"),
+            ("diagnose", {"diagnostic": "exp-integrability", "params": {"ells": 2}}, "ells must be a non-empty list"),
+            ("diagnose", {"diagnostic": "c2-growth", "params": {"radii": [1, None]}}, "radii[1] must be a number"),
+            ("diagnose", {"diagnostic": "equicontinuity", "params": {"side_lengths": "x"}}, "side_lengths must be a"),
+            ("factorize", {"params": {"zero_threshold": [1]}}, "zero_threshold must be a number"),
+            ("factorize", {"params": {"zero_threshold": -1}}, "zero_threshold must be None or a finite number >= 0"),
+            ("solve-riesz", {"params": [1, 2]}, "params must be a JSON object"),
         ],
-        ids=["tol", "solver-p", "c", "lambda", "theta0", "ap-p", "gamma", "R", "slice-radius"],
+        ids=[
+            "tol", "solver-p", "c", "lambda", "theta0", "ap-p", "gamma", "R", "slice-radius",
+            "max_level=null", "max_level=2.7", "arc=5", "arc-of-3", "ells=ab", "ells=2",
+            "radii-null", "side_lengths=x", "zero_threshold=[1]", "zero_threshold=-1", "params-list",
+        ],
     )
-    def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, key):
-        # these used to exit as "internal", with a TypeError traceback
+    def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, message):
+        # these used to exit as "internal", with a traceback, except
+        # max_level = 2.7, which ran at level 2, an arc of three numbers,
+        # which used the first two, and zero_threshold = -1, accepted
         from phdisk import cli
 
         g = make_grid(16, 8)
         inputs = {}
-        for name in ("alpha", "a", "h", "f", "g"):
+        for name in ("alpha", "a", "h", "f", "g", "w", "beta"):
             inputs[name] = str(tmp_path / f"{name}.phd1")
             save_phd1(inputs[name], GridFunction.constant(g, 0.5))
         for name in ("psi", "weight"):
@@ -416,7 +441,18 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
-        assert err["message"].startswith(f"{key} must be a number")
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_integral_max_level_is_read(self, tmp_path, capsys, value):
+        from phdisk import cli
+
+        save_phd1(tmp_path / "h.phd1", BoundaryFunction.from_function(16, np.cos))
+        cfg = {"diagnostic": "bmo", "inputs": {"h": str(tmp_path / "h.phd1")}, "params": {"max_level": value}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["diagnose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d")]) == 0
+        per_arc = json.loads((tmp_path / "d" / "report.json").read_text())["diagnostic"]["per_arc"]
+        assert len(per_arc) == 1 + 2 + 4 + 8
 
     @pytest.mark.parametrize("value", [50, 50.0, "50", "50.0", " 50 "])
     def test_solver_block_accepts_integral_max_iter(self, value):

@@ -22,12 +22,13 @@ from phdisk import (
     reflect_transform,
     riesz_extension,
     solve_conductivity,
+    solve_dbar,
     solve_riesz,
     w12_norm,
     wirtinger_derivatives,
 )
 from phdisk import solvers
-from phdisk.solvers import DAMPING_FLOOR, _picard
+from phdisk.solvers import DAMPING_FLOOR, RESTART, _gmres, _picard
 
 CFG = SolverConfig(tol=1e-10, max_iter=200)
 
@@ -764,6 +765,34 @@ class TestConductivity:
         assert conductivity_residual(sigma, u) <= 1e-6
 
 
+class TestGmres:
+    def test_restarted_solve_keeps_rhs_and_matches_dense_solve(self):
+        # A v = v + M v + N conj(v) on a 4 x 6 complex array, real-linear
+        # but not complex-linear; to tol 1e-12 the loop restarts
+        rng = np.random.default_rng(7)
+        shape, n = (4, 6), 24
+        M, N = (0.05 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(2))
+
+        def apply(v, out):
+            u = v.reshape(-1)
+            out[...] = (u + M @ u + N @ np.conj(u)).reshape(shape)
+
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = rhs.copy()
+        x = np.zeros(shape, dtype=complex)
+        history, converged = _gmres(rhs, x, apply, SolverConfig(tol=1e-12))
+        assert converged and len(history) > RESTART + 1
+        assert rhs.tobytes() == kept.tobytes()
+        # the dense real 2n x 2n view, column by column
+        cols = []
+        for e in np.eye(2 * n):
+            out = np.empty(shape, dtype=complex)
+            apply(e.view(complex).reshape(shape), out)
+            cols.append(out.reshape(-1).view(float))
+        ref = np.linalg.solve(np.array(cols).T, rhs.reshape(-1).view(float)).view(complex)
+        assert np.max(np.abs(x.reshape(-1) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 class TestContracts:
     def test_riesz_rejects_complex_psi(self, grid256):
         with pytest.raises(ValueError, match="real"):
@@ -783,3 +812,24 @@ class TestContracts:
                 0.0,
                 CFG,
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["solve_riesz", "solve_dbar", "parametrize_real", "parametrize_imag", "riesz_extension", "solve_conductivity"],
+    )
+    def test_psi_on_other_angles_rejected(self, entry):
+        # 32 samples on a 64-angle grid used to fail inside numpy
+        # broadcasting, "operands could not be broadcast together"
+        g = make_grid(64, 64)
+        one = GridFunction.constant(g, 1.0)
+        psi = BoundaryFunction.from_function(32, np.cos)
+        calls = {
+            "solve_riesz": lambda: solve_riesz(one, psi, 0.0),
+            "solve_dbar": lambda: solve_dbar(one, psi, 0.0),
+            "parametrize_real": lambda: parametrize_real(one, one, psi, 0.0),
+            "parametrize_imag": lambda: parametrize_imag(one, one, psi, 0.0),
+            "riesz_extension": lambda: riesz_extension(psi, g),
+            "solve_conductivity": lambda: solve_conductivity(one, psi),
+        }
+        with pytest.raises(ValueError, match="^boundary function does not match grid angles: psi has 32 samples"):
+            calls[entry]()
