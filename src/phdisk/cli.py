@@ -8,12 +8,13 @@ Usage:
 Commands: transform, factorize, solve-dbar, solve-beltrami, solve-riesz,
 solve-conductivity, diagnose, selftest.  Every run writes report.json
 (config echo, version stamp, solver/diagnostic report) into the output
-directory; grid outputs are PHD1 with a CSV fallback via
-{"format": "csv"}, which grids on D_R (transform cauchy2) need.  Exit
-codes: 0 success, 1 validation or internal error, 2 solver
-non-convergence.  Errors are machine-readable JSON on stderr; "error" is
-"validation" (a ValueError: bad config or input), "non-convergence", or
-"internal" (anything else, i.e. a bug, reported with its traceback).
+directory; grid outputs are PHD1 ({"format": "phd1"}, the default) or
+CSV ({"format": "csv"}), which grids on D_R (transform cauchy2) need;
+any other format is rejected.  Exit codes: 0 success, 1 validation or
+internal error, 2 solver non-convergence.  Errors are machine-readable
+JSON on stderr; "error" is "validation" (a ValueError: bad config or
+input), "non-convergence", or "internal" (anything else, i.e. a bug,
+reported with its traceback).
 
 The environment variable PHDISK_THREADS caps the numeric thread pools;
 the package applies it on import, before numpy loads.
@@ -75,6 +76,8 @@ def _load_inputs(cfg: dict, names, io_mod) -> dict:
         if name not in inputs:
             raise ConfigError(f"config inputs must map {name!r} to a file path")
         path = inputs[name]
+        if not isinstance(path, str):
+            raise ConfigError(f"config inputs must map {name!r} to a file path; got {path!r}")
         if not Path(path).exists():
             raise ConfigError(f"input file for {name!r} does not exist: {path}")
         out[name] = io_mod.load(path)
@@ -101,6 +104,8 @@ def _number(params: dict, key: str, default: float | None = None, integral: bool
     value = params.get(key, default)
     try:
         number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     except (TypeError, ValueError):
         number = None
     if number is None or isinstance(value, bool):
@@ -141,20 +146,24 @@ def _solver_config(cfg: dict, solvers_mod):
     return solvers_mod.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
 
 
-def _emit(outdir: Path, name: str, obj, cfg, io_mod) -> str:
-    ext = ".csv" if cfg.get("format") == "csv" else ".phd1"
-    path = outdir / f"{name}{ext}"
-    io_mod.save(path, obj)
-    return str(path)
+def _extension(cfg: dict) -> str:
+    """The file extension of cfg["format"]: "phd1" (the default) or "csv"."""
+    fmt = cfg.get("format", "phd1")
+    if fmt not in ("phd1", "csv"):
+        raise ConfigError(f"format must be 'phd1' or 'csv'; got {fmt!r}")
+    return f".{fmt}"
 
 
 def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
     done = []
-    for spec in cfg.get("emit_slices", []):
+    specs = cfg.get("emit_slices", [])
+    if not isinstance(specs, list):
+        raise ConfigError(f"emit_slices must be a list of JSON objects; got {specs!r}")
+    for spec in specs:
         if not isinstance(spec, dict):
             raise ConfigError(f"each slice must be a JSON object; got {spec!r}")
         target = spec.get("field")
-        if target not in fields:
+        if not isinstance(target, str) or target not in fields:
             raise ConfigError(f"emit_slices refers to unknown field {target!r}")
         if "radius" in spec:
             along, value = "radius", _number(spec, "radius")
@@ -206,6 +215,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     report: dict = {}
     fields: dict = {}
     params = _object(cfg, "params")
+    ext = _extension(cfg)
 
     if command == "selftest":
         report.update(_run_selftest(verbose))
@@ -342,7 +352,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     written = {}
     for name, obj in fields.items():
-        written[name] = _emit(outdir, name, obj, cfg, io_mod)
+        written[name] = str(outdir / f"{name}{ext}")
+        io_mod.save(written[name], obj)
     slices = _emit_slices(outdir, cfg, fields, io_mod)
     report["outputs"] = written
     if slices:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,9 @@ class DiskGrid:
     """
 
     def __init__(self, n_theta: int, n_r: int, outer_radius: float = 1.0):
+        for name, n in (("n_theta", n_theta), ("n_r", n_r)):
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {n!r})")
         if not _is_power_of_two(n_theta) or n_theta < 8:
             raise ValueError(
                 f"n_theta must be a power of two >= 8 (got {n_theta}); "
@@ -89,8 +93,8 @@ class DiskGrid:
             )
         if n_r < 4:
             raise ValueError(f"n_r must be >= 4 (got {n_r})")
-        if outer_radius < 1.0:
-            raise ValueError("outer_radius must be >= 1")
+        if not 1.0 <= outer_radius < math.inf:
+            raise ValueError(f"outer_radius must be finite and >= 1 (got {outer_radius!r})")
         self.n_theta = int(n_theta)
         self.n_r = int(n_r)
         self.outer_radius = float(outer_radius)
@@ -160,12 +164,51 @@ def make_grid(n_theta: int, n_r: int, outer_radius: float = 1.0) -> DiskGrid:
     return DiskGrid(n_theta, n_r, outer_radius)
 
 
-def _check_same_grid(a, b):
-    if not a.grid.same_as(b.grid):
-        raise ValueError("grid mismatch between operands")
+class _Samples:
+    """Complex samples with a mask of singular nodes.
+
+    The contract shared by GridFunction and BoundaryFunction: non-finite
+    values are masked and stored as 0, an operation that needs every value
+    raises MaskedValueError, and arithmetic joins the operands' masks.
+    Subclasses provide `with_values` and `_check_match`, the test that
+    two operands sample the same nodes.
+    """
+
+    _nodes = "nodes"  # what require_unmasked calls the samples
+
+    def _store(self, values: np.ndarray, mask) -> None:
+        if mask is None and not np.all(np.isfinite(values)):
+            mask = ~np.isfinite(values)
+        self.mask = None if mask is None or not np.any(mask) else np.asarray(mask, bool)
+        self.values = values if self.mask is None else np.where(self.mask, 0.0, values)
+
+    def require_unmasked(self, what: str) -> np.ndarray:
+        if self.mask is not None:
+            raise MaskedValueError(f"{what} over masked {self._nodes} is not defined")
+        return self.values
+
+    def _apply(self, op, other):
+        if isinstance(other, type(self)):
+            self._check_match(other)
+            return self.with_values(op(self.values, other.values), _join(self, other))
+        return self.with_values(op(self.values, other), self.mask)
+
+    def __add__(self, other):
+        return self._apply(np.add, other)
+
+    def __sub__(self, other):
+        return self._apply(np.subtract, other)
+
+    def __mul__(self, other):
+        return self._apply(np.multiply, other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self.with_values(-self.values, self.mask)
 
 
-class GridFunction:
+class GridFunction(_Samples):
     """Complex samples of a function on a DiskGrid, optionally masked."""
 
     def __init__(self, grid: DiskGrid, values: np.ndarray, mask: np.ndarray | None = None):
@@ -176,12 +219,7 @@ class GridFunction:
                 f"({grid.n_r}, {grid.n_theta})"
             )
         self.grid = grid
-        self.values = values
-        if mask is None and not np.all(np.isfinite(values)):
-            mask = ~np.isfinite(values)
-        self.mask = None if mask is None or not np.any(mask) else np.asarray(mask, bool)
-        if self.mask is not None:
-            self.values = np.where(self.mask, 0.0, self.values)
+        self._store(values, mask)
 
     @classmethod
     def from_function(cls, grid: DiskGrid, fn) -> "GridFunction":
@@ -202,11 +240,6 @@ class GridFunction:
     def is_masked(self) -> bool:
         return self.mask is not None
 
-    def require_unmasked(self, what: str) -> np.ndarray:
-        if self.mask is not None:
-            raise MaskedValueError(f"{what} over masked nodes is not defined")
-        return self.values
-
     def angular_modes(self) -> np.ndarray:
         """Per-radius Fourier coefficients, shape (n_r, n_theta), FFT order."""
         self.require_unmasked("angular transform")
@@ -215,29 +248,9 @@ class GridFunction:
     def with_values(self, values: np.ndarray, mask=None) -> "GridFunction":
         return GridFunction(self.grid, values, mask)
 
-    # small arithmetic surface; operands must share the grid
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            _check_same_grid(self, other)
-            return GridFunction(self.grid, self.values + other.values, _join(self, other))
-        return GridFunction(self.grid, self.values + other, self.mask)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            _check_same_grid(self, other)
-            return GridFunction(self.grid, self.values - other.values, _join(self, other))
-        return GridFunction(self.grid, self.values - other, self.mask)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            _check_same_grid(self, other)
-            return GridFunction(self.grid, self.values * other.values, _join(self, other))
-        return GridFunction(self.grid, self.values * other, self.mask)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values, self.mask)
+    def _check_match(self, other: "GridFunction") -> None:
+        if not self.grid.same_as(other.grid):
+            raise ValueError("grid mismatch between operands")
 
     def conj(self) -> "GridFunction":
         return GridFunction(self.grid, np.conj(self.values), self.mask)
@@ -259,21 +272,18 @@ def _join(a, b):
     return out
 
 
-class BoundaryFunction:
+class BoundaryFunction(_Samples):
     """Complex samples on the unit circle at angles theta_k = 2*pi*k/n_theta."""
+
+    _nodes = "boundary nodes"
 
     def __init__(self, values: np.ndarray, mask: np.ndarray | None = None):
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1 or not _is_power_of_two(values.size) or values.size < 8:
             raise ValueError("boundary values must be 1-D with power-of-two length >= 8")
-        self.values = values
+        self._store(values, mask)
         self.n_theta = values.size
         self.thetas = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        if mask is None and not np.all(np.isfinite(values)):
-            mask = ~np.isfinite(values)
-        self.mask = None if mask is None or not np.any(mask) else np.asarray(mask, bool)
-        if self.mask is not None:
-            self.values = np.where(self.mask, 0.0, self.values)
         self.mode_numbers = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
         self._modes = None
 
@@ -291,10 +301,11 @@ class BoundaryFunction:
     def with_values(self, values: np.ndarray, mask=None) -> "BoundaryFunction":
         return BoundaryFunction(values, mask)
 
-    def require_unmasked(self, what: str) -> np.ndarray:
-        if self.mask is not None:
-            raise MaskedValueError(f"{what} over masked boundary nodes is not defined")
-        return self.values
+    def _check_match(self, other: "BoundaryFunction") -> None:
+        if self.n_theta != other.n_theta:
+            raise ValueError(
+                f"boundary length mismatch between operands ({self.n_theta} and {other.n_theta} samples)"
+            )
 
     def modes(self) -> np.ndarray:
         """Cached Fourier coefficients (DFT of values / n_theta), FFT order."""
@@ -317,26 +328,6 @@ class BoundaryFunction:
         """L^p(T) norm with respect to (unnormalized) arclength."""
         v = self.require_unmasked("L^p norm")
         return float(_lp_rows(v[None, :], p)[0] * (2.0 * np.pi / self.n_theta) ** (1.0 / p))
-
-    def __add__(self, other):
-        if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values + other.values, _join(self, other))
-        return BoundaryFunction(self.values + other, self.mask)
-
-    def __sub__(self, other):
-        if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values - other.values, _join(self, other))
-        return BoundaryFunction(self.values - other, self.mask)
-
-    def __mul__(self, other):
-        if isinstance(other, BoundaryFunction):
-            return BoundaryFunction(self.values * other.values, _join(self, other))
-        return BoundaryFunction(self.values * other, self.mask)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BoundaryFunction(-self.values, self.mask)
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,13 @@ MAGIC = b"PHD1"
 
 def _payload(f) -> tuple[int, int, np.ndarray]:
     if isinstance(f, GridFunction):
-        vals = f.values.copy()
-        if f.mask is not None:
-            vals[f.mask] = complex(np.nan, np.nan)
-        return f.grid.n_r, f.grid.n_theta, vals
-    if isinstance(f, BoundaryFunction):
-        vals = f.values.copy()
-        if f.mask is not None:
-            vals[f.mask] = complex(np.nan, np.nan)
-        return 1, f.n_theta, vals.reshape(1, -1)
-    raise TypeError(f"cannot serialize {type(f).__name__}")
+        n_r, n_theta = f.grid.n_r, f.grid.n_theta
+    elif isinstance(f, BoundaryFunction):
+        n_r, n_theta = 1, f.n_theta
+    else:
+        raise TypeError(f"cannot serialize {type(f).__name__}")
+    vals = f.values if f.mask is None else np.where(f.mask, complex(np.nan, np.nan), f.values)
+    return n_r, n_theta, vals.reshape(n_r, n_theta)
 
 
 def save_phd1(path, f) -> None:

@@ -205,8 +205,8 @@ def cauchy_renormalized(
     value at r = 1 times r^{n-1} and the outward one vanishes.  The column
     layout is that of `_cauchy_reflect_modes`.
     """
-    if R < 1.0:
-        raise ValueError("R must be >= 1")
+    if not R >= 1.0:  # false for NaN as well
+        raise ValueError(f"R must be >= 1 (got {R!r})")
     grid = h.grid
     if eval_grid is None:
         eval_grid = make_grid(grid.n_theta, grid.n_r, outer_radius=R)

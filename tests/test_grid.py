@@ -50,6 +50,27 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(8, 3)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((8, 8, float("nan")), "outer_radius"),
+            ((8, 8, float("inf")), "outer_radius"),
+            ((8, 8, 0.5), "outer_radius"),
+            ((8, 8.0), "n_r"),
+            ((8.0, 8), "n_theta"),
+        ],
+        ids=["R=nan", "R=inf", "R=0.5", "n_r=8.0", "n_theta=8.0"],
+    )
+    def test_rejects_bad_geometry(self, args, name):
+        # NaN and inf radii used to be accepted, and float sizes failed
+        # with TypeErrors inside the quadrature and power-of-two checks
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_grid(*args)
+
+    def test_accepts_numpy_sizes(self):
+        g = make_grid(np.int64(8), np.int32(4), np.float64(2.0))
+        assert (g.n_theta, g.n_r, g.outer_radius) == (8, 4, 2.0)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("a", [0, 1, 2])
@@ -419,6 +440,14 @@ class TestBoundaryMasks:
             with pytest.raises(MaskedValueError):
                 out.lp_norm(2.0)
         assert (c + c).mask is None
+
+    def test_arithmetic_rejects_other_lengths(self):
+        # numpy used to raise "operands could not be broadcast together"
+        a = BoundaryFunction.from_function(32, np.cos)
+        b = BoundaryFunction.from_function(64, np.cos)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+            with pytest.raises(ValueError, match="^boundary length mismatch between operands"):
+                op()
 
     def test_trace_arithmetic_keeps_mask(self, grid128):
         vals = np.ones((128, 256), dtype=complex)

@@ -17,6 +17,7 @@ from phdisk import (
     load_csv,
     load_phd1,
     make_grid,
+    save,
     save_csv,
     save_phd1,
 )
@@ -54,6 +55,23 @@ class TestPhd1:
         save_phd1(p, f)
         g = load_phd1(p)
         assert g.mask is not None and g.mask[3, 7]
+
+    @pytest.mark.parametrize("name", ["m.phd1", "m.csv"])
+    def test_boundary_mask_round_trips_as_nan(self, tmp_path, name):
+        vals = np.ones(16, dtype=complex)
+        vals[[2, 9]] = np.nan, np.inf
+        b = BoundaryFunction(vals)
+        save(tmp_path / name, b)
+        if name.endswith(".phd1"):
+            stored = np.frombuffer((tmp_path / name).read_bytes(), dtype="<f8", offset=12)
+        else:
+            stored = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 2:].ravel()
+        pairs = np.isnan(stored.reshape(16, 2))
+        assert np.flatnonzero(pairs.all(axis=1)).tolist() == [2, 9] and pairs.sum() == 4
+        back = load(tmp_path / name)
+        assert isinstance(back, BoundaryFunction)
+        assert np.flatnonzero(back.mask).tolist() == [2, 9]
+        assert np.array_equal(back.values, b.values)
 
     def test_magic_check(self, tmp_path):
         p = tmp_path / "junk.phd1"
@@ -415,17 +433,29 @@ class TestCli:
             ("factorize", {"params": {"zero_threshold": [1]}}, "zero_threshold must be a number"),
             ("factorize", {"params": {"zero_threshold": -1}}, "zero_threshold must be None or a finite number >= 0"),
             ("solve-riesz", {"params": [1, 2]}, "params must be a JSON object"),
+            ("transform", {"transform": "cauchy2", "params": {"R": 10**400}}, "R must be a finite number"),
+            ("solve-riesz", {"solver": {"max_iter": 10**400}}, "max_iter must be a finite number"),
+            ("transform", {"transform": "cauchy", "emit_slices": 5}, "emit_slices must be a list"),
+            (
+                "transform",
+                {"transform": "cauchy", "emit_slices": [{"field": ["out"], "radius": 0.5}]},
+                "emit_slices refers to unknown field ['out']",
+            ),
+            ("transform", {"transform": "cauchy", "inputs": {"h": 5}}, "config inputs must map 'h' to a file path"),
+            ("transform", {"transform": "cauchy", "format": "CSV"}, "format must be 'phd1' or 'csv'; got 'CSV'"),
         ],
         ids=[
             "tol", "solver-p", "c", "lambda", "theta0", "ap-p", "gamma", "R", "slice-radius",
             "max_level=null", "max_level=2.7", "arc=5", "arc-of-3", "ells=ab", "ells=2",
             "radii-null", "side_lengths=x", "zero_threshold=[1]", "zero_threshold=-1", "params-list",
+            "R=1e400", "max_iter=1e400", "emit_slices=5", "slice-field-list", "inputs-h=5", "format=CSV",
         ],
     )
     def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, message):
         # these used to exit as "internal", with a traceback, except
         # max_level = 2.7, which ran at level 2, an arc of three numbers,
-        # which used the first two, and zero_threshold = -1, accepted
+        # which used the first two, zero_threshold = -1, accepted, and
+        # format = "CSV", which wrote PHD1
         from phdisk import cli
 
         g = make_grid(16, 8)
@@ -442,6 +472,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("fmt, ext", [(None, ".phd1"), ("phd1", ".phd1"), ("csv", ".csv")])
+    def test_format_values_are_read(self, tmp_path, fmt, ext):
+        from phdisk import cli
+
+        save_phd1(tmp_path / "h.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
+        cfg = {"transform": "cauchy", "inputs": {"h": str(tmp_path / "h.phd1")}}
+        if fmt is not None:
+            cfg["format"] = fmt
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["transform", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted([f"out{ext}", "report.json"])
+        assert isinstance(load(tmp_path / "o" / f"out{ext}"), GridFunction)
 
     @pytest.mark.parametrize("value", [3, 3.0, "3"])
     def test_integral_max_level_is_read(self, tmp_path, capsys, value):

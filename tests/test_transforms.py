@@ -153,6 +153,11 @@ class TestRenormalizedCauchy:
         with pytest.raises(ValueError, match=">= 1"):
             cauchy_renormalized(GridFunction.zeros(grid256), 0.5)
 
+    def test_rejects_nan_radius(self, grid256):
+        # NaN passed both radius checks and returned C_2 on the eval grid's D_2
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            cauchy_renormalized(GridFunction.zeros(grid256), float("nan"), make_grid(256, 256, 2.0))
+
 
 class TestReflect:
     def test_constant(self, grid256):
