@@ -154,8 +154,11 @@ def _extension(cfg: dict) -> str:
     return f".{fmt}"
 
 
-def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
-    done = []
+def _slice_plan(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
+    """The emit_slices specs as (field, along, value, path), each checked
+    against its field's grid, so that a bad spec fails before any output
+    is written."""
+    plan = []
     specs = cfg.get("emit_slices", [])
     if not isinstance(specs, list):
         raise ConfigError(f"emit_slices must be a list of JSON objects; got {specs!r}")
@@ -171,10 +174,9 @@ def _emit_slices(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
             along, value = "angle", _number(spec, "angle")
         else:
             raise ConfigError("each slice needs a 'radius' or 'angle' key")
-        path = outdir / f"{target}_{along}_{value:g}.csv"
-        io_mod.emit_slice(fields[target], along, value, path)
-        done.append(str(path))
-    return done
+        io_mod._slice(fields[target], along, value)
+        plan.append((fields[target], along, value, outdir / f"{target}_{along}_{value:g}.csv"))
+    return plan
 
 
 def _run_selftest(verbose: bool) -> dict:
@@ -350,14 +352,16 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown command {command!r}")
 
+    slices = _slice_plan(outdir, cfg, fields, io_mod)
     written = {}
     for name, obj in fields.items():
         written[name] = str(outdir / f"{name}{ext}")
         io_mod.save(written[name], obj)
-    slices = _emit_slices(outdir, cfg, fields, io_mod)
+    for f, along, value, path in slices:
+        io_mod.emit_slice(f, along, value, path)
     report["outputs"] = written
     if slices:
-        report["slices"] = slices
+        report["slices"] = [str(path) for *_, path in slices]
     return report
 
 

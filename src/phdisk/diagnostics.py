@@ -287,11 +287,11 @@ def c2_growth_curve(h: GridFunction, radii=(1.0, 10.0, 100.0)) -> DiagnosticRepo
     The constant is reported per R and flagged as bounded when the curve
     does not grow beyond small slack; no theoretical value is asserted.
     """
+    if not all(math.isfinite(R) and R >= 1.0 for R in radii):
+        raise ValueError(f"radii must be finite and >= 1; got {list(radii)}")
     norm_h = lp_norm_disk(h, 2.0)
     measured = []
     for R in radii:
-        if R < 1.0:
-            raise ValueError("radii must be >= 1")
         if norm_h == 0.0:
             measured.append(0.0)
             continue

@@ -134,11 +134,11 @@ def load(path):
     return load_phd1(path)
 
 
-def emit_slice(f: GridFunction, along: str, value: float, path) -> None:
-    """1-D CSV slice along a grid radius or a grid angle.
-
-    Columns: coordinate, re, im, abs, flag ("masked" at masked nodes).
-    """
+def _slice(f: GridFunction, along: str, value: float):
+    """Coordinates, values and mask flags of f along a grid radius or a
+    grid angle; a ValueError when the slice is not on f's grid."""
+    if not isinstance(f, GridFunction):
+        raise ValueError(f"slices are taken of grid functions; got {type(f).__name__}")
     g = f.grid
     if along == "radius":
         j = int(round(value / g.radial_step)) - 1
@@ -157,6 +157,15 @@ def emit_slice(f: GridFunction, along: str, value: float, path) -> None:
         masks = f.mask[:, k] if f.mask is not None else np.zeros(g.n_r, bool)
     else:
         raise ValueError("along must be 'radius' or 'angle'")
+    return coords, vals, masks
+
+
+def emit_slice(f: GridFunction, along: str, value: float, path) -> None:
+    """1-D CSV slice along a grid radius or a grid angle.
+
+    Columns: coordinate, re, im, abs, flag ("masked" at masked nodes).
+    """
+    coords, vals, masks = _slice(f, along, value)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["coordinate", "re", "im", "abs", "flag"])

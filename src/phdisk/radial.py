@@ -12,11 +12,16 @@ vary by many orders of magnitude across a single radial cell for large
 exponents, so node-based quadrature of the product is hopeless.  Instead
 each cell carries the local cubic interpolant of f and the kernel is
 integrated exactly against it (moments computed by a 24-node Gauss-
-Legendre rule after an exponential substitution that flattens the kernel;
-one routine serves whole cells and the partial cells at off-node radii).
+Legendre rule after an exponential substitution that flattens the kernel).
 The 24-node rule is as accurate as a 48-node one: both stay within 1e-13
 of mpmath, relative to each cell's largest moment, and 24 nodes carry less
 roundoff (see `_GL_NODES`); 16 nodes would leave errors near 2e-8.
+On whole cells that substitution puts the nodes at the same places for
+every exponent, so the engine's tables take the moments of a block of
+cells and all exponents from one exp and one batched matmul on shared
+nodes (`_whole_cell_moments`); the one general rule, `_moments`, serves
+the partial cells at off-node radii and the pairs the shared nodes do
+not cover (the origin cell, exponent 0 and the capped pairs).
 
 The cubic of cell i is a fixed linear map of the four node values of its
 stencil, and every integral folds that map into its moments:
@@ -54,9 +59,9 @@ import numpy as np
 # with 16: 24 is the smallest rule that keeps the tables at rounding level.
 _GL_NODES = 24
 _Y_CAP = 45.0  # kernel factor e^{-y}; beyond this the tail is below 3e-20
-# exponents per `_moments` call when the engine builds its tables: short
-# runs keep the (cells, run, nodes) buffers in cache
-_EXP_RUN = 8
+# floats of kernel weights per block of cells when the engine builds its
+# tables: the (cells, nodes, exponents) buffer stays near 1 MB at any size
+_BLOCK_FLOATS = 1 << 17
 
 _GL_REF = np.polynomial.legendre.leggauss(_GL_NODES)
 _Q = np.arange(4.0)
@@ -112,6 +117,41 @@ def _moments(i, x0, x1, e, inner: bool) -> np.ndarray:
     return np.where(e == 0.0, (x1 ** (_Q + 1.0) - x0 ** (_Q + 1.0)) / (_Q + 1.0), nu)
 
 
+def _whole_cell_moments(cells, exps, inner: bool) -> np.ndarray:
+    """nu[i, e, q] = `_moments`(cells[i], 0, 1, exps[e], inner), (cells, exps, 4).
+
+    On a whole cell with the cap inactive (e log((i+1)/i) <= _Y_CAP),
+    `_moments`' Gauss nodes sit at y/e = t_k = L (1 + x_k)/2, L =
+    log((i+1)/i), whatever the exponent: the node positions and the
+    Jacobian's L (i+1)/2 (inner) or L i/2 (outer) are shared, and only the
+    kernel weight e^{-(e+1) t_k} (inner) or e^{-(e-1) t_k} (outer) moves.
+    So nu is one exp of a (cells, nodes, exps) block and one batched
+    matmul with the (cells, q, nodes) table of w_k x_k^q times that
+    factor.  `_moments` fills the pairs this form does not cover: the
+    origin cell, e = 0 and the capped pairs.  The result is a view of a
+    (cells, q, exps) array.
+    """
+    xr, wr = _GL_REF
+    lo = cells[:, None]
+    hi = lo + 1.0
+    origin = lo == 0.0
+    # L formed as `_moments` forms it, so both agree on the capped pairs; 0 at the origin
+    span = np.log(hi / np.where(origin, hi, lo))
+    t = 0.5 * span * (xr + 1.0)
+    if inner:  # i + x = (i+1) e^{-t}
+        x = np.maximum(hi * np.exp(-t) - lo, 0.0)
+        scale, shift = 0.5 * hi * span, 1.0
+    else:  # i + x = i e^{t}
+        x = np.minimum(lo * np.expm1(t), 1.0)
+        scale, shift = 0.5 * lo * span, -1.0
+    node_moments = (wr * scale)[:, None, :] * x[:, None, :] ** _Q[:, None]  # (cells, q, k)
+    kernel = np.multiply(t[:, :, None], -(exps + shift))  # (cells, k, exps)
+    nu = np.matmul(node_moments, np.exp(kernel, out=kernel)).transpose(0, 2, 1)
+    ci, ei = np.nonzero((exps * span > _Y_CAP) | (exps == 0.0) | origin)
+    nu[ci, ei] = _moments(cells[ci], 0.0, 1.0, exps[ei], inner)
+    return nu
+
+
 def _stencil_data(n_r: int):
     """Cubic-interpolation stencils per cell in local coordinates.
 
@@ -149,15 +189,17 @@ class RadialEngine:
         cells = np.arange(n_r, dtype=float)
         exps = np.arange(a_max + 1.0)
         maps = self.h * self.coeff_maps
+        maps_t = maps.transpose(0, 2, 1)  # (cell, s, q)
+        block = max(1, _BLOCK_FLOATS // ((a_max + 1) * _GL_NODES))
 
         def fold(inner: bool) -> np.ndarray:
-            """W[s, i, a]: moments as (cell, exponent, q), one matmul over cells."""
-            nu = np.empty((n_r, a_max + 1, 4))
-            for a in range(0, a_max + 1, _EXP_RUN):
-                run = exps[None, a : a + _EXP_RUN]
-                nu[:, a : a + run.shape[1]] = _moments(cells[:, None], 0.0, 1.0, run, inner)
+            """W[s, i, a] = sum_q maps[i, q, s] nu[i, a, q], one matmul per block of cells."""
             w = np.empty((4, n_r, a_max + 1))
-            np.matmul(nu, maps, out=w.transpose(1, 2, 0))
+            by_cell = w.transpose(1, 0, 2)  # (cell, s, exponent)
+            for b in range(0, n_r, block):
+                cut = slice(b, b + block)
+                nu = _whole_cell_moments(cells[cut], exps, inner)
+                np.matmul(maps_t[cut], nu.transpose(0, 2, 1), out=by_cell[cut])
             return w
 
         self.w_in = fold(True)
@@ -165,8 +207,12 @@ class RadialEngine:
         self.w_out[:, 0] = 0.0  # the cell touching the origin has no outer part
         # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; summed onto the stencil nodes
         reach = np.power(((cells + 1.0) / n_r)[:, None], exps[None, :])
+        part = self.w_in * reach
         self.w_full = np.zeros((n_r, a_max + 1))
-        np.add.at(self.w_full, self.gather.T, self.w_in * reach)
+        for s in range(4):  # the stencil layout of `_cell_integrals`
+            self.w_full[s : n_r - 3 + s] += part[s, 2:-1]
+        self.w_full[:4] += part[:, 0] + part[:, 1]
+        self.w_full[-4:] += part[:, -1]
         # rho log rho = h (i+x) (log h + log(i+x)), so cell i's moments are
         # h (log h int x^q (i+x) dx + int x^q (i+x) log(i+x) dx): the first
         # in closed form, the second by Gauss-Legendre (cells i >= 1; the

@@ -362,6 +362,13 @@ class TestC2Growth:
         with pytest.raises(ValueError):
             c2_growth_curve(GridFunction.constant(grid128, 1.0), (0.5,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_radius(self, bad):
+        # these used to raise numpy's "cannot convert float NaN to integer"
+        # and an OverflowError from the grid size int(n_r R)
+        with pytest.raises(ValueError, match="radii must be finite"):
+            c2_growth_curve(GridFunction.constant(make_grid(16, 8), 1.0), [1.0, bad])
+
 
 class TestMultiplier:
     def test_zero_exponent_contraction(self, grid128):

@@ -279,6 +279,13 @@ class TestSlices:
         with pytest.raises(ValueError, match="not on the grid"):
             emit_slice(f, "radius", 0.123, tmp_path / "x.csv")
 
+    def test_boundary_function_rejected(self, tmp_path):
+        # used to raise AttributeError (no grid), so the CLI's
+        # {"field": "psi_sharp"} slice exited "internal"
+        f = BoundaryFunction.from_function(16, np.cos)
+        with pytest.raises(ValueError, match="slices are taken of grid functions"):
+            emit_slice(f, "radius", 1.0, tmp_path / "x.csv")
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -472,6 +479,29 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"field": "nope", "radius": 0.5}, "emit_slices refers to unknown field 'nope'"),
+            ({"field": "out", "radius": 0.123}, "radius 0.123 is not on the grid"),
+        ],
+        ids=["unknown-field", "off-grid-radius"],
+    )
+    def test_bad_slice_spec_writes_no_output(self, tmp_path, capsys, spec, message):
+        # both used to exit "validation" with out.phd1 already written and
+        # no report.json: the specs were checked after the grid outputs
+        from phdisk import cli
+
+        save_phd1(tmp_path / "h.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
+        cfg = {"transform": "cauchy", "inputs": {"h": str(tmp_path / "h.phd1")}, "emit_slices": [spec]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert cli.main(["transform", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(message)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("fmt, ext", [(None, ".phd1"), ("phd1", ".phd1"), ("csv", ".csv")])
     def test_format_values_are_read(self, tmp_path, fmt, ext):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phdisk import radial
-from phdisk.radial import RadialEngine, _moments
+from phdisk.radial import RadialEngine, _moments, _whole_cell_moments
 
 SIZES = [(64, 34), (256, 130)]
 POWERS = np.arange(4)
@@ -202,11 +202,15 @@ def test_whole_cell_moments_against_quad(inner):
     """Whole-cell moments against scipy's adaptive quadrature in x itself,
     not through the exponential substitution of `_moments`, at n_r = 256
     and the exponents of a 256-angle grid (a_max = 130): cells next to the
-    origin, where the kernel is steepest, a middle and the last cell."""
+    origin, where the kernel is steepest, a middle and the last cell.  Both
+    routes are checked, the general rule and the engine's shared nodes;
+    (2, 130) and (4, 130) sit on either side of the cap (e log((i+1)/i)
+    is 52.7 and 29.0 against _Y_CAP = 45)."""
     from scipy.integrate import quad
 
     n_r, a_max = 256, 130
-    for i, e in [(1, a_max), (3, a_max), (10, 60), (100, 1), (n_r - 1, a_max)]:
+    pairs = [(1, a_max), (3, a_max), (10, 60), (100, 1), (n_r - 1, a_max), (2, a_max), (4, a_max)]
+    for i, e in pairs:
 
         def integrand(x, q):
             return x**q * ((i + x) / (i + 1.0) if inner else i / (i + x)) ** e
@@ -215,8 +219,38 @@ def test_whole_cell_moments_against_quad(inner):
             quad(integrand, 0.0, 1.0, args=(q,), epsabs=1e-17, epsrel=2e-14, limit=200)[0]
             for q in range(4)
         ])
-        got = _moments(i, 0.0, 1.0, e, inner)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (i, e)
+        general = _moments(i, 0.0, 1.0, e, inner)
+        shared = _whole_cell_moments(np.array([float(i)]), np.array([float(e)]), inner)[0, 0]
+        for got in (general, shared):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (i, e)
+
+
+@pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
+@pytest.mark.parametrize("n_r, a_max", [(64, 34), (256, 130), (512, 258)], ids=["64", "256", "512"])
+def test_shared_node_moments_match_general_rule(n_r, a_max, inner):
+    """The engine's shared-node moments equal `_moments` on every (cell,
+    exponent) pair, relative to each cell's largest moment: the shared
+    form on the uncapped pairs, the general rule's own values on the origin
+    cell, e = 0 and the capped pairs (472 of 33,536 pairs at 256, 1,283
+    at 512)."""
+    cells = np.arange(n_r, dtype=float)
+    exps = np.arange(a_max + 1.0)
+    got = _whole_cell_moments(cells, exps, inner)
+    ref = np.stack([_moments(cells, 0.0, 1.0, e, inner) for e in exps], axis=1)
+    scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(got - ref) / scale) < 1e-14
+
+
+def test_full_weights_match_scatter(case):
+    """The full-moment weights, summed onto the stencil nodes by shifted
+    slices, equal an `np.add.at` scatter through the gather indices,
+    relative to each exponent's largest weight."""
+    eng = case[0]
+    cells = np.arange(eng.n_r, dtype=float)
+    reach = ((cells + 1.0) / eng.n_r)[:, None] ** np.arange(eng.a_max + 1.0)
+    ref = np.zeros((eng.n_r, eng.a_max + 1))
+    np.add.at(ref, eng.gather.T, eng.w_in * reach)
+    assert np.max(np.abs(eng.w_full - ref) / np.max(np.abs(ref), axis=0)) < 1e-15
 
 
 def test_full_moment_is_last_node_of_cumulative_in(case):
