@@ -41,11 +41,16 @@ are tabulated too, and it is one dot product per mode.
 Layout: the engine computes radius-major, on (n_r, M) arrays whose
 columns are node profiles, the layout `np.fft.fft(values, axis=1)` gives
 the transforms.  Every table keeps the exponent on its last axis, so the
-weights of a run of consecutive exponents, ascending or descending, are
-a view and no table is gathered per call.  `RadialEngine.sweep` runs the
-inward and outward recurrences of several column blocks in one Python
-loop over the nodes; `cumulative_in`, `cumulative_out` and `full_moment`
-keep their (M, n_r) interface by passing transposed views.
+weights of a run of consecutive exponents are a view and no table is
+gathered per call; C +- R and the Green potential order their source
+columns so that every run ascends.  numpy's ufuncs run several times
+slower on column slices, so a cell contraction copies its source rows
+chunk by chunk to contiguous scratch.  `RadialEngine.sweep` lays all of
+its column blocks side by side in one (n_r, sum M) array, the outward
+blocks radius-reversed: one Python loop steps both recurrences through
+the same rows at one multiply and one add a node.  `cumulative_in`,
+`cumulative_out` and `full_moment` keep their (M, n_r) interface by
+passing transposed views.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ _Y_CAP = 45.0  # kernel factor e^{-y}; beyond this the tail is below 3e-20
 # floats of kernel weights per block of cells when the engine builds its
 # tables: the (cells, nodes, exponents) buffer stays near 1 MB at any size
 _BLOCK_FLOATS = 1 << 17
+# elements of a cell contraction's scratch chunk: 128 KB of complex, so
+# the chunk's source rows, sum and product stay in cache
+_CHUNK = 1 << 13
 
 _GL_REF = np.polynomial.legendre.leggauss(_GL_NODES)
 _Q = np.arange(4.0)
@@ -228,6 +236,7 @@ class RadialEngine:
         # node ratio (rho_{j+1}/rho_{j+2})^a of both recurrences, (n_r - 1, a)
         j = np.arange(1.0, n_r)
         self.ratio = np.power((j / (j + 1.0))[:, None], exps[None, :])
+        self._ratio_tables: dict[str, np.ndarray] = {}
 
     def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
         """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r); the tests' reference."""
@@ -276,49 +285,74 @@ class RadialEngine:
         w = table[:, :, e]
         n = self.n_r
         k = int(skip_origin)
-        mid = np.multiply(w[0, 2:-1], P[: n - 3], out=out[2 - k : n - 1 - k])
+        # ufuncs run several times faster on contiguous rows: each chunk of
+        # cells copies its source rows and sums in scratch (see `_CHUNK`)
+        step = max(1, _CHUNK // P.shape[1])
+        mid = np.empty((min(step, n - 3), P.shape[1]), np.result_type(P, table))
         tmp = np.empty_like(mid)
-        for s in range(1, 4):
-            mid += np.multiply(w[s, 2:-1], P[s : n - 3 + s], out=tmp)
+        for a in range(0, n - 3, step):
+            rows = np.ascontiguousarray(P[a : a + step + 3])
+            m = len(rows) - 3
+            cells = slice(a + 2, a + 2 + m)
+            acc = np.multiply(w[0, cells], rows[:m], out=mid[:m])
+            for s in range(1, 4):
+                acc += np.multiply(w[s, cells], rows[s : s + m], out=tmp[:m])
+            out[a + 2 - k : a + 2 - k + m] = acc
         out[: 2 - k] = np.einsum("sim,sm->im", w[:, k:2], P[:4])
         out[n - 1 - k] = np.einsum("sm,sm->m", w[:, -1], P[-4:])
         return out
 
-    def sweep(self, inward=(), outward=()) -> None:
+    def _ratios(self, blocks) -> np.ndarray:
+        """Node ratios of a sweep's layout, (n_r - 1, sum M): row t - 1
+        scales row t - 1 into row t, ratio[t - 1, e] for an inward block
+        and ratio[n_r - 1 - t, e] for an outward one.  One block reads a
+        view; the table of several is built once per layout."""
+        if len(blocks) == 1:
+            ((_, e, inner),) = blocks
+            return self.ratio[:, e] if inner else self.ratio[::-1, e]
+        key = str([(e if isinstance(e, slice) else e.tolist(), inner) for _, e, inner in blocks])
+        if key not in self._ratio_tables:
+            self._ratio_tables[key] = np.concatenate([self._ratios([b]) for b in blocks], axis=1)
+        return self._ratio_tables[key]
+
+    def sweep(self, blocks, out=None) -> np.ndarray:
         """Cumulative integrals of several column blocks in one radial pass.
 
-        Each block is (P, e, out): radius-major node profiles P (n_r, M),
-        their exponent index (see `_exp_index`) and an (n_r, M) array
-        that receives S (inward blocks) or T (outward blocks).  One Python
-        loop runs every recurrence: S from the origin out, T from the rim
-        in, each scaled by node ratios <= 1.
+        Each block is (P, e, inner): radius-major node profiles P (n_r, M),
+        their exponent index (see `_exp_index`) and the direction, S from
+        the origin out (inner) or T from the rim in.  Returns one (n_r,
+        sum M) array, the blocks' columns side by side in order: an inward
+        block's rows are S at rho_1, ..., rho_{n_r}, an outward block's are
+        T radius-reversed, so X[::-1, cols] reads T at rho_1, ...  Both
+        recurrences then step through the same rows, and one Python loop
+        costs one multiply and one add per node, scaled by the node ratios
+        <= 1 of `_ratios`.  `out`, an array of that shape whose rows are
+        contiguous and which no P overlaps, takes the result when given.
         """
-        n = self.n_r
-        ins, outs = [], []
-        for P, e, out in inward:
-            self._cell_integrals(self.w_in, P, e, out)
-            ins.append((out, self.ratio[:, e], np.empty(out.shape[1:], out.dtype)))
-        for P, e, out in outward:
-            # row j holds cell j + 1, so T[j] = ratio_j T[j+1] + row j
-            self._cell_integrals(self.w_out, P, e, out, skip_origin=True)
-            out[-1] = 0.0
-            outs.append((out, self.ratio[:, e], np.empty(out.shape[1:], out.dtype)))
-        for t in range(1, n):
-            for S, q, tmp in ins:
-                S[t] += np.multiply(q[t - 1], S[t - 1], out=tmp)
-            j = n - 1 - t
-            for T, q, tmp in outs:
-                T[j] += np.multiply(q[j], T[j + 1], out=tmp)
+        if out is None:
+            shape = (self.n_r, sum(P.shape[1] for P, _, _ in blocks))
+            out = np.empty(shape, np.result_type(*(P for P, _, _ in blocks), float))
+        X = out
+        c = 0
+        for P, e, inner in blocks:
+            cols = X[:, c : c + P.shape[1]]
+            c += P.shape[1]
+            if inner:
+                self._cell_integrals(self.w_in, P, e, cols)
+            else:
+                # row n - 1 - j holds cell j + 1; row 0 is T at the rim
+                self._cell_integrals(self.w_out, P, e, cols[::-1], skip_origin=True)
+                cols[0] = 0.0
+        tmp = np.empty(X.shape[1], X.dtype)
+        rows = list(X)
+        for q, prev, row in zip(self._ratios(blocks), rows, rows[1:]):
+            row += np.multiply(q, prev, out=tmp)
+        return X
 
     def _cumulative(self, profiles, exps, inner: bool) -> np.ndarray:
         P = np.asarray(profiles).T
-        out = np.empty(P.shape, dtype=np.result_type(P, float))
-        block = [(P, self._exp_index(exps), out)]
-        if inner:
-            self.sweep(inward=block)
-        else:
-            self.sweep(outward=block)
-        return out.T
+        X = self.sweep([(P, self._exp_index(exps), inner)])
+        return (X if inner else X[::-1]).T
 
     def cumulative_in(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """S[m, j] = int_0^{rho_{j+1}} prof_m(rho) (rho/rho_{j+1})^{a_m} drho."""

@@ -59,7 +59,7 @@ from .grid import (
     w12_norm_modes,
     wirtinger_derivatives,
 )
-from .radial import _stencil_data
+from .radial import get_engine
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
 from .transforms import _cauchy_reflect_modes, _holo_with_real_trace, _require_real, cauchy_reflect
 
@@ -411,13 +411,14 @@ def _prolong(wc: np.ndarray, grid) -> np.ndarray:
     """Values on `grid` of the function with values wc on its half grid.
 
     The half grid keeps the odd rows and the even columns.  In radius the
-    even rows are the coarse cells' midpoints, where the engine's cell
-    cubics (`radial._stencil_data`) are evaluated at x = 1/2; in angle
-    the modes are zero-padded, the coarse Nyquist mode split between +n
-    and -n.
+    even rows are the coarse cells' midpoints, where the cell cubics of
+    the coarse level's engine are evaluated at x = 1/2; in angle the
+    modes are zero-padded, the coarse Nyquist mode split between +n and
+    -n.
     """
     n_c, m_c = wc.shape
-    gather, maps = _stencil_data(n_c)
+    eng = get_engine(n_c, m_c // 2 + 2)  # the key of `transforms._engine_for`
+    gather, maps = eng.gather, eng.coeff_maps
     mid = (0.5 ** np.arange(4.0)) @ maps  # (n_c, 4): stencil weights at x = 1/2
     modes = np.fft.fft(wc, axis=1)
     rows = np.empty((2 * n_c, m_c), dtype=complex)

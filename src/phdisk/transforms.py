@@ -107,20 +107,22 @@ def _cauchy_reflect_modes(
     Column j of the modes is angular mode n (FFT order).  Source mode
     n <= 0 feeds output mode n - 1 of C through the inward integral with
     exponent 1 - n, and source mode n > 0 feeds it through the outward one
-    with exponent n - 1; output modes -1, ..., -n_theta/2 then sit in
-    columns n_theta/2, ..., n_theta - 1 with exponents n_theta/2, ..., 1,
-    and output modes 0, ..., n_theta/2 - 2 in the columns of the same
-    number with exponents 0, ..., n_theta/2 - 2.  Both runs of exponents
-    are consecutive, so the engine's weights are views, and one sweep
-    fills both blocks of the output in place.  R's output mode m >= 1 is
-    -2 conj(M_m) r^m with M_m the full moment of source mode 1 - m at
-    exponent m: the last node of C's inward integral in column
-    n_theta - m, or, without C, one dot product per mode.  Band rule: R
-    keeps m = 1, ..., n_theta/2, the partners of C's output modes -1, ...,
-    -n_theta/2; its mode n_theta/2 lands in the Nyquist column beside C's
-    mode -n_theta/2, which is the same e^{i n_theta theta / 2} on the grid,
-    so C + R is pure imaginary and C - R real on T for every source in
-    band, mode 1 - n_theta/2 included.  The modes are those of
+    with exponent n - 1.  One sweep takes both as one block, written into
+    the first n_theta - 1 columns of the output: the outward source columns
+    1, ..., n_theta/2 - 1 at exponents 0, ..., n_theta/2 - 2, then the
+    inward ones read in reverse, n_theta, ..., n_theta/2 + 1 (source modes
+    0, ..., 1 - n_theta/2), at exponents 1, ..., n_theta/2, so every table
+    view runs forward.  The copy-out scales by +-2 and puts output modes
+    0, ..., n_theta/2 - 2 in the columns of the same number and modes -1,
+    ..., -n_theta/2 in columns n_theta - 1, ..., n_theta/2.  R's output
+    mode m >= 1 is -2 conj(M_m) r^m with M_m the full moment of source
+    mode 1 - m at exponent m: the last node of the sweep's inward column
+    for exponent m, or, without C, one dot product per mode.  Band rule:
+    R keeps m = 1, ..., n_theta/2, the partners of C's output modes -1,
+    ..., -n_theta/2; its mode n_theta/2 lands in the Nyquist column beside
+    C's mode -n_theta/2, which is the same e^{i n_theta theta / 2} on the
+    grid, so C + R is pure imaginary and C - R real on T for every source
+    in band, mode 1 - n_theta/2 included.  The modes are those of
     `np.fft.fft(values, axis=1)`, unnormalized.
 
     `modes`, an (n_r, n_theta + 1) buffer, takes the source modes (see
@@ -129,25 +131,24 @@ def _cauchy_reflect_modes(
     itself, which the forward FFT reads before anything is written.  Both
     are allocated when None.
     """
-    half = grid.n_theta // 2
+    N, half = grid.n_theta, grid.n_theta // 2
     eng = _engine_for(grid)
     B = _source_modes(values, modes)
     O = np.empty(values.shape, dtype=complex) if out is None else out
-    inward = (B[:, half + 1 :], slice(half, 0, -1), O[:, half:])
     if c:
-        outward = (B[:, 1:half], slice(0, half - 1), O[:, : half - 1])
-        eng.sweep(inward=[inward], outward=[outward])
+        X = eng.sweep(
+            [(B[:, 1:half], slice(0, half - 1), False), (B[:, N:half:-1], slice(1, half + 1), True)],
+            out=O[:, : N - 1],
+        )
+        moments = X[-1, half - 1 :].copy()  # the copy-out overwrites X
+        # numpy buffers the overlapping operands of these in-place moves
+        np.multiply(X[::-1, : half - 1], -2.0, out=O[:, : half - 1])
+        np.multiply(X[:, : half - 2 : -1], 2.0, out=O[:, half:])
         O[:, half - 1] = 0.0
-        moments = O[-1, half:]  # exponents half, ..., 1
     else:
-        moments = eng.full_moments(B[:, half + 1 :], slice(half, 0, -1))
-    # R's coefficients, before C's scaling below overwrites `moments`
-    coef = (-2.0 * r) * np.conj(moments[::-1])
-    if c:
-        O[:, :half] *= -2.0
-        O[:, half:] *= 2.0
-    else:
+        moments = eng.full_moments(B[:, N:half:-1], slice(1, half + 1))
         O.fill(0.0)
+    coef = (-2.0 * r) * np.conj(moments)  # exponents 1, ..., half
     if r:
         # the source modes are spent: their buffer takes the R term
         cols = slice(1, half + 1)
@@ -243,9 +244,10 @@ def green_potential(psi: GridFunction) -> GridFunction:
 
     Mode n != 0 (k = |n|) is (r^k S(1) - r S - T) / 2k with S the inward
     integral of the source at exponent k + 1 and T the outward integral
-    of r times the source at exponent k; the positive and the negative
-    modes are two runs of columns with consecutive exponents, and one
-    sweep serves all four blocks and mode 0's inward integral.
+    of r times the source at exponent k; the positive modes and the
+    negative ones, read from -1 down, are two runs of columns with
+    ascending exponents, and one sweep serves all four blocks and mode 0's
+    inward integral.
     """
     grid = psi.grid
     N, half = grid.n_theta, grid.n_theta // 2
@@ -253,25 +255,20 @@ def green_potential(psi: GridFunction) -> GridFunction:
     B = _modes(psi)
     r = grid.radii[:, None]
     rB = B * r
-    S = np.empty_like(B)
-    T = np.empty_like(B)
-    T[:, 0] = 0.0  # mode 0 has no outward block
-    pos, neg = slice(1, half), slice(half, N)
-    eng.sweep(
-        inward=[
-            (rB[:, :1], slice(0, 1), S[:, :1]),
-            (B[:, pos], slice(2, half + 1), S[:, pos]),
-            (B[:, neg], slice(half + 1, 1, -1), S[:, neg]),
-        ],
-        outward=[
-            (rB[:, pos], slice(1, half), T[:, pos]),
-            (rB[:, neg], slice(half, 0, -1), T[:, neg]),
-        ],
-    )
+    order = np.r_[:half, N - 1 : half - 1 : -1]  # FFT column k is sweep column order[k]
+    neg = slice(N - 1, half - 1, -1)
+    X = eng.sweep([
+        (rB[:, :1], slice(0, 1), True),
+        (B[:, 1:half], slice(2, half + 1), True),
+        (B[:, neg], slice(2, half + 2), True),
+        (rB[:, 1:half], slice(1, half), False),
+        (rB[:, neg], slice(1, half + 1), False),
+    ])
+    S = X[:, order]  # FFT order; the outward integrals follow, radius-reversed
     mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, 0][None, :])[0]
     out = np.multiply(grid.mode_powers, S[-1])
     out -= np.multiply(S, r, out=S)
-    out -= T
+    out[:, 1:] -= X[::-1, N - 1 + order[1:]]
     k2 = 2.0 * np.abs(grid.mode_numbers)
     k2[0] = 1.0
     out /= k2
