@@ -157,18 +157,21 @@ def jn_exp_check(h: BoundaryFunction, arc: tuple[float, float]) -> DiagnosticRep
 
         int_I e^{|h|/(4e M_h(I))} <= (1+e) Lambda(I) e^{|h_I|/(4e M_h(I))}.
 
-    The arc must be node-aligned with a power-of-two node count so the
+    The arc's ends must be grid angles (to 1e-12; they are not rounded)
+    and its node count a power of two, at most the circle's, so the
     dyadic subdivision used for M_h(I) is exact.
     """
     v = h.require_unmasked("John-Nirenberg check").real
     n = h.n_theta
     dtheta = 2.0 * np.pi / n
-    start, end = arc
-    i0 = int(round(start / dtheta))
-    i1 = int(round(end / dtheta))
+    ends = np.asarray(arc, dtype=float)
+    nodes = np.round(ends / dtheta)
+    if not (np.all(np.isfinite(ends)) and np.all(np.abs(nodes * dtheta - ends) <= 1e-12)):
+        raise ValueError(f"arc ends {tuple(arc)} are not grid angles (multiples of 2 pi/{n})")
+    i0, i1 = (int(k) for k in nodes)
     count = i1 - i0
-    if count <= 0 or (count & (count - 1)) != 0:
-        raise ValueError("arc must be node-aligned with a power-of-two node count")
+    if not 0 < count <= n or count & (count - 1):
+        raise ValueError(f"arc {tuple(arc)} must span a power-of-two node count of at most {n}")
     vals = np.take(v, np.arange(i0, i1), mode="wrap")
 
     # M_h(I): sup over I and its dyadic subdivision down to single nodes

@@ -373,8 +373,10 @@ def _lp_rows(v: np.ndarray, p: float) -> np.ndarray:
 
     Each row is divided by its largest modulus before the power, as
     np.linalg.norm does, so |v|^p neither overflows nor underflows where
-    the norm itself is a finite float.
+    the norm itself is a finite float.  p must be positive.
     """
+    if not p > 0:  # false for NaN as well
+        raise ValueError(f"p must be positive (got {p!r})")
     a = np.abs(v)
     top = np.max(a, axis=1)
     a /= np.where(top > 0.0, top, 1.0)[:, None]

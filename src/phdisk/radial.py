@@ -38,19 +38,18 @@ integral int_0^1 f rho^a drho needs no recurrence: its node weights (the
 inner weights times ((i+1)/n_r)^a <= 1, summed onto the stencil nodes)
 are tabulated too, and it is one dot product per mode.
 
-Layout: the engine computes radius-major, on (n_r, M) arrays whose
-columns are node profiles, the layout `np.fft.fft(values, axis=1)` gives
-the transforms.  Every table keeps the exponent on its last axis, so the
-weights of a run of consecutive exponents are a view and no table is
-gathered per call; C +- R and the Green potential order their source
-columns so that every run ascends.  numpy's ufuncs run several times
-slower on column slices, so a cell contraction copies its source rows
-chunk by chunk to contiguous scratch.  `RadialEngine.sweep` lays all of
-its column blocks side by side in one (n_r, sum M) array, the outward
-blocks radius-reversed: one Python loop steps both recurrences through
-the same rows at one multiply and one add a node.  `cumulative_in`,
-`cumulative_out` and `full_moment` keep their (M, n_r) interface by
-passing transposed views.
+Layout: every method takes and returns radius-major (n_r, M) arrays
+whose columns are node profiles, the layout `np.fft.fft(values, axis=1)`
+gives the transforms; results at arbitrary radii are (targets, M).
+Every table keeps the exponent on its last axis, so the weights of a run
+of consecutive exponents are a view and no table is gathered per call;
+C +- R and the Green potential order their source columns so that every
+run ascends.  numpy's ufuncs run several times slower on column slices,
+so a cell contraction copies its source rows chunk by chunk to
+contiguous scratch.  `RadialEngine.sweep` lays all of its column blocks
+side by side in one (n_r, sum M) array, the outward blocks
+radius-reversed: one Python loop steps both recurrences through the same
+rows at one multiply and one add a node.
 """
 
 from __future__ import annotations
@@ -238,25 +237,28 @@ class RadialEngine:
         self.ratio = np.power((j / (j + 1.0))[:, None], exps[None, :])
         self._ratio_tables: dict[str, np.ndarray] = {}
 
-    def cell_coeffs(self, profiles: np.ndarray) -> np.ndarray:
-        """Local cubic coefficients, (M, n_cells, 4), profiles (M, n_r); the tests' reference."""
-        vals = profiles[:, self.gather]  # (M, n_cells, 4)
-        return np.einsum("iqs,mis->miq", self.coeff_maps, vals)
+    def cell_coeffs(self, P: np.ndarray) -> np.ndarray:
+        """Local cubic coefficients c[i, q, m] of P (n_r, M), the tests' reference."""
+        return np.einsum("iqs,ism->iqm", self.coeff_maps, P[self.gather])
 
-    def cumulative_out_rholog(self, profiles: np.ndarray) -> np.ndarray:
-        """T[m, j] = int_{rho_{j+1}}^1 prof_m(rho) rho log(rho) drho.
+    def midpoints(self, P: np.ndarray) -> np.ndarray:
+        """Each cell's cubic of P (n_r, M) at its midpoint x = 1/2, (n_cells, M)."""
+        mid = (0.5**_Q) @ self.coeff_maps  # (n_cells, 4): stencil weights at x = 1/2
+        return np.einsum("ks,ksm->km", mid, P[self.gather])
+
+    def cumulative_out_rholog(self, P: np.ndarray) -> np.ndarray:
+        """T[j, m] = int_{rho_{j+1}}^1 P[:, m](rho) rho log(rho) drho.
 
         The rho log rho factor is integrated exactly against the local
         cubics; interpolating through the log would leave a rough error
         that discrete Laplacians amplify.
         """
-        P = np.asarray(profiles).T
         T = np.empty(P.shape, dtype=np.result_type(P, float))
         # row j holds cell j + 1; T[j] sums the rows from j to the rim
         self._cell_integrals(self.w_rholog, P, slice(None), T, skip_origin=True)
         T[-1] = 0.0
         np.cumsum(T[-2::-1], axis=0, out=T[-2::-1])
-        return T.T
+        return T
 
     def _exp_index(self, exps) -> slice | np.ndarray:
         """Exponent index into the tables: a slice when the exponents step
@@ -349,66 +351,56 @@ class RadialEngine:
             row += np.multiply(q, prev, out=tmp)
         return X
 
-    def _cumulative(self, profiles, exps, inner: bool) -> np.ndarray:
-        P = np.asarray(profiles).T
-        X = self.sweep([(P, self._exp_index(exps), inner)])
-        return (X if inner else X[::-1]).T
+    def cumulative_in(self, P: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """S[j, m] = int_0^{rho_{j+1}} P[:, m](rho) (rho/rho_{j+1})^{a_m} drho."""
+        return self.sweep([(P, self._exp_index(exps), True)])
 
-    def cumulative_in(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """S[m, j] = int_0^{rho_{j+1}} prof_m(rho) (rho/rho_{j+1})^{a_m} drho."""
-        return self._cumulative(profiles, exps, True)
-
-    def cumulative_out(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """T[m, j] = int_{rho_{j+1}}^1 prof_m(rho) (rho_{j+1}/rho)^{b_m} drho."""
-        return self._cumulative(profiles, exps, False)
+    def cumulative_out(self, P: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """T[j, m] = int_{rho_{j+1}}^1 P[:, m](rho) (rho_{j+1}/rho)^{b_m} drho."""
+        return self.sweep([(P, self._exp_index(exps), False)])[::-1]
 
     def full_moments(self, P: np.ndarray, e) -> np.ndarray:
-        """int_0^1 P[:, m](rho) rho^{e_m} drho for radius-major P (n_r, M)."""
+        """int_0^1 P[:, m](rho) rho^{e_m} drho, e an exponent index (see `_exp_index`)."""
         return np.einsum("jm,jm->m", self.w_full[:, e], P)
 
-    def full_moment(self, profiles: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """int_0^1 prof_m(rho) rho^{a_m} drho (kernel normalized at r=1)."""
-        return self.full_moments(np.asarray(profiles).T, self._exp_index(exps))
-
-    def _partial(self, profiles, exps, targets, inner: bool):
-        """Each target's cell and local position x, and h int prof K over
-        [0, x] (inner) or [x, 1] (outer) of that cell, (M, targets)."""
+    def _partial(self, P, exps, targets, inner: bool):
+        """Each target's cell and local position x, and h int P K over
+        [0, x] (inner) or [x, 1] (outer) of that cell, (targets, M)."""
         pos = np.asarray(targets, dtype=float) / self.h
         cell = np.minimum(np.floor(pos + 1e-9).astype(int), self.n_r - 1)
         x = pos - cell
-        x0, x1 = (0.0, x) if inner else (x, 1.0)
-        nu = _moments(cell, x0, x1, exps[:, None], inner)
+        x0, x1 = (0.0, x[:, None]) if inner else (x[:, None], 1.0)
+        nu = _moments(cell[:, None], x0, x1, exps, inner)
         # fold each target's moments onto its own cell's stencil nodes
-        w = np.matmul(nu[:, :, None], self.h * self.coeff_maps[cell])[:, :, 0]
-        vals = np.asarray(profiles)[:, self.gather[cell]]
-        return cell, x, np.einsum("mks,mks->mk", w, vals)
+        w = np.matmul(nu[:, :, None], self.h * self.coeff_maps[cell, None])[:, :, 0]
+        return cell, x, np.einsum("kms,ksm->km", w, P[self.gather[cell]])
 
-    def _at(self, profiles, exps, targets, inner: bool) -> np.ndarray:
-        """S (inner) or T at radii in (0, 1]: node radii read the sweep, others
-        scale a node of their cell by (smaller / larger radius)^e and add the partial cell."""
+    def _at(self, P, exps, targets, inner: bool) -> np.ndarray:
+        """S (inner) or T at radii in (0, 1], (targets, M): node radii read the sweep,
+        others scale a node of their cell by (smaller / larger radius)^e and add the partial cell."""
         t = np.asarray(targets, dtype=float)
         if not np.all((t > 0.0) & (t <= 1.0)):
             raise ValueError("target radii must lie in (0, 1]")
-        node = (self.cumulative_in if inner else self.cumulative_out)(profiles, exps)
+        node = (self.cumulative_in if inner else self.cumulative_out)(P, exps)
         k = np.floor(t / self.h + 1e-9).astype(int)
         off = (t / self.h - k >= 1e-9) | (k == 0)
-        out = node[:, k - 1]  # column j of the sweep is radius rho_{j+1}
+        out = node[k - 1]  # row j of the sweep is radius rho_{j+1}
         if np.any(off):
-            cell, x, part = self._partial(profiles, exps, t[off], inner)
+            cell, x, part = self._partial(P, exps, t[off], inner)
             # the node at the cell's inner (S) or outer (T) end; T is 0 at r = 1
             j = cell + (not inner)
             ratio = np.minimum(j, cell + x) / np.maximum(j, cell + x)
-            at_j = np.where(j >= 1, node[:, j - 1], 0.0)
-            out[:, off] = np.power(ratio, exps[:, None].astype(float)) * at_j + part
+            at_j = np.where((j >= 1)[:, None], node[j - 1], 0.0)
+            out[off] = np.power(ratio[:, None], exps.astype(float)) * at_j + part
         return out
 
-    def cumulative_in_at(self, profiles, exps, targets) -> np.ndarray:
-        """S at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        return self._at(profiles, exps, targets, True)
+    def cumulative_in_at(self, P, exps, targets) -> np.ndarray:
+        """S at arbitrary radii in (0, 1], shape (len(targets), M)."""
+        return self._at(P, exps, targets, True)
 
-    def cumulative_out_at(self, profiles, exps, targets) -> np.ndarray:
-        """T at arbitrary radii in (0, 1], shape (M, len(targets))."""
-        return self._at(profiles, exps, targets, False)
+    def cumulative_out_at(self, P, exps, targets) -> np.ndarray:
+        """T at arbitrary radii in (0, 1], shape (len(targets), M)."""
+        return self._at(P, exps, targets, False)
 
 
 # a nested Riesz solve uses one engine per level, coarsest first: a

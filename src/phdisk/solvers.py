@@ -59,9 +59,14 @@ from .grid import (
     w12_norm_modes,
     wirtinger_derivatives,
 )
-from .radial import get_engine
 from .similarity import beltrami_ratio, reconstruct, residual_beltrami
-from .transforms import _cauchy_reflect_modes, _holo_with_real_trace, _require_real, cauchy_reflect
+from .transforms import (
+    _cauchy_reflect_modes,
+    _engine_for,
+    _holo_with_real_trace,
+    _require_real,
+    cauchy_reflect,
+)
 
 __all__ = [
     "SolverConfig",
@@ -407,23 +412,20 @@ def parametrize_real(
     return _parametrize(False, alpha, F, psi, lam, cfg, initial_s)
 
 
-def _prolong(wc: np.ndarray, grid) -> np.ndarray:
-    """Values on `grid` of the function with values wc on its half grid.
+def _prolong(wc: np.ndarray, coarse) -> np.ndarray:
+    """Values on the grid twice as fine of the function with values wc on `coarse`.
 
-    The half grid keeps the odd rows and the even columns.  In radius the
-    even rows are the coarse cells' midpoints, where the cell cubics of
-    the coarse level's engine are evaluated at x = 1/2; in angle the
-    modes are zero-padded, the coarse Nyquist mode split between +n and
-    -n.
+    `coarse` is the fine grid's half grid: its odd rows and even columns.
+    In radius the even rows are the coarse cells' midpoints, where
+    `RadialEngine.midpoints` evaluates the cell cubics of the coarse
+    level's engine; in angle the modes are zero-padded, the coarse Nyquist
+    mode split between +n and -n.
     """
     n_c, m_c = wc.shape
-    eng = get_engine(n_c, m_c // 2 + 2)  # the key of `transforms._engine_for`
-    gather, maps = eng.gather, eng.coeff_maps
-    mid = (0.5 ** np.arange(4.0)) @ maps  # (n_c, 4): stencil weights at x = 1/2
     modes = np.fft.fft(wc, axis=1)
     rows = np.empty((2 * n_c, m_c), dtype=complex)
     rows[1::2] = modes
-    rows[0::2] = np.einsum("ks,ksm->km", mid, modes[gather])
+    rows[0::2] = _engine_for(coarse).midpoints(modes)
     half = m_c // 2
     out = np.zeros((2 * n_c, 2 * m_c), dtype=complex)
     out[:, :half] = rows[:, :half]
@@ -471,7 +473,7 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
             given=False,
         )
         if ok:
-            x = _prolong(wc, grid)
+            x = _prolong(wc, coarse)
             x /= scale
         elif not given:
             return None, histories, False

@@ -223,10 +223,10 @@ def cauchy_renormalized(
     p = np.arange(half, 0, -1)
     q = np.arange(half - 1)
     out = np.zeros((len(radii), N), dtype=complex)
-    S = eng.cumulative_in_at(B[:, half + 1 :].T, p, rim)
-    out[:, half:] = 2.0 * S.T * np.power((rim / radii)[:, None], p[None, :])
-    T = eng.cumulative_out_at(B[:, 1:half].T, q, rim)
-    out[:, : half - 1] = -2.0 * T.T
+    S = eng.cumulative_in_at(B[:, half + 1 :], p, rim)
+    out[:, half:] = 2.0 * S * np.power((rim / radii)[:, None], p[None, :])
+    T = eng.cumulative_out_at(B[:, 1:half], q, rim)
+    out[:, : half - 1] = -2.0 * T
     return GridFunction(eval_grid, np.fft.ifft(out, axis=1, out=out))
 
 
@@ -265,7 +265,7 @@ def green_potential(psi: GridFunction) -> GridFunction:
         (rB[:, neg], slice(1, half + 1), False),
     ])
     S = X[:, order]  # FFT order; the outward integrals follow, radius-reversed
-    mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, 0][None, :])[0]
+    mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, :1])[:, 0]
     out = np.multiply(grid.mode_powers, S[-1])
     out -= np.multiply(S, r, out=S)
     out[:, 1:] -= X[::-1, N - 1 + order[1:]]

@@ -3,6 +3,7 @@
 import functools
 
 import numpy as np
+import pytest
 
 from phdisk import GridFunction, w12_norm
 
@@ -38,7 +39,7 @@ def random_initial_s(grid, rng, scale=0.1):
 @functools.cache
 def loglog_mean():
     """a = mean over T of log log(3/|zeta - 1|)."""
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     return quad(
         lambda th: np.log(np.log(3.0 / np.abs(np.exp(1j * th) - 1.0))),

@@ -216,7 +216,7 @@ def _hardy2(fn, n_theta, n_r):
 
 def _inv_dist_circle_integral(rho):
     """int_{|z|=rho} |z-1|^{-1} |dz| in closed form (complete elliptic K)."""
-    from scipy.special import ellipk
+    ellipk = pytest.importorskip("scipy.special").ellipk
 
     return 4.0 * rho / (1.0 + rho) * ellipk(4.0 * rho / (1.0 + rho) ** 2)
 
@@ -287,9 +287,9 @@ def test_criterion_09_conductivity(grid, conductivity_exp):
     match = rep.extra["weighted_boundary_match"]
 
     # independent Shortley-Weller oracle on an overlaid Cartesian grid
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from scipy.interpolate import RegularGridInterpolator
+    sp = pytest.importorskip("scipy.sparse")
+    spla = pytest.importorskip("scipy.sparse.linalg")
+    RegularGridInterpolator = pytest.importorskip("scipy.interpolate").RegularGridInterpolator
 
     def sig_fn(x, y):
         return np.exp(2 * x)

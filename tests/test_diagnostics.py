@@ -135,6 +135,28 @@ class TestJohnNirenberg:
         with pytest.raises(ValueError, match="constant"):
             jn_exp_check(h, (0.0, np.pi))
 
+    @pytest.mark.parametrize(
+        "arc", [(0.04, np.pi + 0.04), (0.0, np.pi + 1e-9), (np.nan, np.pi), (0.0, np.inf)],
+        ids=["shifted", "end-off-by-1e-9", "nan", "inf"],
+    )
+    def test_off_grid_end_raises(self, arc):
+        # (0.04, pi + 0.04) used to be rounded to (0, pi) on 64 angles
+        h = BoundaryFunction.from_function(64, np.cos)
+        with pytest.raises(ValueError, match="not grid angles"):
+            jn_exp_check(h, arc)
+
+    def test_grid_ends_within_tolerance_are_read(self):
+        h = BoundaryFunction.from_function(64, np.cos)
+        rep = jn_exp_check(h, (1e-13, np.pi - 1e-13))
+        assert rep.details["arc_length"] == jn_exp_check(h, (0.0, np.pi)).details["arc_length"]
+
+    @pytest.mark.parametrize("arc", [(0.0, 4 * np.pi), (-np.pi, 3 * np.pi)], ids=["4pi", "shifted-4pi"])
+    def test_arc_longer_than_circle_raises(self, arc):
+        # (0, 4 pi) used to report arc_length 4 pi
+        h = BoundaryFunction.from_function(64, np.cos)
+        with pytest.raises(ValueError, match="node count of at most 64"):
+            jn_exp_check(h, arc)
+
     def test_random_family_slack_zero(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
@@ -272,7 +294,7 @@ class TestExpIntegrability:
         assert all(rep.satisfied)
 
     def test_separable_oracle(self, grid256):
-        from scipy.integrate import quad
+        quad = pytest.importorskip("scipy.integrate").quad
 
         z = grid256.nodes_z()
         f = GridFunction(grid256, z.real.astype(complex))
@@ -284,7 +306,7 @@ class TestExpIntegrability:
 
     def test_loglog_family_finite(self, grid256):
         # the pole sits between angular nodes so every sample is finite
-        from scipy.integrate import quad
+        quad = pytest.importorskip("scipy.integrate").quad
 
         z0 = np.exp(1j * np.pi / 256)
         f = GridFunction.from_function(grid256, lambda z: np.log(np.log(3.0 / np.abs(z - z0))))

@@ -178,6 +178,21 @@ class TestCircleAndHardy:
         for scaled, plain in pairs:
             assert abs(scaled - scale * plain) <= 1e-14 * scale * plain
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan], ids=["0", "-1", "nan"])
+    def test_nonpositive_p_raises(self, p):
+        # 1/p used to divide by zero at p = 0 and return numbers at p < 0
+        g = make_grid(16, 8)
+        f = GridFunction(g, g.nodes_z() + 1.0)
+        norms = [
+            lambda: lp_norm_disk(f, p),
+            lambda: circle_norm(f, g.radii[3], p),
+            lambda: hardy_norm(f, p),
+            lambda: boundary_trace(f).lp_norm(p),
+        ]
+        for norm in norms:
+            with pytest.raises(ValueError, match="p must be positive"):
+                norm()
+
     def test_hardy_norm_masked_interior_raises(self, grid256):
         vals = np.ones((256, 256), dtype=complex)
         vals[-1, 5] = np.nan  # a masked rim node is off the interior circles

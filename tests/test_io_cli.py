@@ -481,6 +481,32 @@ class TestCli:
         assert err["message"].startswith(message)
 
     @pytest.mark.parametrize(
+        "diagnostic, params, message",
+        [
+            ("jn", {"arc": [0.04, np.pi + 0.04]}, "arc ends (0.04, "),
+            ("jn", {"arc": [0.0, 4.0 * np.pi]}, "arc (0.0, 12.56"),
+            ("trace-convergence", {"p": 0.0}, "p must be positive"),
+            ("trace-convergence", {"p": -1.0}, "p must be positive"),
+        ],
+        ids=["jn-off-grid-arc", "jn-arc-4pi", "trace-p=0", "trace-p=-1"],
+    )
+    def test_diagnostic_value_out_of_range_is_validation_error(self, tmp_path, capsys, diagnostic, params, message):
+        # the arcs used to be rounded to (0, pi) and run at length 4 pi;
+        # p = 0 exited "internal" (ZeroDivisionError) and p = -1 printed numbers
+        from phdisk import cli
+
+        inputs = {"h": str(tmp_path / "h.phd1"), "w": str(tmp_path / "w.phd1")}
+        save_phd1(inputs["h"], BoundaryFunction.from_function(64, np.cos))
+        g = make_grid(64, 16)
+        save_phd1(inputs["w"], GridFunction(g, g.nodes_z()))
+        cfg = {"diagnostic": diagnostic, "inputs": inputs, "params": params}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["diagnose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ({"field": "nope", "radius": 0.5}, "emit_slices refers to unknown field 'nope'"),

@@ -2,8 +2,8 @@
 
 The engine interpolates each cell by a cubic, so node profiles rho^j with
 j <= 3 are integrated exactly and the cumulative integrals have closed
-forms at every exponent.  Column k of a profile holds its value at
-rho_{k+1} = (k+1)/n_r.
+forms at every exponent.  Profiles are radius-major, (n_r, M): row k
+holds the values at rho_{k+1} = (k+1)/n_r.
 """
 
 import numpy as np
@@ -18,44 +18,44 @@ POWERS = np.arange(4)
 
 @pytest.fixture(scope="module", params=SIZES, ids=lambda s: f"{s[0]}-{s[1]}")
 def case(request):
-    """Engine, node radii, and one row rho^j per (exponent, power) pair."""
+    """Engine, node radii, and one column rho^j per (exponent, power) pair."""
     n_r, a_max = request.param
     eng = RadialEngine(n_r, a_max)
     r = np.arange(1, n_r + 1) / n_r
     exps = np.repeat(np.arange(a_max + 1), len(POWERS))
     js = np.tile(POWERS, a_max + 1)
-    profiles = r[None, :] ** js[:, None]
+    profiles = r[:, None] ** js[None, :]
     return eng, r, exps, js, profiles
 
 
 def rough_profiles(seed, M, n_r):
-    """Complex normal node values: no stencil layout reproduces them by accident."""
+    """Complex normal node values, (n_r, M): no stencil layout reproduces them by accident."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((M, n_r)) + 1j * rng.standard_normal((M, n_r))
+    return (rng.standard_normal((M, n_r)) + 1j * rng.standard_normal((M, n_r))).T
 
 
 def test_cumulative_in_closed_form(case):
     eng, r, exps, js, profiles = case
     S = eng.cumulative_in(profiles, exps)
-    exact = r[None, :] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
+    exact = r[:, None] ** (js + 1)[None, :] / (exps + js + 1)[None, :]
     assert np.max(np.abs(S - exact) / exact) < 1e-12
 
 
 def test_cumulative_out_closed_form(case):
     eng, r, exps, js, profiles = case
     T = eng.cumulative_out(profiles, exps)
-    d = (js + 1 - exps)[:, None]
-    rb = r[None, :] ** exps[:, None]
+    d = (js + 1 - exps)[None, :]
+    rb = r[:, None] ** exps[None, :]
     # r^b (1 - r^d) / d written without r^d, which overflows for large b
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = np.where(d == 0, -rb * np.log(r), (rb - r[None, :] ** (js + 1)[:, None]) / d)
-    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+        exact = np.where(d == 0, -rb * np.log(r)[:, None], (rb - r[:, None] ** (js + 1)[None, :]) / d)
+    err = np.max(np.abs(T - exact), axis=0) / np.max(np.abs(exact), axis=0)
     assert np.max(err) < 1e-12
 
 
 def test_full_moment_closed_form(case):
     eng, r, exps, js, profiles = case
-    full = eng.full_moment(profiles, exps)
+    full = eng.full_moments(profiles, exps)
     exact = 1.0 / (exps + js + 1)
     assert np.max(np.abs(full - exact) / exact) < 1e-13
 
@@ -67,25 +67,24 @@ def test_folded_weights_match_cell_cubics(case):
     cells = np.arange(eng.n_r, dtype=float)
     coeffs = eng.cell_coeffs(prof)
     for table, inner in ((eng.w_in, True), (eng.w_out, False)):
-        nu = np.stack([_moments(cells, 0.0, 1.0, a, inner) for a in exps])
-        ref = eng.h * np.einsum("miq,miq->mi", coeffs, nu)
+        nu = np.stack([_moments(cells, 0.0, 1.0, a, inner) for a in exps], axis=-1)
+        ref = eng.h * np.einsum("iqm,iqm->im", coeffs, nu)
         if not inner:
-            ref[:, 0] = 0.0
-        got = np.empty(prof.shape[::-1], dtype=complex)  # radius-major
-        eng._cell_integrals(table, prof.T, eng._exp_index(exps), got)
-        got = got.T
+            ref[0] = 0.0
+        got = np.empty(prof.shape, dtype=complex)
+        eng._cell_integrals(table, prof, eng._exp_index(exps), got)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_cumulative_out_rholog_closed_form(case):
     """int_r^1 rho^j rho log(rho) drho = -1/J^2 - r^J log(r)/J + r^J/J^2, J = j + 2."""
     eng, r, exps, js, profiles = case
-    prof = r[None, :] ** POWERS[:, None]
+    prof = r[:, None] ** POWERS[None, :]
     T = eng.cumulative_out_rholog(prof)
-    J = (POWERS + 2.0)[:, None]
-    rJ = r[None, :] ** J
-    exact = -1.0 / J**2 - rJ * np.log(r) / J + rJ / J**2
-    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    J = (POWERS + 2.0)[None, :]
+    rJ = r[:, None] ** J
+    exact = -1.0 / J**2 - rJ * np.log(r)[:, None] / J + rJ / J**2
+    err = np.max(np.abs(T - exact), axis=0) / np.max(np.abs(exact), axis=0)
     assert np.max(err) < 1e-12
 
 
@@ -98,9 +97,9 @@ def test_rholog_weights_match_cell_cubics(case):
     x = 0.5 * (xg + 1.0)
     rho = eng.h * (np.arange(1, eng.n_r)[:, None] + x)
     mom = (rho * np.log(rho) * 0.5 * wg) @ x[:, None] ** np.arange(4)  # (cells 1.., q)
-    cells = eng.h * np.einsum("miq,iq->mi", eng.cell_coeffs(prof)[:, 1:], mom)
+    cells = eng.h * np.einsum("iqm,iq->im", eng.cell_coeffs(prof)[1:], mom)
     ref = np.zeros(prof.shape, dtype=complex)
-    ref[:, :-1] = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1]
+    ref[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
     got = eng.cumulative_out_rholog(prof)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -123,8 +122,8 @@ def test_cumulative_in_at_closed_form(case):
     eng, r, exps, js, profiles = case
     t = partial_targets(eng.n_r)
     S = eng.cumulative_in_at(profiles, exps, t)
-    exact = t[None, :] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
-    floor = r[0] ** (js + 1)[:, None] / (exps + js + 1)[:, None]
+    exact = t[:, None] ** (js + 1)[None, :] / (exps + js + 1)[None, :]
+    floor = r[0] ** (js + 1)[None, :] / (exps + js + 1)[None, :]
     assert np.max(np.abs(S - exact) / np.maximum(exact, floor)) < 1e-12
 
 
@@ -133,11 +132,11 @@ def test_cumulative_out_at_closed_form(case):
     eng, r, exps, js, profiles = case
     t = partial_targets(eng.n_r)
     T = eng.cumulative_out_at(profiles, exps, t)
-    d = (js + 1 - exps)[:, None]
-    tb = t[None, :] ** exps[:, None]
+    d = (js + 1 - exps)[None, :]
+    tb = t[:, None] ** exps[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = np.where(d == 0, -tb * np.log(t), (tb - t[None, :] ** (js + 1)[:, None]) / d)
-    err = np.max(np.abs(T - exact), axis=1) / np.max(np.abs(exact), axis=1)
+        exact = np.where(d == 0, -tb * np.log(t)[:, None], (tb - t[:, None] ** (js + 1)[None, :]) / d)
+    err = np.max(np.abs(T - exact), axis=0) / np.max(np.abs(exact), axis=0)
     assert np.max(err) < 1e-12
 
 
@@ -162,9 +161,9 @@ def test_node_targets_skip_partial_cells(monkeypatch):
     seen = []
     partial = RadialEngine._partial
 
-    def counting(self, profiles, exps, targets, inner):
+    def counting(self, P, exps, targets, inner):
         seen.append(len(targets))
-        return partial(self, profiles, exps, targets, inner)
+        return partial(self, P, exps, targets, inner)
 
     monkeypatch.setattr(RadialEngine, "_partial", counting)
     g = make_grid(256, 256)
@@ -179,7 +178,7 @@ def test_node_targets_skip_partial_cells(monkeypatch):
 def test_target_outside_unit_interval_raises(method, target):
     eng = RadialEngine(16, 5)
     with pytest.raises(ValueError):
-        getattr(eng, method)(np.ones((2, 16)), np.array([1, 2]), np.array([0.5, target]))
+        getattr(eng, method)(np.ones((16, 2)), np.array([1, 2]), np.array([0.5, target]))
 
 
 @pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
@@ -193,7 +192,7 @@ def test_partial_cells_match_cell_cubics(case, inner):
     cell, x, part = eng._partial(prof, exps, t, inner)
     x0, x1 = (0.0, x) if inner else (x, 1.0)
     nu = _moments(cell, x0, x1, exps[:, None], inner)
-    ref = eng.h * np.einsum("mkq,mkq->mk", eng.cell_coeffs(prof)[:, cell], nu)
+    ref = eng.h * np.einsum("kqm,mkq->km", eng.cell_coeffs(prof)[cell], nu)
     assert np.max(np.abs(part - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -206,7 +205,7 @@ def test_whole_cell_moments_against_quad(inner):
     routes are checked, the general rule and the engine's shared nodes;
     (2, 130) and (4, 130) sit on either side of the cap (e log((i+1)/i)
     is 52.7 and 29.0 against _Y_CAP = 45)."""
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     n_r, a_max = 256, 130
     pairs = [(1, a_max), (3, a_max), (10, 60), (100, 1), (n_r - 1, a_max), (2, a_max), (4, a_max)]
@@ -232,13 +231,21 @@ def test_shared_node_moments_match_general_rule(n_r, a_max, inner):
     exponent) pair, relative to each cell's largest moment: the shared
     form on the uncapped pairs, the general rule's own values on the origin
     cell, e = 0 and the capped pairs (472 of 33,536 pairs at 256, 1,283
-    at 512)."""
+    at 512).  The engine's table folds the same moments onto the stencil
+    nodes, relative to each cell's largest weight."""
     cells = np.arange(n_r, dtype=float)
     exps = np.arange(a_max + 1.0)
     got = _whole_cell_moments(cells, exps, inner)
     ref = np.stack([_moments(cells, 0.0, 1.0, e, inner) for e in exps], axis=1)
     scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
     assert np.max(np.abs(got - ref) / scale) < 1e-14
+    eng = RadialEngine(n_r, a_max)
+    folded = np.einsum("ieq,iqs->sie", ref, eng.h * eng.coeff_maps)
+    if not inner:
+        folded[:, 0] = 0.0  # the cell touching the origin has no outer part
+    table = eng.w_in if inner else eng.w_out
+    scale = np.max(np.abs(folded), axis=(0, 2), keepdims=True)
+    assert np.max(np.abs(table - folded) / np.where(scale > 0.0, scale, 1.0)) < 1e-14
 
 
 def test_full_weights_match_scatter(case):
@@ -256,8 +263,8 @@ def test_full_weights_match_scatter(case):
 def test_full_moment_is_last_node_of_cumulative_in(case):
     eng, r, exps, js, profiles = case
     prof = rough_profiles(4, len(exps), eng.n_r)
-    S = eng.cumulative_in(prof, exps)[:, -1]
-    assert np.max(np.abs(eng.full_moment(prof, exps) - S)) < 1e-14 * np.max(np.abs(S))
+    S = eng.cumulative_in(prof, exps)[-1]
+    assert np.max(np.abs(eng.full_moments(prof, exps) - S)) < 1e-14 * np.max(np.abs(S))
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
@@ -268,26 +275,30 @@ def test_exponent_runs_index_by_slices(case, step):
     run = np.arange(eng.a_max + 1)[::step]
     assert isinstance(eng._exp_index(run), slice)
     for j in POWERS:
-        prof = np.repeat(r[None, :] ** j, len(run), axis=0)
+        prof = np.repeat(r[:, None] ** j, len(run), axis=1)
         S = eng.cumulative_in(prof, run)
-        exact_in = r[None, :] ** (j + 1) / (run + j + 1)[:, None]
+        exact_in = r[:, None] ** (j + 1) / (run + j + 1)[None, :]
         assert np.max(np.abs(S - exact_in) / exact_in) < 1e-12
         T = eng.cumulative_out(prof, run)
-        d = (j + 1 - run)[:, None]
-        rb = r[None, :] ** run[:, None]
+        d = (j + 1 - run)[None, :]
+        rb = r[:, None] ** run[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            exact_out = np.where(d == 0, -rb * np.log(r), (rb - r[None, :] ** (j + 1)) / d)
-        err = np.max(np.abs(T - exact_out), axis=1) / np.max(np.abs(exact_out), axis=1)
+            exact_out = np.where(d == 0, -rb * np.log(r)[:, None], (rb - r[:, None] ** (j + 1)) / d)
+        err = np.max(np.abs(T - exact_out), axis=0) / np.max(np.abs(exact_out), axis=0)
         assert np.max(err) < 1e-12
-        full = eng.full_moment(prof, run)
+        full = eng.full_moments(prof, eng._exp_index(run))
         assert np.max(np.abs(full - 1.0 / (run + j + 1)) * (run + j + 1)) < 1e-13
 
 
 @pytest.mark.parametrize("method", ["cumulative_in", "cumulative_out", "full_moment"])
 def test_exponent_beyond_table_raises(method):
     eng = RadialEngine(16, 5)
+    P, e = np.ones((16, 2)), np.array([1, 6])
     with pytest.raises(ValueError):
-        getattr(eng, method)(np.ones((2, 16)), np.array([1, 6]))
+        if method == "full_moment":  # full_moments takes a table index
+            eng.full_moments(P, eng._exp_index(e))
+        else:
+            getattr(eng, method)(P, e)
 
 
 def test_engine_cache_evicts_least_recently_used(monkeypatch):
@@ -306,8 +317,8 @@ def sweep_layouts(n_theta, n_r):
     """The transforms' block layouts on random modes: C +- R's pair and the
     Green potential's five, as (P, exponent index, inner) blocks."""
     N, half = n_theta, n_theta // 2
-    B = rough_profiles(7, N + 1, n_r).T  # radius-major source modes
-    rB = rough_profiles(8, N, n_r).T
+    B = rough_profiles(7, N + 1, n_r)  # source modes
+    rB = rough_profiles(8, N, n_r)
     neg = slice(N - 1, half - 1, -1)
     return {
         "cauchy-reflect": [

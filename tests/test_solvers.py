@@ -41,7 +41,8 @@ def complex_alpha(g):
 def scipy_riesz(alpha, psi, c, restart=60):
     """Oracle: SciPy's GMRES on the real 2N view of
     A w = w - (C + R)(alpha conj(w)) = H, H = riesz_extension(psi) + i c / 2 pi."""
-    from scipy.sparse.linalg import LinearOperator, gmres
+    spla = pytest.importorskip("scipy.sparse.linalg")
+    LinearOperator, gmres = spla.LinearOperator, spla.gmres
 
     g = alpha.grid
     H = riesz_extension(psi, g).values + 1j * c / (2 * np.pi)
@@ -96,7 +97,7 @@ class TestParametrizeImag:
         F = GridFunction.constant(grid256, 1.0)
         psi = BoundaryFunction.from_function(256, np.sin)
         s, rep = parametrize_imag(alpha, F, psi, 0.0, CFG)
-        assert w12_norm(s - GridFunction(grid256, 1j * z.imag)) <= 1e-4
+        assert w12_norm(s - GridFunction(grid256, 1j * z.imag)) <= 1e-8
         assert rep.converged and rep.iterations <= 100
         assert rep.residual_beltrami <= 1e-5
 
@@ -173,7 +174,7 @@ class TestParametrizeReal:
         F = GridFunction.constant(grid256, 1.0)
         psi = BoundaryFunction.from_function(256, np.cos)
         s, rep = parametrize_real(alpha, F, psi, 0.0, CFG)
-        assert w12_norm(s - GridFunction(grid256, z.real.astype(complex))) <= 1e-4
+        assert w12_norm(s - GridFunction(grid256, z.real.astype(complex))) <= 1e-8
         assert rep.converged and rep.iterations <= 100
         assert rep.residual_beltrami <= 1e-5
         # s - H is the imaginary_on_T exponent of the factorization of e^s F
@@ -528,7 +529,7 @@ class TestSolveRiesz:
         g = make_grid(64, 32)
         r, th = g.radii[:, None], g.thetas[None, :]
         f = (1.0 + r - 2.0 * r**2 + 0.5 * r**3) * (np.exp(1j * th) + 0.3 * np.exp(-15j * th) + np.cos(16 * th))
-        out = solvers._prolong(f[1::2, ::2], g)
+        out = solvers._prolong(f[1::2, ::2], make_grid(32, 16))
         assert np.max(np.abs(out - f)) <= 1e-13
     def test_hardy_counterexample_growth(self):
         # the real-normalized holomorphic factor of the log-singular member
@@ -686,9 +687,9 @@ class TestConductivity:
             solve_conductivity(GridFunction(grid256, vals), BoundaryFunction.zeros(256), CFG)
 
     def test_exp_sobolev_coefficient_vs_fd_oracle(self, grid256):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        from scipy.interpolate import RegularGridInterpolator
+        sp = pytest.importorskip("scipy.sparse")
+        spla = pytest.importorskip("scipy.sparse.linalg")
+        RegularGridInterpolator = pytest.importorskip("scipy.interpolate").RegularGridInterpolator
 
         def sig_fn(x, y):
             return np.exp(2 * x)
@@ -758,11 +759,15 @@ class TestConductivity:
         assert abs(res - 4 * np.sqrt(0.81 * np.pi)) < 0.05
 
     def test_exact_exponential_pair(self, grid256):
-        # u = e^{-2x} solves div(e^{2x} grad u) = 0
+        # u = e^{-2x} solves div(e^{2x} grad u) = 0, and the nested solve
+        # recovers it from its trace
         z = grid256.nodes_z()
         sigma = GridFunction(grid256, np.exp(2 * z.real))
         u = GridFunction(grid256, np.exp(-2 * z.real))
         assert conductivity_residual(sigma, u) <= 1e-6
+        psi = BoundaryFunction(np.exp(-2.0 * np.cos(grid256.thetas)))
+        got, _, _, rep = solve_conductivity(sigma, psi)
+        assert rep.converged and np.max(np.abs(got.values - u.values)) < 1e-6
 
 
 class TestGmres:

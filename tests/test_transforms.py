@@ -223,7 +223,7 @@ class TestGreenPotential:
             assert rel <= 1e-5
 
     def test_radial_bump_vs_ode_oracle(self, grid256):
-        from scipy.linalg import solve_banded
+        solve_banded = pytest.importorskip("scipy.linalg").solve_banded
 
         def psi_fn(rr):
             return np.exp(-(((rr - 0.4) / 0.15) ** 2))
