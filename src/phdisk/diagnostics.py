@@ -138,8 +138,8 @@ def ap_constant(weight: BoundaryFunction, p: float, family: ArcFamily) -> float:
     w = weight.require_unmasked("A_p constant").real
     if np.any(w <= 0.0):
         raise ValueError("weight must be strictly positive")
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and exceed 1 (got {p!r})")
     winv = w ** (-1.0 / (p - 1.0))
     # the power is taken per arc on floats: numpy's vectorized power may
     # round differently from the scalar one
@@ -246,8 +246,12 @@ def equicontinuity_modulus(
     For each square side epsilon, the maximum over a sliding lattice
     (stride epsilon/2) of ||dC||+||dbar C|| on Q cap D, paired with the
     maximum local mass of beta itself, so the modulus-of-continuity
-    dependence is observable.
+    dependence is observable.  Sides must be finite and positive; a side
+    >= 2 spans the disk (the lattice keeps at least 2 bins a side).
     """
+    for eps in side_lengths:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"side length {eps!r} must be finite and positive")
     beta.require_unmasked("equicontinuity modulus")
     Cb = cauchy(beta)
     d, dbar = wirtinger_derivatives(Cb)
@@ -260,7 +264,7 @@ def equicontinuity_modulus(
     measured, companions = [], []
     for eps in side_lengths:
         half = eps / 2.0
-        nbins = int(np.ceil(2.0 / half))
+        nbins = max(2, math.ceil(2.0 / half))
         ix = np.clip(((z.real + 1.0) / half).astype(int), 0, nbins - 1)
         iy = np.clip(((z.imag + 1.0) / half).astype(int), 0, nbins - 1)
         acc = np.zeros((3, nbins, nbins))

@@ -50,6 +50,17 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _node_index(value: float, nodes: np.ndarray, step: float, first: int, what: str) -> int:
+    """Index j of value among the nodes (j + first) * step, to 1e-12, else
+    a ValueError naming value (NaN and inf included)."""
+    k = float(value) / step
+    if math.isfinite(k):
+        j = round(k) - first
+        if 0 <= j < len(nodes) and abs(nodes[j] - value) <= 1e-12:
+            return j
+    raise ValueError(f"{what} {value} is not on the grid")
+
+
 def _simpson_coeffs(n_cells: int) -> np.ndarray:
     """Newton-Cotes coefficients on nodes 0..n_cells, exact for cubics."""
     if n_cells < 2:
@@ -146,6 +157,14 @@ class DiskGrid:
             raise ValueError("r_max too small for this grid")
         coeffs = _simpson_coeffs(K)
         return coeffs[1:] * self.radial_step * self.radii[:K], K
+
+    def radius_index(self, rho: float) -> int:
+        """Row of the grid radius rho, else a ValueError naming rho."""
+        return _node_index(rho, self.radii, self.radial_step, 1, "radius")
+
+    def angle_index(self, theta: float) -> int:
+        """Column of the grid angle theta in [0, 2 pi), else a ValueError naming theta."""
+        return _node_index(theta, self.thetas, 2.0 * np.pi / self.n_theta, 0, "angle")
 
     def same_as(self, other: "DiskGrid") -> bool:
         return (
@@ -425,10 +444,7 @@ def circle_norm(f: GridFunction, rho: float, p: float) -> float:
     15-19% at n_theta = n_r, 0.3% at 4 n_r, 4e-5 at 8 n_r and 1e-8 at 16 n_r
     (n_r = 64 to 256); use n_theta >= 8 n_r for such f.
     """
-    g = f.grid
-    j = int(round(rho / g.radial_step)) - 1
-    if j < 0 or j >= g.n_r or abs(g.radii[j] - rho) > 1e-12:
-        raise ValueError(f"rho={rho} is not a grid radius")
+    j = f.grid.radius_index(rho)
     return float(_circle_norms(f, slice(j, j + 1), p)[0])
 
 

@@ -141,17 +141,12 @@ def _slice(f: GridFunction, along: str, value: float):
         raise ValueError(f"slices are taken of grid functions; got {type(f).__name__}")
     g = f.grid
     if along == "radius":
-        j = int(round(value / g.radial_step)) - 1
-        if j < 0 or j >= g.n_r or abs(g.radii[j] - value) > 1e-12:
-            raise ValueError(f"radius {value} is not on the grid")
+        j = g.radius_index(value)
         coords = g.thetas
         vals = f.values[j]
         masks = f.mask[j] if f.mask is not None else np.zeros(g.n_theta, bool)
     elif along == "angle":
-        dtheta = 2.0 * np.pi / g.n_theta
-        k = int(round(value / dtheta))
-        if k < 0 or k >= g.n_theta or abs(g.thetas[k] - value) > 1e-12:
-            raise ValueError(f"angle {value} is not on the grid")
+        k = g.angle_index(value)
         coords = g.radii
         vals = f.values[:, k]
         masks = f.mask[:, k] if f.mask is not None else np.zeros(g.n_r, bool)

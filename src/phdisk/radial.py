@@ -33,10 +33,10 @@ by four shifted slices.  At arbitrary radii, node radii read the sweep;
 only a radius inside a cell folds its partial-cell moments onto that
 cell's nodes.  No transform forms the cubics.  Cumulation uses
 recurrences whose scaling factors are powers of ratios <= 1 (tabulated
-once per engine), so nothing overflows no matter the exponent.  The full
-integral int_0^1 f rho^a drho needs no recurrence: its node weights (the
-inner weights times ((i+1)/n_r)^a <= 1, summed onto the stencil nodes)
-are tabulated too, and it is one dot product per mode.
+once per engine), so nothing overflows no matter the exponent, and
+`RadialEngine.sweep` is the one place they run: the full integral
+int_0^1 f rho^a drho is the last node of the inward sweep, and the rho
+log rho integral an outward sweep at exponent 0, whose ratios are 1.
 
 Layout: every method takes and returns radius-major (n_r, M) arrays
 whose columns are node profiles, the layout `np.fft.fft(values, axis=1)`
@@ -212,14 +212,6 @@ class RadialEngine:
         self.w_in = fold(True)
         self.w_out = fold(False)
         self.w_out[:, 0] = 0.0  # the cell touching the origin has no outer part
-        # S at r = 1 is sum_i c_i ((i+1)/n_r)^a; summed onto the stencil nodes
-        reach = np.power(((cells + 1.0) / n_r)[:, None], exps[None, :])
-        part = self.w_in * reach
-        self.w_full = np.zeros((n_r, a_max + 1))
-        for s in range(4):  # the stencil layout of `_cell_integrals`
-            self.w_full[s : n_r - 3 + s] += part[s, 2:-1]
-        self.w_full[:4] += part[:, 0] + part[:, 1]
-        self.w_full[-4:] += part[:, -1]
         # rho log rho = h (i+x) (log h + log(i+x)), so cell i's moments are
         # h (log h int x^q (i+x) dx + int x^q (i+x) log(i+x) dx): the first
         # in closed form, the second by Gauss-Legendre (cells i >= 1; the
@@ -253,12 +245,7 @@ class RadialEngine:
         cubics; interpolating through the log would leave a rough error
         that discrete Laplacians amplify.
         """
-        T = np.empty(P.shape, dtype=np.result_type(P, float))
-        # row j holds cell j + 1; T[j] sums the rows from j to the rim
-        self._cell_integrals(self.w_rholog, P, slice(None), T, skip_origin=True)
-        T[-1] = 0.0
-        np.cumsum(T[-2::-1], axis=0, out=T[-2::-1])
-        return T
+        return self.sweep([(P, slice(0, 1), self.w_rholog)])[::-1]
 
     def _exp_index(self, exps) -> slice | np.ndarray:
         """Exponent index into the tables: a slice when the exponents step
@@ -310,9 +297,9 @@ class RadialEngine:
         and ratio[n_r - 1 - t, e] for an outward one.  One block reads a
         view; the table of several is built once per layout."""
         if len(blocks) == 1:
-            ((_, e, inner),) = blocks
-            return self.ratio[:, e] if inner else self.ratio[::-1, e]
-        key = str([(e if isinstance(e, slice) else e.tolist(), inner) for _, e, inner in blocks])
+            ((_, e, table),) = blocks
+            return self.ratio[:, e] if table is self.w_in else self.ratio[::-1, e]
+        key = str([(e if isinstance(e, slice) else e.tolist(), t is self.w_in) for _, e, t in blocks])
         if key not in self._ratio_tables:
             self._ratio_tables[key] = np.concatenate([self._ratios([b]) for b in blocks], axis=1)
         return self._ratio_tables[key]
@@ -320,30 +307,30 @@ class RadialEngine:
     def sweep(self, blocks, out=None) -> np.ndarray:
         """Cumulative integrals of several column blocks in one radial pass.
 
-        Each block is (P, e, inner): radius-major node profiles P (n_r, M),
-        their exponent index (see `_exp_index`) and the direction, S from
-        the origin out (inner) or T from the rim in.  Returns one (n_r,
-        sum M) array, the blocks' columns side by side in order: an inward
-        block's rows are S at rho_1, ..., rho_{n_r}, an outward block's are
-        T radius-reversed, so X[::-1, cols] reads T at rho_1, ...  Both
-        recurrences then step through the same rows, and one Python loop
-        costs one multiply and one add per node, scaled by the node ratios
-        <= 1 of `_ratios`.  `out`, an array of that shape whose rows are
-        contiguous and which no P overlaps, takes the result when given.
+        Each block is (P, e, table): radius-major node profiles P (n_r, M),
+        their exponent index (see `_exp_index`) and the weights, `w_in` for
+        S from the origin out, `w_out` or `w_rholog` for T from the rim in.
+        Returns one (n_r, sum M) array, the blocks' columns side by side in
+        order: an inward block's rows are S at rho_1, ..., rho_{n_r}, an
+        outward block's are T radius-reversed, so X[::-1, cols] reads T at
+        rho_1, ...  Both recurrences then step through the same rows, and
+        one Python loop costs one multiply and one add per node, scaled by
+        the node ratios <= 1 of `_ratios`.  `out`, an array of that shape
+        whose rows are contiguous and which no P overlaps, takes the result.
         """
         if out is None:
             shape = (self.n_r, sum(P.shape[1] for P, _, _ in blocks))
             out = np.empty(shape, np.result_type(*(P for P, _, _ in blocks), float))
         X = out
         c = 0
-        for P, e, inner in blocks:
+        for P, e, table in blocks:
             cols = X[:, c : c + P.shape[1]]
             c += P.shape[1]
-            if inner:
-                self._cell_integrals(self.w_in, P, e, cols)
+            if table is self.w_in:
+                self._cell_integrals(table, P, e, cols)
             else:
                 # row n - 1 - j holds cell j + 1; row 0 is T at the rim
-                self._cell_integrals(self.w_out, P, e, cols[::-1], skip_origin=True)
+                self._cell_integrals(table, P, e, cols[::-1], skip_origin=True)
                 cols[0] = 0.0
         tmp = np.empty(X.shape[1], X.dtype)
         rows = list(X)
@@ -353,15 +340,11 @@ class RadialEngine:
 
     def cumulative_in(self, P: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """S[j, m] = int_0^{rho_{j+1}} P[:, m](rho) (rho/rho_{j+1})^{a_m} drho."""
-        return self.sweep([(P, self._exp_index(exps), True)])
+        return self.sweep([(P, self._exp_index(exps), self.w_in)])
 
     def cumulative_out(self, P: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """T[j, m] = int_{rho_{j+1}}^1 P[:, m](rho) (rho_{j+1}/rho)^{b_m} drho."""
-        return self.sweep([(P, self._exp_index(exps), False)])[::-1]
-
-    def full_moments(self, P: np.ndarray, e) -> np.ndarray:
-        """int_0^1 P[:, m](rho) rho^{e_m} drho, e an exponent index (see `_exp_index`)."""
-        return np.einsum("jm,jm->m", self.w_full[:, e], P)
+        return self.sweep([(P, self._exp_index(exps), self.w_out)])[::-1]
 
     def _partial(self, P, exps, targets, inner: bool):
         """Each target's cell and local position x, and h int P K over

@@ -117,7 +117,7 @@ def _cauchy_reflect_modes(
     ..., -n_theta/2 in columns n_theta - 1, ..., n_theta/2.  R's output
     mode m >= 1 is -2 conj(M_m) r^m with M_m the full moment of source
     mode 1 - m at exponent m: the last node of the sweep's inward column
-    for exponent m, or, without C, one dot product per mode.  Band rule:
+    for exponent m, with or without C.  Band rule:
     R keeps m = 1, ..., n_theta/2, the partners of C's output modes -1,
     ..., -n_theta/2; its mode n_theta/2 lands in the Nyquist column beside
     C's mode -n_theta/2, which is the same e^{i n_theta theta / 2} on the
@@ -135,18 +135,16 @@ def _cauchy_reflect_modes(
     eng = _engine_for(grid)
     B = _source_modes(values, modes)
     O = np.empty(values.shape, dtype=complex) if out is None else out
+    inward = (B[:, N:half:-1], slice(1, half + 1), eng.w_in)  # its last row: R's moments
     if c:
-        X = eng.sweep(
-            [(B[:, 1:half], slice(0, half - 1), False), (B[:, N:half:-1], slice(1, half + 1), True)],
-            out=O[:, : N - 1],
-        )
+        X = eng.sweep([(B[:, 1:half], slice(0, half - 1), eng.w_out), inward], out=O[:, : N - 1])
         moments = X[-1, half - 1 :].copy()  # the copy-out overwrites X
         # numpy buffers the overlapping operands of these in-place moves
         np.multiply(X[::-1, : half - 1], -2.0, out=O[:, : half - 1])
         np.multiply(X[:, : half - 2 : -1], 2.0, out=O[:, half:])
         O[:, half - 1] = 0.0
     else:
-        moments = eng.full_moments(B[:, N:half:-1], slice(1, half + 1))
+        moments = eng.sweep([inward])[-1]
         O.fill(0.0)
     coef = (-2.0 * r) * np.conj(moments)  # exponents 1, ..., half
     if r:
@@ -258,11 +256,11 @@ def green_potential(psi: GridFunction) -> GridFunction:
     order = np.r_[:half, N - 1 : half - 1 : -1]  # FFT column k is sweep column order[k]
     neg = slice(N - 1, half - 1, -1)
     X = eng.sweep([
-        (rB[:, :1], slice(0, 1), True),
-        (B[:, 1:half], slice(2, half + 1), True),
-        (B[:, neg], slice(2, half + 2), True),
-        (rB[:, 1:half], slice(1, half), False),
-        (rB[:, neg], slice(1, half + 1), False),
+        (rB[:, :1], slice(0, 1), eng.w_in),
+        (B[:, 1:half], slice(2, half + 1), eng.w_in),
+        (B[:, neg], slice(2, half + 2), eng.w_in),
+        (rB[:, 1:half], slice(1, half), eng.w_out),
+        (rB[:, neg], slice(1, half + 1), eng.w_out),
     ])
     S = X[:, order]  # FFT order; the outward integrals follow, radius-reversed
     mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, :1])[:, 0]

@@ -118,6 +118,13 @@ class TestApConstant:
         with pytest.raises(ValueError, match="positive"):
             ap_constant(BoundaryFunction(vals.astype(complex)), 2.0, FAMILY)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.nan, np.inf])
+    def test_rejects_p_not_finite_above_one(self, p):
+        # NaN used to return NaN and inf the largest arc mean of w (2.918 here)
+        w = BoundaryFunction(np.exp(np.cos(2 * np.pi * np.arange(256) / 256)).astype(complex))
+        with pytest.raises(ValueError, match=f"p must be finite and exceed 1 \\(got {p!r}\\)"):
+            ap_constant(w, p, FAMILY)
+
 
 class TestJohnNirenberg:
     def test_small_cosine_full_circle(self):
@@ -363,6 +370,21 @@ class TestEquicontinuity:
         m_near = np.sqrt(np.sum((np.abs(d.values) ** 2 + np.abs(dbar.values) ** 2)[near] * wts[near]))
         m_far = np.sqrt(np.sum((np.abs(d.values) ** 2 + np.abs(dbar.values) ** 2)[far] * wts[far]))
         assert m_near >= 10 * m_far
+
+    @pytest.mark.parametrize("side", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_side_not_finite_positive(self, grid128, side):
+        # 0 used to raise ZeroDivisionError, -0.5 "negative dimensions"
+        beta = GridFunction(grid128, grid128.nodes_z())
+        with pytest.raises(ValueError, match=f"side length {side!r} must be finite and positive"):
+            equicontinuity_modulus(beta, (0.5, side))
+
+    @pytest.mark.parametrize("side", [3.0, 4.0, 8.0])
+    def test_large_side_measures_whole_disk(self, side):
+        # 8 used to raise "zero-size array": one bin a side leaves no 2x2 block
+        g = make_grid(64, 64)
+        rep = equicontinuity_modulus(GridFunction(g, g.nodes_z()), (side,))
+        # beta = z: ||d C|| = ||dbar C|| = ||z||_{L^2(D)} = sqrt(pi/2)
+        assert abs(rep.measured[0] - np.sqrt(2.0 * np.pi)) < 1e-12
 
 
 class TestC2Growth:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,21 @@ class TestMakeGrid:
         # with TypeErrors inside the quadrature and power-of-two checks
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make_grid(*args)
+
+    def test_node_indices_round_trip(self):
+        g = make_grid(64, 48, outer_radius=2.5)
+        assert [g.radius_index(r) for r in g.radii] == list(range(48))
+        assert [g.angle_index(t) for t in g.thetas] == list(range(64))
+        assert g.radius_index(2.5 * 7 / 48 + 5e-13) == 6
+
+    @pytest.mark.parametrize("method, value", [
+        ("radius_index", 0.0), ("radius_index", 1.0 + 1 / 48), ("radius_index", 0.5 + 1e-9),
+        ("angle_index", 2.0 * np.pi), ("angle_index", -0.1), ("angle_index", 0.05),
+    ])
+    def test_node_index_off_grid_raises(self, method, value):
+        g = make_grid(64, 48)
+        with pytest.raises(ValueError, match=f"{method.split('_')[0]} {value} is not on the grid"):
+            getattr(g, method)(value)
 
     def test_accepts_numpy_sizes(self):
         g = make_grid(np.int64(8), np.int32(4), np.float64(2.0))
@@ -139,8 +156,15 @@ class TestCircleAndHardy:
 
     def test_off_grid_radius_raises(self, grid256):
         f = GridFunction.constant(grid256, 1.0)
-        with pytest.raises(ValueError, match="not a grid radius"):
+        with pytest.raises(ValueError, match="radius 0.12345 is not on the grid"):
             circle_norm(f, 0.12345, 2.0)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_radius_raises_value_error(self, grid256, rho):
+        # inf used to raise OverflowError and NaN "cannot convert float NaN to integer"
+        f = GridFunction.constant(grid256, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"radius {rho} is not on the grid")):
+            circle_norm(f, rho, 2.0)
 
     def test_hardy_norm_monomial(self, grid256):
         z = grid256.nodes_z()

@@ -279,6 +279,14 @@ class TestSlices:
         with pytest.raises(ValueError, match="not on the grid"):
             emit_slice(f, "radius", 0.123, tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("along", ["radius", "angle"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slice_rejected(self, grid128, tmp_path, along, value):
+        # inf used to raise OverflowError and NaN "cannot convert float NaN to integer"
+        f = GridFunction.zeros(grid128)
+        with pytest.raises(ValueError, match=f"{along} {value} is not on the grid"):
+            emit_slice(f, along, value, tmp_path / "x.csv")
+
     def test_boundary_function_rejected(self, tmp_path):
         # used to raise AttributeError (no grid), so the CLI's
         # {"field": "psi_sharp"} slice exited "internal"
@@ -487,15 +495,17 @@ class TestCli:
             ("jn", {"arc": [0.0, 4.0 * np.pi]}, "arc (0.0, 12.56"),
             ("trace-convergence", {"p": 0.0}, "p must be positive"),
             ("trace-convergence", {"p": -1.0}, "p must be positive"),
+            ("equicontinuity", {"side_lengths": [0.5, 0]}, "side length 0.0 must be finite and positive"),
         ],
-        ids=["jn-off-grid-arc", "jn-arc-4pi", "trace-p=0", "trace-p=-1"],
+        ids=["jn-off-grid-arc", "jn-arc-4pi", "trace-p=0", "trace-p=-1", "equicontinuity-side=0"],
     )
     def test_diagnostic_value_out_of_range_is_validation_error(self, tmp_path, capsys, diagnostic, params, message):
         # the arcs used to be rounded to (0, pi) and run at length 4 pi;
-        # p = 0 exited "internal" (ZeroDivisionError) and p = -1 printed numbers
+        # p = 0 exited "internal" (ZeroDivisionError) and p = -1 printed
+        # numbers; side 0 exited "internal" (ZeroDivisionError)
         from phdisk import cli
 
-        inputs = {"h": str(tmp_path / "h.phd1"), "w": str(tmp_path / "w.phd1")}
+        inputs = {"h": str(tmp_path / "h.phd1"), "w": str(tmp_path / "w.phd1"), "beta": str(tmp_path / "w.phd1")}
         save_phd1(inputs["h"], BoundaryFunction.from_function(64, np.cos))
         g = make_grid(64, 16)
         save_phd1(inputs["w"], GridFunction(g, g.nodes_z()))

@@ -54,8 +54,9 @@ def test_cumulative_out_closed_form(case):
 
 
 def test_full_moment_closed_form(case):
+    """int_0^1 rho^j rho^a drho = 1/(a+j+1) is the inward sweep's last node."""
     eng, r, exps, js, profiles = case
-    full = eng.full_moments(profiles, exps)
+    full = eng.sweep([(profiles, eng._exp_index(exps), eng.w_in)])[-1]
     exact = 1.0 / (exps + js + 1)
     assert np.max(np.abs(full - exact) / exact) < 1e-13
 
@@ -248,25 +249,6 @@ def test_shared_node_moments_match_general_rule(n_r, a_max, inner):
     assert np.max(np.abs(table - folded) / np.where(scale > 0.0, scale, 1.0)) < 1e-14
 
 
-def test_full_weights_match_scatter(case):
-    """The full-moment weights, summed onto the stencil nodes by shifted
-    slices, equal an `np.add.at` scatter through the gather indices,
-    relative to each exponent's largest weight."""
-    eng = case[0]
-    cells = np.arange(eng.n_r, dtype=float)
-    reach = ((cells + 1.0) / eng.n_r)[:, None] ** np.arange(eng.a_max + 1.0)
-    ref = np.zeros((eng.n_r, eng.a_max + 1))
-    np.add.at(ref, eng.gather.T, eng.w_in * reach)
-    assert np.max(np.abs(eng.w_full - ref) / np.max(np.abs(ref), axis=0)) < 1e-15
-
-
-def test_full_moment_is_last_node_of_cumulative_in(case):
-    eng, r, exps, js, profiles = case
-    prof = rough_profiles(4, len(exps), eng.n_r)
-    S = eng.cumulative_in(prof, exps)[-1]
-    assert np.max(np.abs(eng.full_moments(prof, exps) - S)) < 1e-14 * np.max(np.abs(S))
-
-
 @pytest.mark.parametrize("step", [1, -1], ids=["ascending", "descending"])
 def test_exponent_runs_index_by_slices(case, step):
     """Runs of consecutive exponents, the transforms' column layout, read the
@@ -286,19 +268,15 @@ def test_exponent_runs_index_by_slices(case, step):
             exact_out = np.where(d == 0, -rb * np.log(r)[:, None], (rb - r[:, None] ** (j + 1)) / d)
         err = np.max(np.abs(T - exact_out), axis=0) / np.max(np.abs(exact_out), axis=0)
         assert np.max(err) < 1e-12
-        full = eng.full_moments(prof, eng._exp_index(run))
+        full = eng.sweep([(prof, eng._exp_index(run), eng.w_in)])[-1]
         assert np.max(np.abs(full - 1.0 / (run + j + 1)) * (run + j + 1)) < 1e-13
 
 
-@pytest.mark.parametrize("method", ["cumulative_in", "cumulative_out", "full_moment"])
+@pytest.mark.parametrize("method", ["cumulative_in", "cumulative_out"])
 def test_exponent_beyond_table_raises(method):
     eng = RadialEngine(16, 5)
-    P, e = np.ones((16, 2)), np.array([1, 6])
     with pytest.raises(ValueError):
-        if method == "full_moment":  # full_moments takes a table index
-            eng.full_moments(P, eng._exp_index(e))
-        else:
-            getattr(eng, method)(P, e)
+        getattr(eng, method)(np.ones((16, 2)), np.array([1, 6]))
 
 
 def test_engine_cache_evicts_least_recently_used(monkeypatch):
@@ -313,50 +291,62 @@ def test_engine_cache_evicts_least_recently_used(monkeypatch):
     assert radial.get_engine(*keys[2]) is first[2]
 
 
-def sweep_layouts(n_theta, n_r):
-    """The transforms' block layouts on random modes: C +- R's pair and the
-    Green potential's five, as (P, exponent index, inner) blocks."""
-    N, half = n_theta, n_theta // 2
+def sweep_layouts(eng, n_theta):
+    """The transforms' block layouts on random modes, as (P, exponent index,
+    table) blocks: C +- R's pair, and the Green potential's five with its
+    outward rho log rho block at exponent 0."""
+    N, half, n_r = n_theta, n_theta // 2, eng.n_r
     B = rough_profiles(7, N + 1, n_r)  # source modes
     rB = rough_profiles(8, N, n_r)
     neg = slice(N - 1, half - 1, -1)
     return {
         "cauchy-reflect": [
-            (B[:, 1:half], slice(0, half - 1), False),
-            (B[:, N:half:-1], slice(1, half + 1), True),
+            (B[:, 1:half], slice(0, half - 1), eng.w_out),
+            (B[:, N:half:-1], slice(1, half + 1), eng.w_in),
         ],
         "green": [
-            (rB[:, :1], slice(0, 1), True),
-            (B[:, 1:half], slice(2, half + 1), True),
-            (B[:, neg], slice(2, half + 2), True),
-            (rB[:, 1:half], slice(1, half), False),
-            (rB[:, neg], slice(1, half + 1), False),
+            (rB[:, :1], slice(0, 1), eng.w_in),
+            (B[:, 1:half], slice(2, half + 1), eng.w_in),
+            (B[:, neg], slice(2, half + 2), eng.w_in),
+            (rB[:, 1:half], slice(1, half), eng.w_out),
+            (rB[:, neg], slice(1, half + 1), eng.w_out),
+            (B[:, :1], slice(0, 1), eng.w_rholog),
         ],
     }
 
 
+SWEEP_GRIDS = pytest.mark.parametrize(
+    "n_theta, n_r", [(32, 32), (64, 48), (256, 256)], ids=["32", "64x48", "256"]
+)
+
+
 @pytest.mark.parametrize("layout", ["cauchy-reflect", "green"])
-@pytest.mark.parametrize("n_theta, n_r", [(32, 32), (64, 48), (256, 256)], ids=["32", "64x48", "256"])
+@SWEEP_GRIDS
 def test_one_sweep_equals_blocks_swept_alone(n_theta, n_r, layout):
     """Columns do not interact: one sweep over a mixed set of blocks equals,
     bit for bit, each block swept alone, and every column equals explicit
     cumulative sums of its cell integrals scaled by node-radius powers, no
     recurrence, to 1e-13 of the column's largest value.  The same blocks
-    with every direction turned are a second layout on the same engine."""
+    with `w_in` and `w_out` swapped are a second layout on the same engine."""
     eng = RadialEngine(n_r, n_theta // 2 + 2)
     rho = np.arange(1.0, n_r + 1)  # node radii over h
+    turned = {id(eng.w_in): eng.w_out, id(eng.w_out): eng.w_in}
     for turn in (False, True):
-        blocks = [(P, e, inner != turn) for P, e, inner in sweep_layouts(n_theta, n_r)[layout]]
+        blocks = [
+            (P, e, turned.get(id(table), table) if turn else table)
+            for P, e, table in sweep_layouts(eng, n_theta)[layout]
+        ]
         X = eng.sweep(blocks)
         c = 0
-        for P, e, inner in blocks:
+        for P, e, table in blocks:
+            inner = table is eng.w_in
             cols = slice(c, c + P.shape[1])
             c = cols.stop
-            assert np.array_equal(X[:, cols], eng.sweep([(P, e, inner)]))
+            assert np.array_equal(X[:, cols], eng.sweep([(P, e, table)]))
             got = X[:, cols] if inner else X[::-1, cols]
             # row i: cell i (inner) or cell i + 1 (outer), normalized at rho_{i+1}
             cells = np.empty(P.shape, dtype=complex)
-            eng._cell_integrals(eng.w_in if inner else eng.w_out, P, e, cells, skip_origin=not inner)
+            eng._cell_integrals(table, P, e, cells, skip_origin=not inner)
             if not inner:
                 cells[-1] = 0.0
             # scale[j, i]: (rho_{i+1}/rho_{j+1})^a over i <= j, or its inverse over i >= j
@@ -368,3 +358,18 @@ def test_one_sweep_equals_blocks_swept_alone(n_theta, n_r, layout):
                     ref[:, m] = np.where(keep, ratio**a, 0.0) @ cells[:, m]
             err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
             assert np.max(err) < 1e-13, (inner, np.max(err))
+
+
+@SWEEP_GRIDS
+def test_rholog_sweep_is_reversed_cumulative_sum(n_theta, n_r):
+    """At exponent 0 the node ratios are 1, so the outward rho log rho sweep
+    adds its cell integrals from the rim in the order of an explicit
+    reversed cumulative sum, and equals it bit for bit."""
+    eng = RadialEngine(n_r, n_theta // 2 + 2)
+    P = rough_profiles(9, 3, n_r)
+    cells = np.empty(P.shape, dtype=complex)  # row j: cell j + 1
+    eng._cell_integrals(eng.w_rholog, P, slice(0, 1), cells, skip_origin=True)
+    ref = np.zeros_like(cells)
+    ref[:-1] = np.cumsum(cells[-2::-1], axis=0)[::-1]
+    assert np.array_equal(eng.sweep([(P, slice(0, 1), eng.w_rholog)])[::-1], ref)
+    assert np.array_equal(eng.cumulative_out_rholog(P), ref)
