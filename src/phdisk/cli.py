@@ -30,7 +30,11 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import __version__, _apply_thread_cap
+import numpy as np
+
+from . import __version__, _apply_thread_cap, diagnostics, similarity, solvers, transforms
+from . import io as io_mod
+from .grid import BoundaryFunction, GridFunction, make_grid
 
 COMMANDS = (
     "transform",
@@ -69,7 +73,7 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _load_inputs(cfg: dict, names, io_mod) -> dict:
+def _load_inputs(cfg: dict, names) -> dict:
     inputs = _object(cfg, "inputs")
     out = {}
     for name in names:
@@ -136,14 +140,14 @@ def _zero_threshold(params: dict):
     return None if params.get("zero_threshold") is None else _number(params, "zero_threshold")
 
 
-def _solver_config(cfg: dict, solvers_mod):
+def _solver_config(cfg: dict):
     block = _object(cfg, "solver")
-    known = [f.name for f in dataclasses.fields(solvers_mod.SolverConfig)]
+    known = [f.name for f in dataclasses.fields(solvers.SolverConfig)]
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
     kwargs = {k: _number(block, k, integral=k == "max_iter") for k in block if k != "zero_threshold"}
-    return solvers_mod.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
+    return solvers.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
 
 
 def _extension(cfg: dict) -> str:
@@ -154,7 +158,7 @@ def _extension(cfg: dict) -> str:
     return f".{fmt}"
 
 
-def _slice_plan(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
+def _slice_plan(outdir: Path, cfg: dict, fields: dict) -> list:
     """The emit_slices specs as (field, along, value, path), each checked
     against its field's grid, so that a bad spec fails before any output
     is written."""
@@ -180,24 +184,18 @@ def _slice_plan(outdir: Path, cfg: dict, fields: dict, io_mod) -> list:
 
 
 def _run_selftest(verbose: bool) -> dict:
-    import numpy as np
-
-    from .grid import BoundaryFunction, GridFunction, make_grid
-    from .transforms import beurling, cauchy, conjugate_function, green_potential
-
     g = make_grid(256, 64)
     z = g.nodes_z()
     checks = {}
     one = GridFunction.constant(g, 1.0)
-    checks["cauchy_chi_D"] = float(np.max(np.abs(cauchy(one).values - np.conj(z))))
+    checks["cauchy_chi_D"] = float(np.max(np.abs(transforms.cauchy(one).values - np.conj(z))))
     checks["cauchy_t"] = float(
-        np.max(np.abs(cauchy(GridFunction(g, z)).values - (np.abs(z) ** 2 - 1)))
+        np.max(np.abs(transforms.cauchy(GridFunction(g, z)).values - (np.abs(z) ** 2 - 1)))
     )
-    checks["beurling_chi_D"] = float(np.max(np.abs(beurling(one).values)))
-    checks["green_const"] = float(
-        np.max(np.abs(green_potential(GridFunction.constant(g, 4.0)).values - (np.abs(z) ** 2 - 1)))
-    )
-    cf = conjugate_function(BoundaryFunction.from_function(g.n_theta, lambda t: np.cos(3 * t)))
+    checks["beurling_chi_D"] = float(np.max(np.abs(transforms.beurling(one).values)))
+    green = transforms.green_potential(GridFunction.constant(g, 4.0))
+    checks["green_const"] = float(np.max(np.abs(green.values - (np.abs(z) ** 2 - 1))))
+    cf = transforms.conjugate_function(BoundaryFunction.from_function(g.n_theta, lambda t: np.cos(3 * t)))
     checks["conjugate_cos3"] = float(np.max(np.abs(cf.values - np.sin(3 * g.thetas))))
     passed = all(v < 1e-10 for v in checks.values())
     for name, v in checks.items():
@@ -210,10 +208,6 @@ def _run_selftest(verbose: bool) -> dict:
 
 
 def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
-    import numpy as np
-
-    from . import diagnostics, io as io_mod, similarity, solvers, transforms
-
     report: dict = {}
     fields: dict = {}
     params = _object(cfg, "params")
@@ -224,7 +218,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "transform":
         which = _require(cfg, "transform")
-        data = _load_inputs(cfg, ["h"], io_mod)
+        data = _load_inputs(cfg, ["h"])
         h = data["h"]
         if which == "cauchy":
             fields["out"] = transforms.cauchy(h)
@@ -242,7 +236,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         report["transform"] = which
 
     elif command == "factorize":
-        data = _load_inputs(cfg, ["w", "alpha"], io_mod)
+        data = _load_inputs(cfg, ["w", "alpha"])
         fac = similarity.factorize(
             data["w"],
             data["alpha"],
@@ -254,7 +248,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         report["factorization"] = fac.to_dict()
 
     elif command == "solve-dbar":
-        data = _load_inputs(cfg, ["a", "psi"], io_mod)
+        data = _load_inputs(cfg, ["a", "psi"])
         A, res = transforms.solve_dbar(
             data["a"], data["psi"],
             _number(params, "lambda", 0.0), _number(params, "theta0", 0.0),
@@ -263,8 +257,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         report["residuals"] = res.to_dict()
 
     elif command == "solve-beltrami":
-        data = _load_inputs(cfg, ["alpha", "F", "psi"], io_mod)
-        scfg = _solver_config(cfg, solvers)
+        data = _load_inputs(cfg, ["alpha", "F", "psi"])
+        scfg = _solver_config(cfg)
         variant = params.get("normalization", similarity.IMAGINARY_ON_T)
         if variant not in (similarity.IMAGINARY_ON_T, similarity.REAL_ON_T):
             raise ConfigError(f"unknown normalization {variant!r}")
@@ -275,8 +269,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         report["solve"] = rep.to_dict()
 
     elif command == "solve-riesz":
-        data = _load_inputs(cfg, ["alpha", "psi"], io_mod)
-        scfg = _solver_config(cfg, solvers)
+        data = _load_inputs(cfg, ["alpha", "psi"])
+        scfg = _solver_config(cfg)
         w, psi_sharp, rep = solvers.solve_riesz(
             data["alpha"], data["psi"], _number(params, "c", 0.0), scfg
         )
@@ -285,8 +279,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         report["solve"] = rep.to_dict()
 
     elif command == "solve-conductivity":
-        data = _load_inputs(cfg, ["sigma", "psi"], io_mod)
-        scfg = _solver_config(cfg, solvers)
+        data = _load_inputs(cfg, ["sigma", "psi"])
+        scfg = _solver_config(cfg)
         u, v, w, rep = solvers.solve_conductivity(data["sigma"], data["psi"], scfg)
         fields.update({"u": u, "v": v, "w": w})
         report["solve"] = rep.to_dict()
@@ -294,7 +288,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     elif command == "diagnose":
         name = _require(cfg, "diagnostic")
         if name == "bmo":
-            data = _load_inputs(cfg, ["h"], io_mod)
+            data = _load_inputs(cfg, ["h"])
             fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
             seminorm, table = diagnostics.bmo_oscillation(data["h"], fam)
             report["diagnostic"] = {
@@ -303,45 +297,45 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
                 "per_arc": {f"{k[0]}/{k[1]}": v for k, v in table.items()},
             }
         elif name == "ap":
-            data = _load_inputs(cfg, ["weight"], io_mod)
+            data = _load_inputs(cfg, ["weight"])
             fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
             report["diagnostic"] = {
                 "name": "ap_constant",
                 "value": diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
             }
         elif name == "jn":
-            data = _load_inputs(cfg, ["h"], io_mod)
+            data = _load_inputs(cfg, ["h"])
             arc = _numbers(params, "arc", [0.0, 2.0 * np.pi], length=2)
             rep = diagnostics.jn_exp_check(data["h"], arc)
             report["diagnostic"] = rep.to_dict()
         elif name == "exp-integrability":
-            data = _load_inputs(cfg, ["f"], io_mod)
+            data = _load_inputs(cfg, ["f"])
             rep = diagnostics.exp_integrability_report(
                 data["f"], _numbers(params, "ells", (1.0, 2.0, 3.0))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "equicontinuity":
-            data = _load_inputs(cfg, ["beta"], io_mod)
+            data = _load_inputs(cfg, ["beta"])
             rep = diagnostics.equicontinuity_modulus(
                 data["beta"], _numbers(params, "side_lengths", (0.5, 0.25, 0.125, 0.0625))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "c2-growth":
-            data = _load_inputs(cfg, ["h"], io_mod)
+            data = _load_inputs(cfg, ["h"])
             rep = diagnostics.c2_growth_curve(data["h"], _numbers(params, "radii", (1.0, 10.0, 100.0)))
             report["diagnostic"] = rep.to_dict()
         elif name == "multiplier":
-            data = _load_inputs(cfg, ["f", "g"], io_mod)
+            data = _load_inputs(cfg, ["f", "g"])
             rep = diagnostics.multiplier_ratio(
                 data["f"], data["g"], _number(params, "p", 2.0), _number(params, "gamma", 0.785398)
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "trace-convergence":
-            data = _load_inputs(cfg, ["w"], io_mod)
+            data = _load_inputs(cfg, ["w"])
             rep = diagnostics.trace_convergence(data["w"], _number(params, "p", 2.0))
             report["diagnostic"] = rep.to_dict()
         elif name == "boundary-sobolev":
-            data = _load_inputs(cfg, ["g"], io_mod)
+            data = _load_inputs(cfg, ["g"])
             report["diagnostic"] = {
                 "name": "boundary_sobolev_seminorm",
                 "value": diagnostics.boundary_sobolev_seminorm(data["g"]),
@@ -352,7 +346,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown command {command!r}")
 
-    slices = _slice_plan(outdir, cfg, fields, io_mod)
+    slices = _slice_plan(outdir, cfg, fields)
     written = {}
     for name, obj in fields.items():
         written[name] = str(outdir / f"{name}{ext}")
@@ -389,9 +383,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # a solver that did not converge, or a bug
-        from .solvers import SolverDivergence
-
-        if isinstance(exc, SolverDivergence):
+        if isinstance(exc, solvers.SolverDivergence):
             payload = {"error": "non-convergence", "message": str(exc), "report": exc.report.to_dict()}
             print(json.dumps(payload), file=sys.stderr)
             return 2

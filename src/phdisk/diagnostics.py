@@ -218,14 +218,10 @@ def exp_integrability_report(f: GridFunction, ells=(1.0, 2.0, 3.0)) -> Diagnosti
         ys = np.asarray(ys)
         A2 = np.stack([np.ones_like(lambdas), lambdas**2], axis=1)
         A3 = np.stack([np.ones_like(lambdas), lambdas**2, lambdas**3], axis=1)
-        r2 = []
+        fits = [(A, np.linalg.lstsq(A, ys, rcond=None)[0]) for A in (A2, A3)]
         sstot = float(np.sum((ys - ys.mean()) ** 2))
-        for A in (A2, A3):
-            coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-            ssres = float(np.sum((ys - A @ coef) ** 2))
-            r2.append(1.0 - ssres / sstot if sstot > 0 else 1.0)
-        slope = float(np.linalg.lstsq(A2, ys, rcond=None)[0][1])
-        measured.append(slope)
+        r2 = [1.0 - float(np.sum((ys - A @ coef) ** 2)) / sstot if sstot > 0 else 1.0 for A, coef in fits]
+        measured.append(float(fits[0][1][1]))  # the quadratic fit's slope in lambda^2
         satisfied.append(r2[0] >= 0.95 * max(r2[1], 1e-12))
         details[f"ell={ell}"] = {"log_integrals": ys.tolist(), "r2_quadratic": r2[0], "r2_cubic": r2[1]}
     return DiagnosticReport(

@@ -304,7 +304,6 @@ class BoundaryFunction(_Samples):
         self.n_theta = values.size
         self.thetas = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         self.mode_numbers = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
-        self._modes = None
 
     @classmethod
     def from_function(cls, n_theta: int, fn) -> "BoundaryFunction":
@@ -327,11 +326,8 @@ class BoundaryFunction(_Samples):
             )
 
     def modes(self) -> np.ndarray:
-        """Cached Fourier coefficients (DFT of values / n_theta), FFT order."""
-        if self._modes is None:
-            self.require_unmasked("Fourier transform")
-            self._modes = np.fft.fft(self.values) / self.n_theta
-        return self._modes
+        """Fourier coefficients (DFT of values / n_theta), FFT order."""
+        return np.fft.fft(self.require_unmasked("Fourier transform")) / self.n_theta
 
     def mean(self) -> complex:
         """Arclength mean (1/2pi) int_T."""
@@ -530,13 +526,6 @@ def _radial_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    return (
-        _apply_radial_stencils(values, _FD2_INTERIOR, _FD2_FORWARD, _FD2_SKEW1, 1.0)
-        / h**2
-    )
-
-
 def wirtinger_derivatives(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     """(d f, dbar f) via spectral d_theta and 4th-order radial differences.
 
@@ -575,7 +564,7 @@ def laplacian(f: GridFunction) -> GridFunction:
     g = f.grid
     modes = np.fft.fft(v, axis=1)
     dtt = np.fft.ifft(-(g.mode_numbers[None, :] ** 2.0) * modes, axis=1)
-    drr = _radial_second_derivative(v, g.radial_step)
+    drr = _apply_radial_stencils(v, _FD2_INTERIOR, _FD2_FORWARD, _FD2_SKEW1, 1.0) / g.radial_step**2
     dr = _radial_derivative(v, g.radial_step)
     r = g.radii[:, None]
     return f.with_values(drr + dr / r + dtt / r**2)

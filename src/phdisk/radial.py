@@ -90,35 +90,20 @@ def _moments(i, x0, x1, e, inner: bool) -> np.ndarray:
     es = np.where(e > 0.0, e, 1.0)
     xr, wr = _GL_REF
     half = 0.5 * np.minimum(es * np.log(hi / np.where(origin, hi, lo)), _Y_CAP)
-    # three node buffers, filled in place in the operation order of the
-    # formulas noted; ratio = (i+x)/anchor = e^{-+y/e}
-    base = half * -(xr + 1.0)  # -y
+    neg_y = half * -(xr + 1.0)
+    # ratio = (i+x)/anchor = e^{-+y/e}
     if inner:  # x = max(hi ratio - i, x0), |dx/dy| = (hi/e) ratio
-        ratio = base / es
-        np.exp(ratio, out=ratio)
-        x = hi * ratio
-        x -= i
-        np.maximum(x, x0, out=x)
+        ratio = np.exp(neg_y / es)
+        x = np.maximum(hi * ratio - i, x0)
         jac = hi / es
     else:  # x = min(lo expm1(y/e) + x0, x1), |dx/dy| = (lo/e) ratio
-        ratio = base / -es
-        x = np.expm1(ratio)
-        x *= lo
-        x += x0
-        np.minimum(x, x1, out=x)
-        np.exp(ratio, out=ratio)
+        y_e = neg_y / -es
+        x = np.minimum(np.expm1(y_e) * lo + x0, x1)
+        ratio = np.exp(y_e)
         jac = lo / es
-    np.exp(base, out=base)  # base = e^{-y} |dx/dy| w_y
-    base *= jac
-    base *= ratio
-    base *= np.multiply(half, wr, out=ratio)
-    nu = np.empty(base.shape[:-1] + (4,))
-    nu[..., 0] = np.add.reduce(base, axis=-1)
-    nu[..., 1] = np.add.reduce(np.multiply(x, base, out=ratio), axis=-1)
-    x2 = np.multiply(x, x, out=ratio)
-    np.multiply(x2, x, out=x)
-    nu[..., 2] = np.add.reduce(np.multiply(x2, base, out=x2), axis=-1)
-    nu[..., 3] = np.add.reduce(np.multiply(x, base, out=x), axis=-1)
+    weight = np.exp(neg_y) * jac * ratio * (half * wr)  # e^{-y} |dx/dy| w_y
+    x2 = x * x
+    nu = np.stack([np.sum(p * weight, axis=-1) for p in (1.0, x, x2, x2 * x)], axis=-1)
     if inner:
         nu = np.where(origin, x1 ** (_Q + 1.0) / (_Q + e + 1.0), nu)
     return np.where(e == 0.0, (x1 ** (_Q + 1.0) - x0 ** (_Q + 1.0)) / (_Q + 1.0), nu)

@@ -64,6 +64,7 @@ from .transforms import (
     _cauchy_reflect_modes,
     _engine_for,
     _holo_with_real_trace,
+    _require_finite,
     _require_real,
     cauchy_reflect,
 )
@@ -287,16 +288,6 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
     return history, res <= target
 
 
-def _phi_norm(d: np.ndarray, grid) -> float:
-    """w12_norm of the grid increment with values d."""
-    return w12_norm_modes(np.fft.fft(d, axis=1), grid)
-
-
-def _instrument(s_norm, alpha, psi, lam):
-    denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
-    return s_norm / denom if denom > 0 else 0.0
-
-
 def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
     """L^p(T) norm of the real boundary values less psi."""
     return BoundaryFunction(values - psi.values.real).lp_norm(p)
@@ -341,6 +332,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     starting from Im(initial_s - H), or 0; then
     s = H + (C + sign R)(beta e^{-2i phi}).
     """
+    _require_finite(lam, "lam")
     cfg = cfg or SolverConfig()
     grid = alpha.grid
     psi = _require_real(psi, "psi", grid)
@@ -360,7 +352,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
         return exponent(phi).values.imag.copy()  # contiguous, without the complex pass
 
     x0 = np.zeros(beta.shape) if initial_s is None else (initial_s - H).values.imag
-    loop = _picard(x0, apply_map, lambda d: _phi_norm(d, grid), cfg)
+    loop = _picard(x0, apply_map, lambda d: w12_norm_modes(np.fft.fft(d, axis=1), grid), cfg)
     s = exponent(loop[0]) + H
     w = reconstruct(s, F)
 
@@ -370,7 +362,8 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     mean_def = abs(float(np.sum(free)) * 2.0 * np.pi / grid.n_theta - lam)
     keys = ("im_trace", "re_mean") if imag else ("re_trace", "im_mean")
     defects = dict(zip(keys, (mismatch, mean_def)))
-    constant = _instrument(w12_norm(s), alpha, psi, lam)
+    denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
+    constant = w12_norm(s) / denom if denom > 0 else 0.0
     name = "parametrize_imag" if imag else "parametrize_real"
     return s, _finish(name, *loop[1:], w, alpha, mismatch, defects, constant)
 
@@ -533,6 +526,7 @@ def solve_riesz(
     first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
     generalized conjugate function.
     """
+    _require_finite(c, "c")
     cfg = cfg or SolverConfig()
     grid = alpha.grid
     psi = _require_real(psi, "psi", grid)

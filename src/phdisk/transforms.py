@@ -71,20 +71,11 @@ def _engine_for(grid: DiskGrid):
     return get_engine(grid.n_r, grid.n_theta // 2 + 2)
 
 
-def _modes(f: GridFunction) -> np.ndarray:
-    """Angular modes times n_theta, radius-major (n_r, n_theta), FFT order.
-
-    The transforms are linear, so they work on unnormalized modes and the
-    inverse FFT's 1/n_theta restores the scale.
-    """
-    return np.fft.fft(f.require_unmasked("angular transform"), axis=1)
-
-
 def _source_modes(values: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-    """`_modes` of values in an (n_r, n_theta + 1) array whose last column
-    repeats mode 0, so that the inward source modes 1 - n_theta/2, ..., -1,
-    0 of the Cauchy transform are the run of columns n_theta/2 + 1, ...,
-    n_theta."""
+    """The modes `np.fft.fft(values, axis=1)` in an (n_r, n_theta + 1)
+    array whose last column repeats mode 0, so that the inward source
+    modes 1 - n_theta/2, ..., -1, 0 of the Cauchy transform are the run of
+    columns n_theta/2 + 1, ..., n_theta."""
     n_r, N = values.shape
     if buf is None:
         buf = np.empty((n_r, N + 1), dtype=complex)
@@ -244,13 +235,15 @@ def green_potential(psi: GridFunction) -> GridFunction:
     integral of the source at exponent k + 1 and T the outward integral
     of r times the source at exponent k; the positive modes and the
     negative ones, read from -1 down, are two runs of columns with
-    ascending exponents, and one sweep serves all four blocks and mode 0's
-    inward integral.
+    ascending exponents.  Mode 0 is log(r) S + T with S the inward integral
+    of r times the source at exponent 0 and T the outward integral of the
+    source against rho log rho (`w_rholog`).  One sweep serves all six
+    blocks.
     """
     grid = psi.grid
     N, half = grid.n_theta, grid.n_theta // 2
     eng = _engine_for(grid)
-    B = _modes(psi)
+    B = np.fft.fft(psi.require_unmasked("angular transform"), axis=1)
     r = grid.radii[:, None]
     rB = B * r
     order = np.r_[:half, N - 1 : half - 1 : -1]  # FFT column k is sweep column order[k]
@@ -261,9 +254,10 @@ def green_potential(psi: GridFunction) -> GridFunction:
         (B[:, neg], slice(2, half + 2), eng.w_in),
         (rB[:, 1:half], slice(1, half), eng.w_out),
         (rB[:, neg], slice(1, half + 1), eng.w_out),
+        (B[:, :1], slice(0, 1), eng.w_rholog),
     ])
     S = X[:, order]  # FFT order; the outward integrals follow, radius-reversed
-    mode0 = np.log(grid.radii) * S[:, 0] + eng.cumulative_out_rholog(B[:, :1])[:, 0]
+    mode0 = np.log(grid.radii) * S[:, 0] + X[::-1, -1]
     out = np.multiply(grid.mode_powers, S[-1])
     out -= np.multiply(S, r, out=S)
     out[:, 1:] -= X[::-1, N - 1 + order[1:]]
@@ -296,9 +290,8 @@ def conjugate_function(psi: BoundaryFunction) -> BoundaryFunction:
     The Nyquist mode, negative in `fftfreq` order, gets +i: H^2 = -I holds
     on zero-mean data, but a real Nyquist component comes back imaginary
     (cos 32t on 64 angles gives i (-1)^k; `riesz_extension` keeps Im = 0)."""
-    modes = psi.modes().copy()
     mult = -1j * np.sign(psi.mode_numbers)
-    return BoundaryFunction(np.fft.ifft(modes * mult * psi.n_theta))
+    return BoundaryFunction(np.fft.ifft(psi.modes() * mult * psi.n_theta))
 
 
 def harmonic_conjugate(u: GridFunction) -> GridFunction:
@@ -326,6 +319,12 @@ def _require_real(psi: BoundaryFunction, name: str, grid: DiskGrid) -> BoundaryF
     if float(np.max(np.abs(psi.values.imag))) > 1e-10:
         raise ValueError(f"{name} must be real-valued")
     return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
+
+
+def _require_finite(value: float, name: str) -> None:
+    """A ValueError naming `name` unless value is a finite number."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite (got {value!r})")
 
 
 def _holo_with_real_trace(psi, lam_imag_integral, grid) -> np.ndarray:
@@ -373,6 +372,8 @@ def solve_dbar(
     trace and the mean.  The returned residuals report how well the
     discrete A meets all three conditions.
     """
+    _require_finite(lam, "lam")
+    _require_finite(theta0, "theta0")
     grid = a.grid
     psi = _require_real(psi, "psi", grid)
     rot = np.exp(1j * theta0)

@@ -11,6 +11,7 @@ from phdisk import (
     area_integral,
     boundary_trace,
     circle_norm,
+    conjugate_function,
     hardy_norm,
     lp_norm_disk,
     make_grid,
@@ -501,6 +502,27 @@ class TestBoundaryMasks:
         vals[-1, :] = np.nan
         with pytest.raises(MaskedValueError, match="fully masked"):
             boundary_trace(GridFunction(grid128, vals))
+
+
+class TestBoundaryModes:
+    def test_modes_follow_values_edited_in_place(self):
+        # modes() used to cache its first FFT: after values[:] = 0 it still
+        # gave 0.5 at mode 1, and conjugate_function still returned sin
+        b = BoundaryFunction.from_function(16, np.cos)
+        assert abs(b.modes()[1] - 0.5) < 1e-15
+        b.values[:] = 0.0
+        assert np.array_equal(b.modes(), np.zeros(16))
+        assert np.array_equal(conjugate_function(b).values, np.zeros(16))
+        b.values[:] = np.sin(b.thetas)
+        assert np.max(np.abs(conjugate_function(b).values + np.cos(b.thetas))) < 1e-14
+
+    def test_modes_leave_values_alone(self):
+        b = BoundaryFunction.from_function(16, lambda t: np.cos(2 * t))
+        before = b.values.copy()
+        b.modes()[:] = 7.0
+        conjugate_function(b)
+        assert np.array_equal(b.values, before)
+        assert abs(b.modes()[2] - 0.5) < 1e-15
 
 
 class TestOddRadialCount:

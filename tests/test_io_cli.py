@@ -565,9 +565,9 @@ class TestCli:
 
     @pytest.mark.parametrize("value", [50, 50.0, "50", "50.0", " 50 "])
     def test_solver_block_accepts_integral_max_iter(self, value):
-        from phdisk import cli, solvers
+        from phdisk import cli
 
-        assert cli._solver_config({"solver": {"max_iter": value}}, solvers).max_iter == 50
+        assert cli._solver_config({"solver": {"max_iter": value}}).max_iter == 50
 
     def test_unexpected_failure_is_internal_error(self, tmp_path, monkeypatch, capsys):
         from phdisk import cli, transforms

@@ -838,3 +838,31 @@ class TestContracts:
         }
         with pytest.raises(ValueError, match="^boundary function does not match grid angles: psi has 32 samples"):
             calls[entry]()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("solve_riesz", "c"),
+            ("parametrize_real", "lam"),
+            ("parametrize_imag", "lam"),
+            ("solve_dbar", "lam"),
+            ("solve_dbar", "theta0"),
+        ],
+    )
+    def test_non_finite_scalars_rejected(self, entry, name, value):
+        # these used to pass every check, warn, and then raise an unrelated
+        # MaskedValueError such as "boundary ring is fully masked"
+        g = make_grid(64, 64)
+        one = GridFunction.constant(g, 1.0)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        calls = {
+            "solve_riesz": lambda: solve_riesz(one, psi, value),
+            "parametrize_real": lambda: parametrize_real(one, one, psi, value),
+            "parametrize_imag": lambda: parametrize_imag(one, one, psi, value),
+            "solve_dbar": lambda: solve_dbar(one, psi, **{"lam": 0.0, name: value}),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                calls[entry]()

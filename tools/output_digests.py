@@ -1,0 +1,80 @@
+"""Print a SHA-1 digest of every phdisk output on fixed inputs, one per line.
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py > digests.txt
+
+Run it on two checkouts and `diff` the files: equal digests mean equal
+bytes, so a change meant to keep every output is checked bit for bit.
+The inputs are smooth closed-form fields at 64^2 and 256^2; the engine
+tables, every transform, `cauchy_renormalized` at R = 2.5, the five
+solvers and `solve_dbar` (solution and report), `c2_growth_curve` and
+`exp_integrability_report` are covered.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+import phdisk as ph
+from phdisk.radial import get_engine
+
+
+def digest(obj) -> str:
+    if isinstance(obj, ph.GridFunction):
+        obj = obj.values
+    if isinstance(obj, ph.BoundaryFunction):
+        obj = obj.values
+    if isinstance(obj, np.ndarray):
+        data = np.ascontiguousarray(obj).tobytes()
+    else:  # a report: its dict, floats written exactly
+        data = json.dumps(obj.to_dict(), sort_keys=True, default=repr).encode()
+    return hashlib.sha1(data).hexdigest()
+
+
+def outputs(n: int):
+    g = ph.make_grid(n, n)
+    z = g.nodes_z()
+    x, y = z.real, z.imag
+    eng = get_engine(n, n // 2 + 2)
+    yield "w_in", eng.w_in
+    yield "w_out", eng.w_out
+    yield "w_rholog", eng.w_rholog
+    h = ph.GridFunction(g, np.exp(x - 0.5j * y) * (1.0 + 0.3 * z**3) + np.cos(2.0 * y) * np.conj(z))
+    yield "cauchy", ph.cauchy(h)
+    yield "beurling", ph.beurling(h)
+    yield "reflect_transform", ph.reflect_transform(h)
+    yield "green_potential", ph.green_potential(h)
+    yield "cauchy_renormalized", ph.cauchy_renormalized(h, 2.5)
+
+    cfg = ph.SolverConfig(tol=1e-10, max_iter=200)
+    alpha = ph.GridFunction.constant(g, 0.5)
+    psi = ph.BoundaryFunction.from_function(n, lambda t: np.exp(np.cos(t)) + 0.2 * np.sin(3 * t))
+    w, psi_sharp, rep = ph.solve_riesz(alpha, psi, 0.3, cfg)
+    yield "solve_riesz", w
+    yield "solve_riesz.psi_sharp", psi_sharp
+    yield "solve_riesz.report", rep
+    sigma = ph.GridFunction(g, np.exp(2.0 * x))
+    u, v, w, rep = ph.solve_conductivity(sigma, psi, cfg)
+    yield "solve_conductivity.u", u
+    yield "solve_conductivity.v", v
+    yield "solve_conductivity.w", w
+    yield "solve_conductivity.report", rep
+    F = ph.GridFunction.constant(g, 1.0)
+    cos = ph.BoundaryFunction.from_function(n, np.cos)
+    for fn in (ph.parametrize_imag, ph.parametrize_real):
+        s, rep = fn(alpha * ph.GridFunction(g, 1.0 + 0.2 * x), F, cos, 0.4, cfg)
+        yield fn.__name__, s
+        yield f"{fn.__name__}.report", rep
+    A, res = ph.solve_dbar(ph.GridFunction(g, np.exp(-np.abs(z) ** 2)), cos, 1.0, 0.3)
+    yield "solve_dbar", A
+    yield "solve_dbar.residuals", np.array([res.dbar, res.trace, res.mean])
+    yield "c2_growth_curve", ph.c2_growth_curve(h, (1.0, 2.5, 10.0))
+    yield "exp_integrability_report", ph.exp_integrability_report(ph.GridFunction(g, x))
+
+
+if __name__ == "__main__":
+    for n in (64, 256):
+        for name, obj in outputs(n):
+            print(f"{n} {name} {digest(obj)}")
