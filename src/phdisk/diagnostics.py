@@ -199,7 +199,11 @@ def exp_integrability_report(f: GridFunction, ells=(1.0, 2.0, 3.0)) -> Diagnosti
     For the scaled family lambda*f it fits log int_D e^{ell lambda |f|}
     against a + b lambda^2 and flags at-most-quadratic exponent growth
     (quadratic fit explaining >= 0.95 of what a cubic alternative does).
+    Each ell must be finite and positive.
     """
+    for ell in ells:
+        if not (math.isfinite(ell) and ell > 0.0):
+            raise ValueError(f"ell {ell!r} must be finite and positive")
     v = f.require_unmasked("exp-integrability scan").real
     lambdas = np.asarray(EXP_SCAN_LAMBDAS)
     measured, satisfied = [], []

@@ -12,8 +12,11 @@ solution, interpolated (`_prolong`), starts the next finer loop.  At
 256^2 the fine loop then takes 2-3 applications instead of 15, and
 sigma = log(e/|z|)^8, where GMRES(8) from H stalls, converges.  A
 coarse level that does not converge ends the descent, and the given
-grid starts from H.  Reports count fine-grid applications.  Its
-conductivity wrapper solves the same equation.
+grid starts from H.  Each level closes with the plain step
+w = H + (C + R)(alpha conj(x)) from its last iterate x, formed as x + r
+from the residual r that GMRES holds, so a level makes exactly as many
+C + R passes as its loop counts applications.  Reports count fine-grid
+applications.  Its conductivity wrapper solves the same equation.
 
 The parametrizations are nonlinear in s.  Once the prescribed trace is
 absorbed into a holomorphic shift H of F, s - H is the exponent of the
@@ -220,9 +223,10 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
     may conjugate), so this is GMRES on the real view R^{2N} (Saad &
     Schultz 1986): the Krylov basis is orthonormal under Re <a, b>, and
     the Hessenberg matrix and its Givens rotations are real.  The first
-    cycle starts from the true residual rhs - A x; a restart starts from
-    the residual the last cycle left, V q with q the rotated
-    least-squares residual, which costs no application.  `rhs` is left
+    cycle starts from the true residual rhs - A x; each cycle ends by
+    forming the residual it leaves, V q with q the rotated least-squares
+    residual, which costs no application: a restart starts from it, and
+    the caller gets the last one.  `rhs` is left
     alone: the basis vectors and one scratch vector for the scaled
     vectors are this loop's own, the basis allocated one vector at a
     time, as each is first needed.
@@ -230,7 +234,8 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
     Applications of A are counted up to cfg.max_iter; after each,
     ||r|| / ||rhs|| is recorded (from the least-squares problem inside a
     cycle), and the loop stops once it is at most tol / 10.  Returns
-    (history, converged).
+    (history, converged, r), r = rhs - A x for the final x, up to the
+    drift of the recurrence; r is basis[0], this loop's own array.
     """
     bnorm = math.sqrt(_real_dot(rhs, rhs))
     target = 0.1 * cfg.tol * bnorm
@@ -274,18 +279,18 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
         y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
         for i in range(k):
             x += np.multiply(basis[i], y[i], out=scratch)
-        if res > target and len(history) < cfg.max_iter:
-            # the residual V q, q = G_1^T ... G_k^T (g_k e_k), into basis[0]
-            q = np.zeros(k + 1)
-            q[k] = g[k]
-            for i in reversed(range(k)):
-                cs, sn = rot[i]
-                q[i], q[i + 1] = cs * q[i] - sn * q[i + 1], sn * q[i] + cs * q[i + 1]
-            r *= q[0]
-            for i in range(1, k + 1):
-                r += np.multiply(basis[i], q[i], out=scratch)
+        # the residual V q, q = G_1^T ... G_k^T (g_k e_k), into basis[0]
+        q = np.zeros(k + 1)
+        q[k] = g[k]
+        for i in reversed(range(k)):
+            cs, sn = rot[i]
+            q[i], q[i + 1] = cs * q[i] - sn * q[i + 1], sn * q[i] + cs * q[i + 1]
+        r *= q[0]
+        for i in range(1, k + 1):
+            r += np.multiply(basis[i], q[i], out=scratch)
+        if res > target and len(history) < cfg.max_iter:  # restart from r / ||r||
             res = math.sqrt(_real_dot(r, r))
-    return history, res <= target
+    return history, res <= target, r
 
 
 def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
@@ -440,7 +445,8 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
     a loop of its own, and the given grid (`given`) starts from H.  The
     coarsest level starts from e^{s0} H (H when s0 is None).  Each level
     forms H once, runs GMRES to its own stopping rule and closes with the
-    plain step w = H + (C + R)(alpha conj(w)); the source-mode buffer of
+    plain step w = H + (C + R)(alpha conj(x)) = x + r, r = H - A x the
+    residual `_gmres` returns, with no pass; the source-mode buffer of
     its applications is allocated once.  H = 0 (psi and c zero, on the
     samples the level keeps) gives w = 0 without an application.
     Returns (w, histories, converged): histories holds the loops run,
@@ -487,9 +493,9 @@ def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
     def apply(v: np.ndarray, out: np.ndarray) -> None:
         np.subtract(v, reflect(v, out), out=out)
 
-    history, converged = _gmres(H, x, apply, cfg)
-    w = reflect(x, x)
-    w += H
+    history, converged, r = _gmres(H, x, apply, cfg)
+    w = x
+    w += r
     w *= scale
     return w, histories + [history], converged
 
@@ -512,8 +518,10 @@ def solve_riesz(
     scaled back.  Its solution has dbar w = alpha conj(w), and since
     C + R is pure imaginary on T with zero boundary mean, Re w_T = psi
     and int_T Im w_T = c.  The loop stops at ||A w - H|| <= (tol / 10)
-    ||H||; one plain step w = H + (C + R)(alpha conj(w)) then puts both
-    boundary conditions at rounding.  The solve is nested
+    ||H||; one plain step w = H + (C + R)(alpha conj(x)) from the last
+    iterate x then puts both boundary conditions at rounding.  It is
+    formed as x + r, r = H - A x the residual GMRES already holds, and
+    costs no application.  The solve is nested
     (`_riesz_values`): on grids with even n_r and both sides at least 64
     the same problem is solved on the half grid first, down to sides of
     32, and each converged coarse solution, interpolated, starts the

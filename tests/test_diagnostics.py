@@ -344,6 +344,14 @@ class TestExpIntegrability:
         with pytest.raises(MaskedValueError, match="lambda range"):
             exp_integrability_report(f, ells=(3.0,))
 
+    @pytest.mark.parametrize("ell", [0.0, -2.0, np.nan, np.inf, -np.inf])
+    def test_rejects_ell_not_finite_positive(self, grid128, ell):
+        # 0 used to report slope -5e-18 and satisfied; nan and +-inf raised
+        # "area integral over masked nodes is not defined"
+        f = GridFunction(grid128, grid128.nodes_z().real.astype(complex))
+        with pytest.raises(ValueError, match=f"ell {ell!r} must be finite and positive"):
+            exp_integrability_report(f, ells=(1.0, ell))
+
 
 class TestEquicontinuity:
     def test_zero_field(self, grid128):

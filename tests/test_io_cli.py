@@ -496,16 +496,23 @@ class TestCli:
             ("trace-convergence", {"p": 0.0}, "p must be positive"),
             ("trace-convergence", {"p": -1.0}, "p must be positive"),
             ("equicontinuity", {"side_lengths": [0.5, 0]}, "side length 0.0 must be finite and positive"),
+            ("exp-integrability", {"ells": [1.0, 0]}, "ell 0.0 must be finite and positive"),
         ],
-        ids=["jn-off-grid-arc", "jn-arc-4pi", "trace-p=0", "trace-p=-1", "equicontinuity-side=0"],
+        ids=["jn-off-grid-arc", "jn-arc-4pi", "trace-p=0", "trace-p=-1", "equicontinuity-side=0", "exp-integrability-ell=0"],
     )
     def test_diagnostic_value_out_of_range_is_validation_error(self, tmp_path, capsys, diagnostic, params, message):
         # the arcs used to be rounded to (0, pi) and run at length 4 pi;
         # p = 0 exited "internal" (ZeroDivisionError) and p = -1 printed
-        # numbers; side 0 exited "internal" (ZeroDivisionError)
+        # numbers; side 0 exited "internal" (ZeroDivisionError); ell 0
+        # printed a report marked satisfied
         from phdisk import cli
 
-        inputs = {"h": str(tmp_path / "h.phd1"), "w": str(tmp_path / "w.phd1"), "beta": str(tmp_path / "w.phd1")}
+        inputs = {
+            "h": str(tmp_path / "h.phd1"),
+            "w": str(tmp_path / "w.phd1"),
+            "beta": str(tmp_path / "w.phd1"),
+            "f": str(tmp_path / "w.phd1"),
+        }
         save_phd1(inputs["h"], BoundaryFunction.from_function(64, np.cos))
         g = make_grid(64, 16)
         save_phd1(inputs["w"], GridFunction(g, g.nodes_z()))

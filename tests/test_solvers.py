@@ -452,6 +452,45 @@ class TestSolveRiesz:
         assert rep.iterations <= 4
         assert np.max(np.abs(w.values - np.exp(g.nodes_z().real))) <= 1e-9
 
+    @pytest.mark.parametrize("entry", ["solve_riesz", "solve_conductivity"])
+    def test_passes_equal_reported_applications(self, grid256, monkeypatch, entry):
+        # every C + R pass of a nested solve is an application its report
+        # counts: each level closes from the residual GMRES holds, not with
+        # a pass of its own
+        calls = []
+        modes = solvers._cauchy_reflect_modes
+
+        def counted(*args):
+            calls.append(None)
+            return modes(*args)
+
+        monkeypatch.setattr(solvers, "_cauchy_reflect_modes", counted)
+        psi = BoundaryFunction.from_function(256, lambda th: np.exp(np.cos(th)))
+        if entry == "solve_riesz":
+            _, _, rep = solve_riesz(GridFunction.constant(grid256, 0.5), psi, 0.0, CFG)
+        else:
+            sigma = GridFunction(grid256, np.exp(2.0 * grid256.nodes_z().real))
+            rep = solve_conductivity(sigma, psi, CFG)[3]
+        assert rep.converged and len(rep.extra["coarse_iterations"]) == 3
+        assert len(calls) == rep.iterations + sum(rep.extra["coarse_iterations"])
+
+    def test_closing_step_after_restarts(self):
+        # constant kappa = 3 at 64^2 restarts on both levels; the closing
+        # w = x + r, r the residual GMRES carries through its restarts, is
+        # still the plain step H + (C + R)(alpha conj(w)) and keeps both
+        # boundary conditions at rounding
+        g = make_grid(64, 64)
+        alpha = GridFunction.constant(g, 3.0)
+        psi = BoundaryFunction(np.exp(6.0 * np.cos(g.thetas)))
+        w, _, rep = solve_riesz(alpha, psi, 0.0, SolverConfig(tol=1e-12))
+        assert rep.converged and rep.iterations > RESTART + 1
+        assert rep.extra["coarse_iterations"][0] > RESTART + 1
+        assert rep.normalization_defects["re_trace_sup"] <= 1e-12
+        assert rep.normalization_defects["im_mean"] <= 1e-12
+        h = GridFunction(g, alpha.values * np.conj(w.values))
+        step = riesz_extension(psi, g).values + cauchy(h).values + reflect_transform(h).values
+        assert np.max(np.abs(w.values - step)) <= 1e-12 * np.max(np.abs(w.values))
+
     def test_unconverged_coarse_level_is_not_used(self):
         # the critical closed form at t = 8 stalls on every level; the fine
         # loop must start from H, with ||A H - H|| / ||H|| its first entry,
@@ -785,9 +824,21 @@ class TestGmres:
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         kept = rhs.copy()
         x = np.zeros(shape, dtype=complex)
-        history, converged = _gmres(rhs, x, apply, SolverConfig(tol=1e-12))
+        history, converged, r = _gmres(rhs, x, apply, SolverConfig(tol=1e-12))
         assert converged and len(history) > RESTART + 1
         assert rhs.tobytes() == kept.tobytes()
+        # the returned r is rhs - A x after restarts: at convergence, and in
+        # a run cut short by max_iter, where r is far from zero
+        Ax = np.empty(shape, dtype=complex)
+        bnorm = np.linalg.norm(rhs)
+        apply(x, Ax)
+        assert np.linalg.norm(r - (rhs - Ax)) <= 1e-12 * bnorm
+        y = np.zeros(shape, dtype=complex)
+        history, converged, r = _gmres(rhs, y, apply, SolverConfig(tol=1e-12, max_iter=RESTART + 3))
+        assert not converged and len(history) == RESTART + 3
+        apply(y, Ax)
+        assert np.linalg.norm(r) >= 1e-6 * bnorm
+        assert np.linalg.norm(r - (rhs - Ax)) <= 1e-12 * bnorm
         # the dense real 2n x 2n view, column by column
         cols = []
         for e in np.eye(2 * n):
