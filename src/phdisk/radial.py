@@ -371,7 +371,7 @@ class RadialEngine:
         return self._at(P, exps, targets, False)
 
 
-# a nested Riesz solve uses one engine per level, coarsest first: a
+# a nested solve uses one engine per level, coarsest first: a
 # cache smaller than its chain (five engines at 512^2, 512 down to 32)
 # would evict every engine before its next use
 _MAX_ENGINES = 8

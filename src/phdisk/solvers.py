@@ -5,18 +5,11 @@ the integral equation of generalized analytic functions (Vekua 1962),
 w - (C + R)(alpha conj(w)) = H, by restarted GMRES on the real view of
 the values (`_gmres`, Saad & Schultz 1986), with restart length
 RESTART = 8.  It needs no smallness of alpha: constant alpha = 3 and
-sigma = e^{4x} converge.  The solve is nested (`_riesz_values`; Brandt
-1977, for the starting guess only): the same equation is solved on the
-half grid first, recursively down to 32 x 32, and each converged coarse
-solution, interpolated (`_prolong`), starts the next finer loop.  At
-256^2 the fine loop then takes 2-3 applications instead of 15, and
-sigma = log(e/|z|)^8, where GMRES(8) from H stalls, converges.  A
-coarse level that does not converge ends the descent, and the given
-grid starts from H.  Each level closes with the plain step
+sigma = e^{4x} converge.  A solve closes with the plain step
 w = H + (C + R)(alpha conj(x)) from its last iterate x, formed as x + r
-from the residual r that GMRES holds, so a level makes exactly as many
-C + R passes as its loop counts applications.  Reports count fine-grid
-applications.  Its conductivity wrapper solves the same equation.
+from the residual r that GMRES holds, so it makes exactly as many C + R
+passes as its loop counts applications.  Its conductivity wrapper
+solves the same equation.
 
 The parametrizations are nonlinear in s.  Once the prescribed trace is
 absorbed into a holomorphic shift H of F, s - H is the exponent of the
@@ -30,6 +23,18 @@ the history is dropped and tau halved, and the loop fails explicitly if
 the residual keeps growing at the floor.  Nothing is asserted about
 rates: reports carry the whole increment history and the final tau.
 Every loop runs on plain arrays.
+
+All three solve coarse to fine (`_descend`; Brandt 1977, for the
+starting guess only): the problem is first solved on the half grid,
+recursively down to sides of 32, and each converged coarse solution,
+interpolated (`_prolong`), starts the next finer loop.  A coarse level
+that does not converge ends the descent, and the given grid starts
+cold; `initial_s` starts the level where no half grid was tried.
+Reports count the given grid's steps and list the coarse levels' counts
+in extra["coarse_iterations"].  At 256^2 the Riesz fine loop then takes
+2-3 applications instead of 15, sigma = log(e/|z|)^8, where GMRES(8)
+from H stalls, converges, and parametrize_real at alpha = 1/2,
+psi = cos takes 1 fine step instead of 20.
 
 The three problems:
 
@@ -62,11 +67,12 @@ from .grid import (
     w12_norm_modes,
     wirtinger_derivatives,
 )
-from .similarity import beltrami_ratio, reconstruct, residual_beltrami
+from .similarity import beltrami_values, reconstruct, residual_beltrami
 from .transforms import (
     _cauchy_reflect_modes,
     _engine_for,
     _holo_with_real_trace,
+    _real_part,
     _require_finite,
     _require_real,
     cauchy_reflect,
@@ -298,10 +304,11 @@ def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
     return BoundaryFunction(values - psi.values.real).lp_norm(p)
 
 
-def _finish(name, history, converged, tau, w, alpha, mismatch, defects, constant, extra=None) -> SolveReport:
-    """The report of a solve from its loop's increment history, convergence
-    flag and final damping, and the solution w; raises SolverDivergence
-    if the loop did not converge."""
+def _finish(name, loops, w, alpha, mismatch, defects, constant) -> SolveReport:
+    """The report of a solve from its loops, coarsest first, each an
+    (increment history, convergence flag, final damping), and the solution
+    w; raises SolverDivergence if the last loop did not converge."""
+    history, converged, tau = loops[-1]
     report = SolveReport(
         iterations=len(history),
         increment_history=history,
@@ -311,11 +318,20 @@ def _finish(name, history, converged, tau, w, alpha, mismatch, defects, constant
         measured_constant=constant,
         converged=converged,
         damping_final=tau,
-        extra=extra or {},
+        extra={"coarse_iterations": [len(loop[0]) for loop in loops[:-1]]} if len(loops) > 1 else {},
     )
     if not converged:
         raise SolverDivergence(f"{name} did not converge", report)
     return report
+
+
+def _initial_values(initial_s, grid):
+    """Values of the initial state on `grid`, or None."""
+    if initial_s is None:
+        return None
+    if not initial_s.grid.same_as(grid):
+        raise ValueError("grid mismatch between operands")
+    return initial_s.require_unmasked("initial state")
 
 
 def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
@@ -332,33 +348,42 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
 
     with sign = -1 for `imag` (C - R is real on T) and +1 otherwise
     (C + R is pure imaginary on T).  Both have zero boundary mean, so H
-    alone carries the trace and the mean, at every step.  `_picard` finds
-    the fixed point phi of phi -> Im (C + sign R)(beta e^{-2i phi}),
-    starting from Im(initial_s - H), or 0; then
+    alone carries the trace and the mean, at every step.  On every level
+    of the descent (`_descend`), `_picard` finds the fixed point phi of
+    phi -> Im (C + sign R)(beta e^{-2i phi}), cold from 0, or from
+    Im(s - H) for the prolonged coarse s or initial_s; then
     s = H + (C + sign R)(beta e^{-2i phi}).
     """
     _require_finite(lam, "lam")
     cfg = cfg or SolverConfig()
     grid = alpha.grid
     psi = _require_real(psi, "psi", grid)
-    if float(np.max(np.abs(F.require_unmasked("parametrization")))) == 0.0:
+    Fv = F.require_unmasked("parametrization")
+    if float(np.max(np.abs(Fv))) == 0.0:
         raise ValueError("F must not be identically zero")
-    A = _holo_with_real_trace(psi, -lam if imag else lam, grid)
-    H = GridFunction(grid, A * 1j if imag else A)
-    with np.errstate(under="ignore"):
-        Fp = F.with_values(np.exp(H.values) * F.values)
-    beta = beltrami_ratio(Fp, alpha, cfg.zero_threshold).values
     sign = -1.0 if imag else 1.0
 
-    def exponent(phi: np.ndarray) -> GridFunction:
-        return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi)), sign)
+    def level(grid, av, Fv, pv, start, s0):
+        A = _holo_with_real_trace(BoundaryFunction(pv), -lam if imag else lam, grid)
+        H = A * 1j if imag else A
+        with np.errstate(under="ignore"):
+            Fp = np.exp(H) * Fv
+        beta = beltrami_values(Fp, av, cfg.zero_threshold)
 
-    def apply_map(phi: np.ndarray) -> np.ndarray:
-        return exponent(phi).values.imag.copy()  # contiguous, without the complex pass
+        def exponent(phi: np.ndarray) -> GridFunction:
+            return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi)), sign)
 
-    x0 = np.zeros(beta.shape) if initial_s is None else (initial_s - H).values.imag
-    loop = _picard(x0, apply_map, lambda d: w12_norm_modes(np.fft.fft(d, axis=1), grid), cfg)
-    s = exponent(loop[0]) + H
+        def apply_map(phi: np.ndarray) -> np.ndarray:
+            return exponent(phi).values.imag.copy()  # contiguous, without the complex pass
+
+        s = start if start is not None else s0
+        x0 = np.zeros(beta.shape) if s is None else (s - H).imag
+        phi, *loop = _picard(x0, apply_map, lambda d: w12_norm_modes(np.fft.fft(d, axis=1), grid), cfg)
+        return exponent(phi).values + H, loop
+
+    arrays = (alpha.require_unmasked("Beltrami ratio"), Fv, psi.require_unmasked("boundary data"))
+    s, loops = _descend(level, grid, arrays, _initial_values(initial_s, grid))
+    s = GridFunction(grid, s)
     w = reconstruct(s, F)
 
     tr_s = boundary_trace(s).values
@@ -370,7 +395,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
     constant = w12_norm(s) / denom if denom > 0 else 0.0
     name = "parametrize_imag" if imag else "parametrize_real"
-    return s, _finish(name, *loop[1:], w, alpha, mismatch, defects, constant)
+    return s, _finish(name, loops, w, alpha, mismatch, defects, constant)
 
 
 def parametrize_imag(
@@ -433,71 +458,38 @@ def _prolong(wc: np.ndarray, coarse) -> np.ndarray:
     return np.fft.ifft(out, axis=1, out=out)
 
 
-def _riesz_values(av, psi, c, grid, cfg, s0, given=True):
-    """Values of the solution w of A w = H on `grid`, nested coarse to fine.
+def _descend(level, grid, arrays, s0, given=True):
+    """(solution values, loops) of the problem `level` solves, on `grid`,
+    found coarse to fine.
 
-    H = E(psi + i psi~) + i c / 2 pi (`_holo_with_real_trace`).  When n_r
+    `level(grid, *arrays, start, s0)` solves the problem with data
+    `arrays` on one grid, from the prolonged coarse solution `start` or
+    the initial state `s0` (at most one is given; with neither it starts
+    cold), and returns (solution values, loop), loop the (increment
+    history, convergence flag, final damping) of its iteration.  When n_r
     is even and both halves of the grid are at least 32, the problem is
-    first solved on the half grid: the odd rows and even columns of alpha
-    (`av`) and of s0, the even samples of psi.  If that solve converged,
-    its w, prolonged (`_prolong`), starts `_gmres` here; if not, the
-    descent ends: a coarse level returns (None, histories, False) without
-    a loop of its own, and the given grid (`given`) starts from H.  The
-    coarsest level starts from e^{s0} H (H when s0 is None).  Each level
-    forms H once, runs GMRES to its own stopping rule and closes with the
-    plain step w = H + (C + R)(alpha conj(x)) = x + r, r = H - A x the
-    residual `_gmres` returns, with no pass; the source-mode buffer of
-    its applications is allocated once.  H = 0 (psi and c zero, on the
-    samples the level keeps) gives w = 0 without an application.
-    Returns (w, histories, converged): histories holds the loops run,
-    coarsest first.
+    first solved on the half grid: the odd rows and even columns of each
+    grid array and of s0 (coarse radius (k+1)/(n_r/2) is fine row 2k+1),
+    the even samples of each boundary array, None kept.  A converged
+    coarse solution, prolonged, starts the level here.  An unconverged
+    one ends the descent: a coarse level returns (None, loops) without a
+    loop of its own, and the given grid (`given`) starts cold.  Only the
+    level where no half grid was tried starts from s0.  `loops` holds the
+    loops run, coarsest first.
     """
-    H = _holo_with_real_trace(psi, c, grid)
-    scale = float(np.max(np.abs(H)))
-    if scale == 0.0:
-        return np.zeros_like(H), [[]], True
-    H /= scale
-    n_r, n_t = grid.n_r, grid.n_theta
-    histories = []
-    x = None
-    if n_r % 2 == 0 and min(n_r, n_t) >= 64:
-        coarse = make_grid(n_t // 2, n_r // 2, grid.outer_radius)
-        wc, histories, ok = _riesz_values(
-            av[1::2, ::2],
-            BoundaryFunction(psi.values[::2]),
-            c,
-            coarse,
-            cfg,
-            None if s0 is None else s0[1::2, ::2],
-            given=False,
-        )
-        if ok:
-            x = _prolong(wc, coarse)
-            x /= scale
+    loops, start = [], None
+    if grid.n_r % 2 == 0 and min(grid.n_r, grid.n_theta) >= 64:
+        coarse = make_grid(grid.n_theta // 2, grid.n_r // 2, grid.outer_radius)
+        half = [None if a is None else a[::2] if a.ndim == 1 else a[1::2, ::2] for a in (*arrays, s0)]
+        sol, loops = _descend(level, coarse, half[:-1], half[-1], given=False)
+        if loops[-1][1]:
+            start = _prolong(sol, coarse)
         elif not given:
-            return None, histories, False
-        del wc
-    elif s0 is not None:
-        x = H * np.exp(s0)
-    if x is None:
-        x = H.copy()
-    modes = np.empty((n_r, n_t + 1), dtype=complex)
-
-    def reflect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(C + R)(alpha conj(v)) in out: 2 FFTs and one sweep."""
-        h = np.conjugate(v, out=out)
-        h *= av
-        _cauchy_reflect_modes(h, 1.0, 1.0, grid, modes, out)
-        return np.fft.ifft(out, axis=1, out=out)
-
-    def apply(v: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(v, reflect(v, out), out=out)
-
-    history, converged, r = _gmres(H, x, apply, cfg)
-    w = x
-    w += r
-    w *= scale
-    return w, histories + [history], converged
+            return None, loops
+        del sol
+        s0 = None
+    sol, loop = level(grid, *arrays, start, s0)
+    return sol, loops + [loop]
 
 
 def solve_riesz(
@@ -521,15 +513,11 @@ def solve_riesz(
     ||H||; one plain step w = H + (C + R)(alpha conj(x)) from the last
     iterate x then puts both boundary conditions at rounding.  It is
     formed as x + r, r = H - A x the residual GMRES already holds, and
-    costs no application.  The solve is nested
-    (`_riesz_values`): on grids with even n_r and both sides at least 64
-    the same problem is solved on the half grid first, down to sides of
-    32, and each converged coarse solution, interpolated, starts the
-    next finer loop; an unconverged coarse level ends the descent, and
-    the given grid starts from H.  The coarsest start is e^{initial_s} H
-    (H when initial_s is None).  SolverConfig.zero_threshold does not act
-    here.  report.iterations counts applications of A on the given
-    grid, with ||A w - H|| / ||H|| after each in increment_history;
+    costs no application.  Every level of the descent (`_descend`) runs
+    this loop, cold from x = H; where no half grid was tried, an
+    initial_s starts it from e^{initial_s} H.  SolverConfig.zero_threshold
+    does not act here.  report.iterations counts applications of A on the
+    given grid, with ||A w - H|| / ||H|| after each in increment_history;
     extra["coarse_iterations"] holds the coarse levels' counts, coarsest
     first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
     generalized conjugate function.
@@ -538,9 +526,41 @@ def solve_riesz(
     cfg = cfg or SolverConfig()
     grid = alpha.grid
     psi = _require_real(psi, "psi", grid)
-    s0 = None if initial_s is None else initial_s.require_unmasked("initial state")
-    av = alpha.require_unmasked("coefficient")
-    w, histories, converged = _riesz_values(av, psi, c, grid, cfg, s0)
+
+    def level(grid, av, pv, start, s0):
+        """w on one grid: H scaled to max |H| = 1, GMRES from the start
+        (x = H when cold, e^{s0} H from s0) and the closing x + r, w
+        scaled back; H = 0 gives w = 0 without an application."""
+        H = _holo_with_real_trace(BoundaryFunction(pv), c, grid)
+        scale = float(np.max(np.abs(H)))
+        if scale == 0.0:
+            return np.zeros_like(H), ([], True, 1.0)
+        H /= scale
+        if start is not None:
+            x = start
+            x /= scale
+        else:
+            x = H.copy() if s0 is None else H * np.exp(s0)
+        modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
+
+        def reflect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            """(C + R)(alpha conj(v)) in out: 2 FFTs and one sweep."""
+            h = np.conjugate(v, out=out)
+            h *= av
+            _cauchy_reflect_modes(h, 1.0, 1.0, grid, modes, out)
+            return np.fft.ifft(out, axis=1, out=out)
+
+        def apply(v: np.ndarray, out: np.ndarray) -> None:
+            np.subtract(v, reflect(v, out), out=out)
+
+        history, converged, r = _gmres(H, x, apply, cfg)
+        w = x
+        w += r
+        w *= scale
+        return w, (history, converged, 1.0)
+
+    arrays = (alpha.require_unmasked("coefficient"), psi.require_unmasked("boundary data"))
+    w, loops = _descend(level, grid, arrays, _initial_values(initial_s, grid))
 
     w = GridFunction(grid, w)
     tr = w.values[grid.boundary_ring_index]
@@ -553,9 +573,7 @@ def solve_riesz(
     mismatch = _mismatch(tr.real, psi, cfg.p)
     denom = psi.lp_norm(cfg.p) + abs(c)
     constant = hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0
-    history = histories.pop()
-    extra = {"coarse_iterations": [len(h) for h in histories]} if histories else None
-    report = _finish("solve_riesz", history, converged, 1.0, w, alpha, mismatch, defects, constant, extra)
+    report = _finish("solve_riesz", loops, w, alpha, mismatch, defects, constant)
     return w, psi_sharp, report
 
 
@@ -582,7 +600,7 @@ def solve_conductivity(
     cfg = cfg or SolverConfig()
     grid = sigma.grid
     psi = _require_real(psi, "psi", grid)
-    sv = sigma.require_unmasked("conductivity").real
+    sv = _real_part(sigma.require_unmasked("conductivity"), "sigma")
     if np.any(sv <= 0.0):
         raise ValueError("sigma must be strictly positive on the grid")
     ring = grid.boundary_ring_index

@@ -316,9 +316,14 @@ def _require_real(psi: BoundaryFunction, name: str, grid: DiskGrid) -> BoundaryF
             f"boundary function does not match grid angles: {name} has {psi.n_theta} "
             f"samples, the grid {grid.n_theta} angles"
         )
-    if float(np.max(np.abs(psi.values.imag))) > 1e-10:
+    return BoundaryFunction(_real_part(psi.values, name).astype(complex), psi.mask)
+
+
+def _real_part(values: np.ndarray, name: str) -> np.ndarray:
+    """values.real, else a ValueError naming `name` if an imaginary part exceeds 1e-10."""
+    if float(np.max(np.abs(values.imag))) > 1e-10:
         raise ValueError(f"{name} must be real-valued")
-    return BoundaryFunction(psi.values.real.astype(complex), psi.mask)
+    return values.real
 
 
 def _require_finite(value: float, name: str) -> None:

@@ -135,7 +135,8 @@ class TestParametrizeImag:
 
     def test_non_harmonic_exponent(self, grid256):
         # s = a x^2 + i(b y + c|z|^2 + d|z|^2 x): Im s is not harmonic (modes
-        # 0 and 1), so the fixed point is not phi = 0.  With F = 1 the
+        # 0 and 1), so the fixed point is not phi = 0 and the coarsest level
+        # takes more than one step.  With F = 1 the
         # coefficient is alpha = dbar s e^{2i Im s}, written out.
         a, b, c, d = 0.3, 0.4, 0.28, 0.32
         z = grid256.nodes_z()
@@ -150,7 +151,7 @@ class TestParametrizeImag:
         F = GridFunction.constant(grid256, 1.0)
         s, rep = parametrize_imag(alpha, F, psi, a * np.pi, CFG)
         assert w12_norm(s - GridFunction(grid256, s_exact)) <= 1e-8
-        assert rep.converged and 1 < rep.iterations <= 100
+        assert rep.converged and rep.iterations <= 100 and rep.extra["coarse_iterations"][0] > 1
         # s - H is the real_on_T exponent of the factorization of e^s F
         H = riesz_extension(psi, grid256) * 1j + a / 2
         again = factorize(reconstruct(s, F), alpha, "real_on_T").s
@@ -214,8 +215,8 @@ class TestParametrizeReal:
 
 
     def test_one_cauchy_reflect_per_iteration(self, grid256, monkeypatch):
-        # criterion 06's data: each reported step runs one C + R pass, and
-        # one more assembles s from the fixed point
+        # criterion 06's data: on every level of the descent each step runs
+        # one C + R pass, and one more assembles s from the fixed point
         calls = []
         cauchy_reflect = solvers.cauchy_reflect
 
@@ -231,8 +232,9 @@ class TestParametrizeReal:
             0.0,
             CFG,
         )
-        assert rep.converged and rep.iterations <= 30
-        assert calls == [1.0] * (rep.iterations + 1)
+        steps = rep.extra["coarse_iterations"] + [rep.iterations]
+        assert rep.converged and rep.iterations <= 30 and len(steps) == 4
+        assert calls == [1.0] * sum(n + 1 for n in steps)
 
     def test_strong_coefficient_keeps_trace(self):
         # at alpha = 2 the source beta e^{-2i phi} reaches mode
@@ -581,6 +583,39 @@ class TestSolveRiesz:
         assert norms[0] < norms[1] < norms[2]
 
 
+class TestDescent:
+    @pytest.mark.parametrize("entry", ["solve_riesz", "parametrize_imag", "parametrize_real"])
+    def test_unconverged_coarse_level_ends_the_descent(self, monkeypatch, entry):
+        # two steps cannot reach tol on 32^2: the descent ends there, and
+        # 64^2 starts cold (from H, or phi = 0), not from initial_s, which
+        # only the level with no half grid uses
+        g = make_grid(64, 64)
+        z = g.nodes_z()
+        cfg = SolverConfig(tol=1e-12, max_iter=2)
+        alpha = GridFunction.constant(g, 0.5)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        initial_s = GridFunction(g, 0.1 * z.real + 0.2j * z.real * z.imag)
+        if entry == "solve_riesz":
+            name, is_cold = "_gmres", lambda rhs, x, *_: np.array_equal(x, rhs)
+            run = lambda: solve_riesz(alpha, psi, 0.0, cfg, initial_s)
+        else:
+            name, is_cold = "_picard", lambda x, *_: not np.any(x)
+            fn = parametrize_imag if entry == "parametrize_imag" else parametrize_real
+            run = lambda: fn(alpha, GridFunction.constant(g, 1.0), psi, 0.0, cfg, initial_s)
+        loop, cold = getattr(solvers, name), []
+
+        def spy(*args):
+            cold.append(is_cold(*args))
+            return loop(*args)
+
+        monkeypatch.setattr(solvers, name, spy)
+        with pytest.raises(SolverDivergence, match=entry) as err:
+            run()
+        rep = err.value.report
+        assert rep.iterations == 2 and rep.extra["coarse_iterations"] == [2]
+        assert cold == [False, True]
+
+
 class TestPicardLoop:
     """The shared fixed-point loop on maps of known behaviour."""
 
@@ -724,6 +759,17 @@ class TestConductivity:
         vals[3, 3] = -1.0
         with pytest.raises(ValueError, match="positive"):
             solve_conductivity(GridFunction(grid256, vals), BoundaryFunction.zeros(256), CFG)
+
+    def test_rejects_complex_sigma(self):
+        # the imaginary part used to be dropped without a word; below
+        # 1e-10 it is rounding, as for psi
+        g = make_grid(64, 64)
+        sigma = np.exp(2.0 * g.nodes_z().real)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        with pytest.raises(ValueError, match="^sigma must be real-valued"):
+            solve_conductivity(GridFunction(g, sigma + 1e-6j), psi, CFG)
+        u = solve_conductivity(GridFunction(g, sigma + 1e-12j), psi, CFG)[0]
+        assert np.array_equal(u.values, solve_conductivity(GridFunction(g, sigma), psi, CFG)[0].values)
 
     def test_exp_sobolev_coefficient_vs_fd_oracle(self, grid256):
         sp = pytest.importorskip("scipy.sparse")
