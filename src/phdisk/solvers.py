@@ -218,8 +218,13 @@ def _picard(state: np.ndarray, apply_map, step_norm, cfg: SolverConfig):
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b>, the Euclidean inner product of real and imaginary parts."""
-    return float(np.vdot(a, b).real)
+    """Re <a, b>, the Euclidean inner product of real and imaginary parts.
+
+    Summed by `np.einsum` over the float views, not by BLAS, which splits
+    a long dot product over its threads: the bits do not depend on the
+    thread count.
+    """
+    return float(np.einsum("i,i", a.ravel().view(np.float64), b.ravel().view(np.float64)))
 
 
 def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):

@@ -1,9 +1,11 @@
 """Print a SHA-1 digest of every phdisk output on fixed inputs, one per line.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py > digests.txt
+    PYTHONPATH=src python3 tools/output_digests.py > digests.txt
 
 Run it on two checkouts and `diff` the files: equal digests mean equal
 bytes, so a change meant to keep every output is checked bit for bit.
+The digests do not depend on the BLAS thread count; CI checks that at
+one and two threads.
 The inputs are smooth closed-form fields at 64^2 and 256^2; the engine
 tables, every transform, `cauchy_renormalized` at R = 2.5, the five
 solvers and `solve_dbar` (solution and report), `solve_riesz` and the two
