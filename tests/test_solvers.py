@@ -894,6 +894,17 @@ class TestGmres:
         ref = np.linalg.solve(np.array(cols).T, rhs.reshape(-1).view(float)).view(complex)
         assert np.max(np.abs(x.reshape(-1) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_real_dot_is_re_vdot(self):
+        # the sum runs in einsum's fixed order, not BLAS's, so it equals
+        # Re vdot to the classical bound 2n eps sum |a_i b_i|; on complex,
+        # real, strided and transposed arrays
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        b = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        for x, y in ((a, b), (a.real.copy(), b.imag.copy()), (a.real, b.real), (a.T, b.T)):
+            bound = 2 * x.size * np.finfo(float).eps * float(np.sum(np.abs(x) * np.abs(y)))
+            assert abs(solvers._real_dot(x, y) - np.vdot(x, y).real) <= bound
+
 
 class TestContracts:
     def test_riesz_rejects_complex_psi(self, grid256):
