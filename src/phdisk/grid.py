@@ -425,9 +425,22 @@ def lp_norm_disk(f: GridFunction, p: float, r_max: float | None = None) -> float
     else:
         w, K = f.grid.interior_weights_upto(r_max)
         v = v[:K]
+    return _ring_norm(v, w, f.grid.n_theta, p)
+
+
+def _ring_norm(v: np.ndarray, w: np.ndarray, n_theta: int, p: float) -> float:
+    """L^p area norm of the rows v, row j carrying radial weight w[j]."""
     # the norm of the per-ring norms, so neither power leaves the floats
-    rings = _lp_rows(v, p) * (w * (2.0 * np.pi / f.grid.n_theta)) ** (1.0 / p)
+    rings = _lp_rows(v, p) * (w * (2.0 * np.pi / n_theta)) ** (1.0 / p)
     return float(_lp_rows(rings[None, :], p)[0])
+
+
+def _defect_norm(v: np.ndarray, w: np.ndarray, n_theta: int) -> float:
+    """L^2 area norm of the rows v, as `_ring_norm`; a non-finite value
+    raises MaskedValueError, as it does in lp_norm_disk once masked."""
+    if not np.all(np.isfinite(v)):
+        raise MaskedValueError("L^p norm over masked nodes is not defined")
+    return _ring_norm(v, w, n_theta, 2.0)
 
 
 def circle_norm(f: GridFunction, rho: float, p: float) -> float:
@@ -526,35 +539,55 @@ def _radial_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def wirtinger_derivatives(f: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """(d f, dbar f) via spectral d_theta and 4th-order radial differences.
+def _wirtinger_rows(v: np.ndarray, g: DiskGrid, rows: int, d: bool, dbar: bool):
+    """(dr, t): d f in dr if `d`, dbar f in t if `dbar`, on grid rows 0..rows-1.
 
-    d = e^{-i theta} (f_r - i f_theta / r) / 2 and dbar its conjugate
-    counterpart are built in place: f_r in one buffer, i f_theta / r in
-    the angular modes' buffer, then d over f_r and dbar over the modes,
-    one block of rows at a time, so that no other full-size array is
-    formed.
+    v holds the values of f on at least min(rows + 2, n_r) rows: the
+    radial stencil of a row reads the two rows above it, and only the
+    grid's last two rows take the one-sided rim closures.  d =
+    e^{-i theta} (f_r - i f_theta / r) / 2 and dbar its conjugate
+    counterpart are built in place: f_r in dr, i f_theta / r in the
+    angular modes' buffer t, then d over dr and dbar over t (for both,
+    one block of rows at a time), so that no other array of their size
+    is formed.  A buffer whose derivative was not asked for holds no
+    result and is the caller's to reuse.
     """
-    v = f.require_unmasked("differentiation")
-    g = f.grid
-    dr = _radial_derivative(v, g.radial_step)
+    need = min(rows + 2, g.n_r)
+    if v.shape[0] < need:
+        raise ValueError(f"{rows} derivative rows need {need} rows of values")
+    dr = _radial_derivative(v[:need], g.radial_step)[:rows]
     # products keep the operand order of the out-of-place formulas, which
     # complex multiplication needs for the same bits
-    t = np.fft.fft(v, axis=1)
+    t = np.fft.fft(v[:rows], axis=1)
     np.multiply(1j * g.mode_numbers, t, out=t)
     np.fft.ifft(t, axis=1, out=t)
-    np.multiply(1j * (1.0 / g.radii[:, None]), t, out=t)
-    # (dr, t) -> (dr - t, dr + t), blocks of about 4096 values
-    rows = max(1, 4096 // g.n_theta)
-    tmp = np.empty((rows, g.n_theta), dtype=complex)
-    for j in range(0, g.n_r, rows):
-        a, b = dr[j : j + rows], t[j : j + rows]
-        diff = np.subtract(a, b, out=tmp[: len(a)])
-        b += a
-        a[...] = diff
+    np.multiply(1j * (1.0 / g.radii[:rows, None]), t, out=t)
+    if d and dbar:
+        # (dr, t) -> (dr - t, dr + t), blocks of about 4096 values
+        step = max(1, 4096 // g.n_theta)
+        tmp = np.empty((step, g.n_theta), dtype=complex)
+        for j in range(0, rows, step):
+            a, b = dr[j : j + step], t[j : j + step]
+            diff = np.subtract(a, b, out=tmp[: len(a)])
+            b += a
+            a[...] = diff
+    elif d:
+        dr -= t
+    else:
+        t += dr
     phase = np.exp(-1j * g.thetas)
-    np.multiply(0.5 * phase, dr, out=dr)
-    np.multiply(0.5 * np.conj(phase), t, out=t)
+    if d:
+        np.multiply(0.5 * phase, dr, out=dr)
+    if dbar:
+        np.multiply(0.5 * np.conj(phase), t, out=t)
+    return dr, t
+
+
+def wirtinger_derivatives(f: GridFunction) -> tuple[GridFunction, GridFunction]:
+    """(d f, dbar f) via spectral d_theta and 4th-order radial differences
+    (`_wirtinger_rows` on every row)."""
+    v = f.require_unmasked("differentiation")
+    dr, t = _wirtinger_rows(v, f.grid, f.grid.n_r, True, True)
     return f.with_values(dr), f.with_values(t)
 
 

@@ -218,11 +218,6 @@ class RadialEngine:
         """Local cubic coefficients c[i, q, m] of P (n_r, M), the tests' reference."""
         return np.einsum("iqs,ism->iqm", self.coeff_maps, P[self.gather])
 
-    def midpoints(self, P: np.ndarray) -> np.ndarray:
-        """Each cell's cubic of P (n_r, M) at its midpoint x = 1/2, (n_cells, M)."""
-        mid = (0.5**_Q) @ self.coeff_maps  # (n_cells, 4): stencil weights at x = 1/2
-        return np.einsum("ks,ksm->km", mid, P[self.gather])
-
     def cumulative_out_rholog(self, P: np.ndarray) -> np.ndarray:
         """T[j, m] = int_{rho_{j+1}}^1 P[:, m](rho) rho log(rho) drho.
 

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, MaskedValueError, _join, lp_norm_disk, wirtinger_derivatives
+from .grid import (
+    GridFunction,
+    MaskedValueError,
+    _defect_norm,
+    _join,
+    _wirtinger_rows,
+    lp_norm_disk,
+    wirtinger_derivatives,
+)
 from .transforms import cauchy_reflect
 
 __all__ = [
@@ -96,10 +104,21 @@ def beltrami_values(
 
 
 def residual_beltrami(w: GridFunction, alpha: GridFunction) -> float:
-    """||dbar w - alpha conj(w)||_{L^2(D_0.9)}; rim stencils excluded."""
-    _, dbar = wirtinger_derivatives(w)
-    defect = dbar.values - alpha.values * np.conj(w.values)
-    return lp_norm_disk(w.with_values(defect), 2.0, r_max=0.9)
+    """||dbar w - alpha conj(w)||_{L^2(D_0.9)}; rim stencils excluded.
+
+    Only the rows of D_0.9 are formed: dbar w in one buffer of
+    `_wirtinger_rows`, alpha conj(w) in its other, the defect over dbar w.
+    A non-finite defect there raises MaskedValueError.
+    """
+    w._check_match(alpha)
+    wv = w.require_unmasked("differentiation")
+    g = w.grid
+    weights, K = g.interior_weights_upto(0.9)
+    prod, defect = _wirtinger_rows(wv, g, K, False, True)
+    np.conjugate(wv[:K], out=prod)
+    np.multiply(alpha.values[:K], prod, out=prod)
+    defect -= prod
+    return _defect_norm(defect, weights, g.n_theta)
 
 
 def reconstruct(s: GridFunction, F: GridFunction) -> GridFunction:

@@ -27,12 +27,13 @@ Every loop runs on plain arrays.
 All three solve coarse to fine (`_descend`; Brandt 1977, for the
 starting guess only): the problem is first solved on the half grid,
 recursively down to sides of 32, and each converged coarse solution,
-interpolated (`_prolong`), starts the next finer loop.  A coarse level
+interpolated at order 6 (`_prolong`; Brandt's rule asks for an order
+above the discretization's), starts the next finer loop.  A coarse level
 that does not converge ends the descent, and the given grid starts
 cold; `initial_s` starts the level where no half grid was tried.
 Reports count the given grid's steps and list the coarse levels' counts
 in extra["coarse_iterations"].  At 256^2 the Riesz fine loop then takes
-2-3 applications instead of 15, sigma = log(e/|z|)^8, where GMRES(8)
+1-2 applications instead of 15, sigma = log(e/|z|)^8, where GMRES(8)
 from H stalls, converges, and parametrize_real at alpha = 1/2,
 psi = cos takes 1 fine step instead of 20.
 
@@ -59,18 +60,19 @@ import numpy as np
 from .grid import (
     BoundaryFunction,
     GridFunction,
+    _defect_norm,
+    _fd_weights,
+    _wirtinger_rows,
     boundary_trace,
     hardy_norm,
     lp_norm_disk,
     make_grid,
     w12_norm,
     w12_norm_modes,
-    wirtinger_derivatives,
 )
 from .similarity import beltrami_values, reconstruct, residual_beltrami
 from .transforms import (
     _cauchy_reflect_modes,
-    _engine_for,
     _holo_with_real_trace,
     _real_part,
     _require_finite,
@@ -92,6 +94,9 @@ __all__ = [
 DAMPING_FLOOR = 1.0 / 64.0
 ANDERSON_WINDOW = 3
 RESTART = 8
+# six-node Lagrange weights of coarse nodes 0..5 at x = -1/2, 1/2, ..., 9/2
+# (node units): `_prolong`'s first three midpoints, interior, last two
+_MIDPOINT_WEIGHTS = np.array([_fd_weights(np.arange(6.0) - x, 0) for x in np.arange(-0.5, 5.0)])
 
 
 @dataclass(frozen=True)
@@ -440,20 +445,27 @@ def parametrize_real(
     return _parametrize(False, alpha, F, psi, lam, cfg, initial_s)
 
 
-def _prolong(wc: np.ndarray, coarse) -> np.ndarray:
-    """Values on the grid twice as fine of the function with values wc on `coarse`.
+def _prolong(wc: np.ndarray) -> np.ndarray:
+    """Values on the grid twice as fine of the function with values wc on
+    the fine grid's half grid, its odd rows and even columns.
 
-    `coarse` is the fine grid's half grid: its odd rows and even columns.
-    In radius the even rows are the coarse cells' midpoints, where
-    `RadialEngine.midpoints` evaluates the cell cubics of the coarse
-    level's engine; in angle the modes are zero-padded, the coarse Nyquist
-    mode split between +n and -n.
+    In radius the even rows lie midway between consecutive coarse nodes
+    (the first between the origin and node 0), where six-node Lagrange
+    interpolation is of order 6: centred, weights (3, -25, 150, 150, -25,
+    3)/256, on the interior, one-sided on the first or last six nodes for
+    the first three and the last two midpoints.  In angle the modes are
+    zero-padded, the coarse Nyquist mode split between +n and -n.
     """
     n_c, m_c = wc.shape
     modes = np.fft.fft(wc, axis=1)
     rows = np.empty((2 * n_c, m_c), dtype=complex)
     rows[1::2] = modes
-    rows[0::2] = _engine_for(coarse).midpoints(modes)
+    mid, w = rows[0::2], _MIDPOINT_WEIGHTS
+    mid[:3] = np.einsum("ks,sm->km", w[:3], modes[:6])
+    mid[-2:] = np.einsum("ks,sm->km", w[4:], modes[-6:])
+    inner = np.multiply(w[3, 0], modes[: n_c - 5], out=mid[3:-2])
+    for s in range(1, 6):
+        inner += w[3, s] * modes[s : n_c - 5 + s]
     half = m_c // 2
     out = np.zeros((2 * n_c, 2 * m_c), dtype=complex)
     out[:, :half] = rows[:, :half]
@@ -488,7 +500,7 @@ def _descend(level, grid, arrays, s0, given=True):
         half = [None if a is None else a[::2] if a.ndim == 1 else a[1::2, ::2] for a in (*arrays, s0)]
         sol, loops = _descend(level, coarse, half[:-1], half[-1], given=False)
         if loops[-1][1]:
-            start = _prolong(sol, coarse)
+            start = _prolong(sol)
         elif not given:
             return None, loops
         del sol
@@ -583,11 +595,21 @@ def solve_riesz(
 
 
 def conductivity_residual(sigma: GridFunction, u: GridFunction) -> float:
-    """||div(sigma grad u)||_{L^2(D_0.9)} via 4 Re d(sigma dbar u), u real."""
-    dbar_u = wirtinger_derivatives(u.with_values(u.values.real.astype(complex)))[1]
-    flux = sigma.values.real * dbar_u.values
-    d_flux, _ = wirtinger_derivatives(u.with_values(flux))
-    return lp_norm_disk(u.with_values(4.0 * d_flux.values.real.astype(complex)), 2.0, r_max=0.9)
+    """||div(sigma grad u)||_{L^2(D_0.9)} via 4 Re d(sigma dbar u), u real.
+
+    Only the rows the norm reads are formed: the flux sigma dbar u on the
+    rows of D_0.9 and the two above them, d of it on the rows of D_0.9.
+    """
+    sigma._check_match(u)
+    g = u.grid
+    weights, K = g.interior_weights_upto(0.9)
+    rows = min(K + 2, g.n_r)
+    uv = u.require_unmasked("differentiation")[: rows + 2].real.astype(complex)
+    flux = _wirtinger_rows(uv, g, rows, False, True)[1]
+    np.multiply(sigma.values.real[:rows], flux, out=flux)
+    div = _wirtinger_rows(flux, g, K, True, False)[0].real
+    div *= 4.0
+    return _defect_norm(div, weights, g.n_theta)
 
 
 def solve_conductivity(
@@ -609,10 +631,12 @@ def solve_conductivity(
     if np.any(sv <= 0.0):
         raise ValueError("sigma must be strictly positive on the grid")
     ring = grid.boundary_ring_index
-    # alpha = dbar log sigma^{1/2}; the d part and log sigma^{1/2} are not
-    # kept through the solve, nor alpha past it, and sigma^{1/2} is formed
-    # after it
-    alpha = wirtinger_derivatives(GridFunction(grid, 0.5 * np.log(sv).astype(complex)))[1]
+    # alpha = dbar log sigma^{1/2}; the d part is not formed, log
+    # sigma^{1/2} is not kept through the solve, nor alpha past it, and
+    # sigma^{1/2} is formed after it
+    log_half = 0.5 * np.log(sv).astype(complex)
+    alpha = GridFunction(grid, _wirtinger_rows(log_half, grid, grid.n_r, False, True)[1])
+    del log_half
     psi_w = BoundaryFunction((np.sqrt(sv[ring]) * psi.values.real).astype(complex))
     w, _, report = solve_riesz(alpha, psi_w, 0.0, cfg)
     del alpha

@@ -29,6 +29,7 @@ from phdisk.grid import (
     _FD_SKEW1,
     _apply_radial_stencils,
     _cone_mask,
+    _wirtinger_rows,
     w12_norm_modes,
 )
 
@@ -277,6 +278,24 @@ class TestWirtinger:
         expect_db = n * z**m * np.conj(z) ** max(n - 1, 0) if n else 0 * z
         assert np.max(np.abs(d.values - expect_d)[:K]) < 1e-8
         assert np.max(np.abs(dbar.values - expect_db)[:K]) < 1e-8
+
+    @pytest.mark.parametrize("rows", [6, 57, 62, 63, 64])
+    def test_leading_rows_equal_the_whole_grid(self, rows):
+        # d alone, dbar alone, or both on the first rows, from the values
+        # on the rows their stencils read, are the whole grid's rows bit
+        # for bit (the radial closures differ only on the last two rows)
+        g = make_grid(32, 64)
+        z = g.nodes_z()
+        v = np.exp(z.real - 0.5j * z.imag) + np.cos(2.0 * z.imag) * np.conj(z) ** 3
+        d, dbar = wirtinger_derivatives(GridFunction(g, v))
+        part = v[: min(rows + 2, g.n_r)].copy()
+        assert np.array_equal(_wirtinger_rows(part, g, rows, True, False)[0], d.values[:rows])
+        assert np.array_equal(_wirtinger_rows(part, g, rows, False, True)[1], dbar.values[:rows])
+        both = _wirtinger_rows(part, g, rows, True, True)
+        assert np.array_equal(both[0], d.values[:rows]) and np.array_equal(both[1], dbar.values[:rows])
+        if rows < g.n_r:
+            with pytest.raises(ValueError, match="rows of values"):
+                _wirtinger_rows(part[:-1], g, rows, True, True)
 
 
 class TestSobolev:

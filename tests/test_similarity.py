@@ -10,6 +10,7 @@ from phdisk import (
     cauchy,
     factorize,
     lp_norm_disk,
+    make_grid,
     reconstruct,
     residual_beltrami,
     w12_norm,
@@ -201,6 +202,27 @@ class TestResidualBeltrami:
         res = residual_beltrami(GridFunction(grid256, np.conj(z)), GridFunction.zeros(grid256))
         # dbar zbar = 1; interior norm just below ||1||_{L^2(D_0.9)}
         assert abs(res - np.sqrt(0.81 * np.pi)) < 0.02
+
+    def test_equals_the_whole_grid_formula(self):
+        # formed on the rows of D_0.9 only, the residual of a pair far from
+        # a solution is the norm of the whole-grid defect to rounding
+        g = make_grid(64, 64)
+        z = g.nodes_z()
+        w = GridFunction(g, np.exp(z.real - 0.5j * z.imag) + np.cos(2.0 * z.imag) * np.conj(z) ** 3)
+        alpha = GridFunction(g, 0.5 + 0.3j * z**2)
+        defect = wirtinger_derivatives(w)[1].values - alpha.values * np.conj(w.values)
+        expected = lp_norm_disk(GridFunction(g, defect), 2.0, r_max=0.9)
+        assert abs(residual_beltrami(w, alpha) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("other", [(64, 64, 2.0), (32, 64, 1.0)], ids=["outer-radius-2", "64x32"])
+    def test_operands_on_different_grids(self, other):
+        # against the 64^2 unit grid: a 64^2 grid of outer radius 2, whose
+        # values were read as if on the unit grid, and a (64, 32) grid,
+        # which met a bare broadcast error
+        g, h = make_grid(64, 64), make_grid(*other)
+        w = GridFunction(g, np.exp(g.nodes_z().real))
+        with pytest.raises(ValueError, match="grid mismatch between operands"):
+            residual_beltrami(w, GridFunction.constant(h, 0.5))
 
 
 class TestAlphaFromPair:

@@ -11,6 +11,21 @@ tables, every transform, `cauchy_renormalized` at R = 2.5, the five
 solvers and `solve_dbar` (solution and report), `solve_riesz` and the two
 parametrizations again from a fixed smooth `initial_s`, `c2_growth_curve`
 and `exp_integrability_report` are covered.
+
+After the digests come the solvers' step counts on hard cases, one line
+each: "counts <n> <case> fine <k> coarse [<levels>] total <sum>", with
+"diverged" appended where the solve raised SolverDivergence.  At 64^2,
+128^2 and 256^2, with L = log(e/|z|):
+  riesz t=<t>       alpha = -t z / (2 |z|^2 L) (dbar log L^t), psi = 1,
+                    t in {1/2, 1, 2, 4, 8}, default tol (t = 8 diverges);
+  conductivity t=<t>  sigma = L^{2t}, psi = 1.5 + cos + 0.3 sin 2 theta,
+                    t in {1/2, 1, 2, 4}, default tol;
+  kappa=<k>         constant alpha = k, psi = e^{2k cos theta} (w = e^{2kx}),
+                    k in {1/2, 1, 2, 3}, tol 1e-12;
+  critical          alpha = 4 e^{i theta} / (|z| L^{3/4}), psi = e^{cos theta},
+                    tol 1e-10;
+and, at 64^2 only, sigma=L^8 tol=1e-10: conductivity t = 4 at tol 1e-10.
+The counts too are equal at one and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -87,7 +102,46 @@ def outputs(n: int):
     yield "exp_integrability_report", ph.exp_integrability_report(ph.GridFunction(g, x))
 
 
+def hard_cases(n: int):
+    """(name, thunk) of each hard case on the n^2 grid; a thunk returns the report."""
+    g = ph.make_grid(n, n)
+    z = g.nodes_z()
+    L = np.log(np.e / np.abs(z))
+    one = ph.BoundaryFunction(np.ones(n))
+    smooth = ph.BoundaryFunction.from_function(n, lambda t: 1.5 + np.cos(t) + 0.3 * np.sin(2 * t))
+    for t in (0.5, 1, 2, 4, 8):
+        alpha = ph.GridFunction(g, -t * z / (2.0 * np.abs(z) ** 2 * L))
+        yield f"riesz t={t}", lambda a=alpha: ph.solve_riesz(a, one, 0.0)[2]
+    for t in (0.5, 1, 2, 4):
+        sigma = ph.GridFunction(g, L ** (2 * t))
+        yield f"conductivity t={t}", lambda s=sigma: ph.solve_conductivity(s, smooth)[3]
+    tight = ph.SolverConfig(tol=1e-12)
+    for k in (0.5, 1, 2, 3):
+        psi = ph.BoundaryFunction.from_function(n, lambda t, k=k: np.exp(2 * k * np.cos(t)))
+        yield f"kappa={k}", lambda a=ph.GridFunction.constant(g, k), p=psi: ph.solve_riesz(a, p, 0.0, tight)[2]
+    cfg = ph.SolverConfig(tol=1e-10)
+    alpha = ph.GridFunction(g, 4.0 * np.exp(1j * np.angle(z)) / (np.abs(z) * L**0.75))
+    psi = ph.BoundaryFunction.from_function(n, lambda t: np.exp(np.cos(t)))
+    yield "critical", lambda: ph.solve_riesz(alpha, psi, 0.0, cfg)[2]
+    if n == 64:
+        sigma = ph.GridFunction(g, L**8)
+        yield "sigma=L^8 tol=1e-10", lambda: ph.solve_conductivity(sigma, smooth, cfg)[3]
+
+
+def count_line(n: int, name: str, solve) -> str:
+    try:
+        rep, tail = solve(), ""
+    except ph.SolverDivergence as err:
+        rep, tail = err.report, " diverged"
+    coarse = rep.extra.get("coarse_iterations", [])
+    total = rep.iterations + sum(coarse)
+    return f"counts {n} {name} fine {rep.iterations} coarse {coarse} total {total}{tail}"
+
+
 if __name__ == "__main__":
     for n in (64, 256):
         for name, obj in outputs(n):
             print(f"{n} {name} {digest(obj)}")
+    for n in (64, 128, 256):
+        for name, solve in hard_cases(n):
+            print(count_line(n, name, solve))
