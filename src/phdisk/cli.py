@@ -32,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _apply_thread_cap, diagnostics, similarity, solvers, transforms
-from . import io as io_mod
+import phdisk as ph  # submodules through the package's lazy names: a command loads what it runs
+
+from . import __version__, _apply_thread_cap
 from .grid import BoundaryFunction, GridFunction, make_grid
 
 COMMANDS = (
@@ -84,7 +85,7 @@ def _load_inputs(cfg: dict, names) -> dict:
             raise ConfigError(f"config inputs must map {name!r} to a file path; got {path!r}")
         if not Path(path).exists():
             raise ConfigError(f"input file for {name!r} does not exist: {path}")
-        out[name] = io_mod.load(path)
+        out[name] = ph.io.load(path)
     return out
 
 
@@ -142,12 +143,12 @@ def _zero_threshold(params: dict):
 
 def _solver_config(cfg: dict):
     block = _object(cfg, "solver")
-    known = [f.name for f in dataclasses.fields(solvers.SolverConfig)]
+    known = [f.name for f in dataclasses.fields(ph.solvers.SolverConfig)]
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
     kwargs = {k: _number(block, k, integral=k == "max_iter") for k in block if k != "zero_threshold"}
-    return solvers.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
+    return ph.solvers.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
 
 
 def _extension(cfg: dict) -> str:
@@ -178,7 +179,7 @@ def _slice_plan(outdir: Path, cfg: dict, fields: dict) -> list:
             along, value = "angle", _number(spec, "angle")
         else:
             raise ConfigError("each slice needs a 'radius' or 'angle' key")
-        io_mod._slice(fields[target], along, value)
+        ph.io._slice(fields[target], along, value)
         plan.append((fields[target], along, value, outdir / f"{target}_{along}_{value:g}.csv"))
     return plan
 
@@ -188,14 +189,14 @@ def _run_selftest(verbose: bool) -> dict:
     z = g.nodes_z()
     checks = {}
     one = GridFunction.constant(g, 1.0)
-    checks["cauchy_chi_D"] = float(np.max(np.abs(transforms.cauchy(one).values - np.conj(z))))
+    checks["cauchy_chi_D"] = float(np.max(np.abs(ph.transforms.cauchy(one).values - np.conj(z))))
     checks["cauchy_t"] = float(
-        np.max(np.abs(transforms.cauchy(GridFunction(g, z)).values - (np.abs(z) ** 2 - 1)))
+        np.max(np.abs(ph.transforms.cauchy(GridFunction(g, z)).values - (np.abs(z) ** 2 - 1)))
     )
-    checks["beurling_chi_D"] = float(np.max(np.abs(transforms.beurling(one).values)))
-    green = transforms.green_potential(GridFunction.constant(g, 4.0))
+    checks["beurling_chi_D"] = float(np.max(np.abs(ph.transforms.beurling(one).values)))
+    green = ph.transforms.green_potential(GridFunction.constant(g, 4.0))
     checks["green_const"] = float(np.max(np.abs(green.values - (np.abs(z) ** 2 - 1))))
-    cf = transforms.conjugate_function(BoundaryFunction.from_function(g.n_theta, lambda t: np.cos(3 * t)))
+    cf = ph.transforms.conjugate_function(BoundaryFunction.from_function(g.n_theta, lambda t: np.cos(3 * t)))
     checks["conjugate_cos3"] = float(np.max(np.abs(cf.values - np.sin(3 * g.thetas))))
     passed = all(v < 1e-10 for v in checks.values())
     for name, v in checks.items():
@@ -221,23 +222,23 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         data = _load_inputs(cfg, ["h"])
         h = data["h"]
         if which == "cauchy":
-            fields["out"] = transforms.cauchy(h)
+            fields["out"] = ph.transforms.cauchy(h)
         elif which == "beurling":
-            fields["out"] = transforms.beurling(h)
+            fields["out"] = ph.transforms.beurling(h)
         elif which == "reflect":
-            fields["out"] = transforms.reflect_transform(h)
+            fields["out"] = ph.transforms.reflect_transform(h)
         elif which == "green":
-            fields["out"] = transforms.green_potential(h)
+            fields["out"] = ph.transforms.green_potential(h)
         elif which == "cauchy2":
             R = _number(params, "R", 1.0)
-            fields["out"] = transforms.cauchy_renormalized(h, R)
+            fields["out"] = ph.transforms.cauchy_renormalized(h, R)
         else:
             raise ConfigError(f"unknown transform {which!r}")
         report["transform"] = which
 
     elif command == "factorize":
         data = _load_inputs(cfg, ["w", "alpha"])
-        fac = similarity.factorize(
+        fac = ph.similarity.factorize(
             data["w"],
             data["alpha"],
             params.get("normalization", "real_on_T"),
@@ -249,7 +250,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "solve-dbar":
         data = _load_inputs(cfg, ["a", "psi"])
-        A, res = transforms.solve_dbar(
+        A, res = ph.transforms.solve_dbar(
             data["a"], data["psi"],
             _number(params, "lambda", 0.0), _number(params, "theta0", 0.0),
         )
@@ -259,19 +260,20 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     elif command == "solve-beltrami":
         data = _load_inputs(cfg, ["alpha", "F", "psi"])
         scfg = _solver_config(cfg)
-        variant = params.get("normalization", similarity.IMAGINARY_ON_T)
-        if variant not in (similarity.IMAGINARY_ON_T, similarity.REAL_ON_T):
+        variant = params.get("normalization", ph.similarity.IMAGINARY_ON_T)
+        if variant not in (ph.similarity.IMAGINARY_ON_T, ph.similarity.REAL_ON_T):
             raise ConfigError(f"unknown normalization {variant!r}")
-        fn = solvers.parametrize_imag if variant == similarity.IMAGINARY_ON_T else solvers.parametrize_real
+        imag = variant == ph.similarity.IMAGINARY_ON_T
+        fn = ph.solvers.parametrize_imag if imag else ph.solvers.parametrize_real
         s, rep = fn(data["alpha"], data["F"], data["psi"], _number(params, "lambda", 0.0), scfg)
         fields["s"] = s
-        fields["w"] = similarity.reconstruct(s, data["F"])
+        fields["w"] = ph.similarity.reconstruct(s, data["F"])
         report["solve"] = rep.to_dict()
 
     elif command == "solve-riesz":
         data = _load_inputs(cfg, ["alpha", "psi"])
         scfg = _solver_config(cfg)
-        w, psi_sharp, rep = solvers.solve_riesz(
+        w, psi_sharp, rep = ph.solvers.solve_riesz(
             data["alpha"], data["psi"], _number(params, "c", 0.0), scfg
         )
         fields["w"] = w
@@ -281,7 +283,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     elif command == "solve-conductivity":
         data = _load_inputs(cfg, ["sigma", "psi"])
         scfg = _solver_config(cfg)
-        u, v, w, rep = solvers.solve_conductivity(data["sigma"], data["psi"], scfg)
+        u, v, w, rep = ph.solvers.solve_conductivity(data["sigma"], data["psi"], scfg)
         fields.update({"u": u, "v": v, "w": w})
         report["solve"] = rep.to_dict()
 
@@ -289,8 +291,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         name = _require(cfg, "diagnostic")
         if name == "bmo":
             data = _load_inputs(cfg, ["h"])
-            fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
-            seminorm, table = diagnostics.bmo_oscillation(data["h"], fam)
+            fam = ph.diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
+            seminorm, table = ph.diagnostics.bmo_oscillation(data["h"], fam)
             report["diagnostic"] = {
                 "name": "bmo_oscillation",
                 "seminorm": seminorm,
@@ -298,47 +300,47 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
             }
         elif name == "ap":
             data = _load_inputs(cfg, ["weight"])
-            fam = diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
+            fam = ph.diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
             report["diagnostic"] = {
                 "name": "ap_constant",
-                "value": diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
+                "value": ph.diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
             }
         elif name == "jn":
             data = _load_inputs(cfg, ["h"])
             arc = _numbers(params, "arc", [0.0, 2.0 * np.pi], length=2)
-            rep = diagnostics.jn_exp_check(data["h"], arc)
+            rep = ph.diagnostics.jn_exp_check(data["h"], arc)
             report["diagnostic"] = rep.to_dict()
         elif name == "exp-integrability":
             data = _load_inputs(cfg, ["f"])
-            rep = diagnostics.exp_integrability_report(
+            rep = ph.diagnostics.exp_integrability_report(
                 data["f"], _numbers(params, "ells", (1.0, 2.0, 3.0))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "equicontinuity":
             data = _load_inputs(cfg, ["beta"])
-            rep = diagnostics.equicontinuity_modulus(
+            rep = ph.diagnostics.equicontinuity_modulus(
                 data["beta"], _numbers(params, "side_lengths", (0.5, 0.25, 0.125, 0.0625))
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "c2-growth":
             data = _load_inputs(cfg, ["h"])
-            rep = diagnostics.c2_growth_curve(data["h"], _numbers(params, "radii", (1.0, 10.0, 100.0)))
+            rep = ph.diagnostics.c2_growth_curve(data["h"], _numbers(params, "radii", (1.0, 10.0, 100.0)))
             report["diagnostic"] = rep.to_dict()
         elif name == "multiplier":
             data = _load_inputs(cfg, ["f", "g"])
-            rep = diagnostics.multiplier_ratio(
-                data["f"], data["g"], _number(params, "p", 2.0), _number(params, "gamma", 0.785398)
+            rep = ph.diagnostics.multiplier_ratio(
+                data["f"], data["g"], _number(params, "p", 2.0), _number(params, "gamma", math.pi / 4)
             )
             report["diagnostic"] = rep.to_dict()
         elif name == "trace-convergence":
             data = _load_inputs(cfg, ["w"])
-            rep = diagnostics.trace_convergence(data["w"], _number(params, "p", 2.0))
+            rep = ph.diagnostics.trace_convergence(data["w"], _number(params, "p", 2.0))
             report["diagnostic"] = rep.to_dict()
         elif name == "boundary-sobolev":
             data = _load_inputs(cfg, ["g"])
             report["diagnostic"] = {
                 "name": "boundary_sobolev_seminorm",
-                "value": diagnostics.boundary_sobolev_seminorm(data["g"]),
+                "value": ph.diagnostics.boundary_sobolev_seminorm(data["g"]),
             }
         else:
             raise ConfigError(f"unknown diagnostic {name!r}")
@@ -350,9 +352,9 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     written = {}
     for name, obj in fields.items():
         written[name] = str(outdir / f"{name}{ext}")
-        io_mod.save(written[name], obj)
+        ph.io.save(written[name], obj)
     for f, along, value, path in slices:
-        io_mod.emit_slice(f, along, value, path)
+        ph.io.emit_slice(f, along, value, path)
     report["outputs"] = written
     if slices:
         report["slices"] = [str(path) for *_, path in slices]
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # a solver that did not converge, or a bug
-        if isinstance(exc, solvers.SolverDivergence):
+        if isinstance(exc, ph.solvers.SolverDivergence):
             payload = {"error": "non-convergence", "message": str(exc), "report": exc.report.to_dict()}
             print(json.dumps(payload), file=sys.stderr)
             return 2

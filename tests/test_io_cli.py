@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -604,6 +605,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "internal"
         assert "RuntimeError: transform bug" in err["message"]
+
+    def test_multiplier_gamma_defaults_to_quarter_pi(self, tmp_path, monkeypatch):
+        from phdisk import cli, diagnostics
+
+        seen = []
+
+        def stub(f, g, p, gamma):
+            seen.append(gamma)
+            return diagnostics.DiagnosticReport("multiplier_ratio", [1.0], None, [True], 0.0)
+
+        monkeypatch.setattr(diagnostics, "multiplier_ratio", stub)
+        one = GridFunction.constant(make_grid(16, 8), 1.0)
+        save_phd1(tmp_path / "one.phd1", one)
+        inputs = {"f": str(tmp_path / "one.phd1"), "g": str(tmp_path / "one.phd1")}
+        cfg = {"diagnostic": "multiplier", "inputs": inputs}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = cli.main(["diagnose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d")])
+        assert code == 0
+        assert seen == [math.pi / 4]
 
     def test_thread_cap_precedes_numpy(self):
         # a meta-path finder records the pool setting when numpy is first imported
