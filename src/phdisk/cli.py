@@ -135,20 +135,13 @@ def _numbers(params: dict, key: str, default, length: int | None = None) -> tupl
     return tuple(_number(items, k) for k in items)
 
 
-def _zero_threshold(params: dict):
-    """params["zero_threshold"] as a `_number`, or None (the relative
-    default) when absent or null."""
-    return None if params.get("zero_threshold") is None else _number(params, "zero_threshold")
-
-
 def _solver_config(cfg: dict):
     block = _object(cfg, "solver")
     known = [f.name for f in dataclasses.fields(ph.solvers.SolverConfig)]
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"solver keys must be among {', '.join(known)}; got {', '.join(unknown)}")
-    kwargs = {k: _number(block, k, integral=k == "max_iter") for k in block if k != "zero_threshold"}
-    return ph.solvers.SolverConfig(**kwargs, zero_threshold=_zero_threshold(block))
+    return ph.solvers.SolverConfig(**{k: _number(block, k, integral=k == "max_iter") for k in block})
 
 
 def _extension(cfg: dict) -> str:
@@ -242,7 +235,8 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
             data["w"],
             data["alpha"],
             params.get("normalization", "real_on_T"),
-            _zero_threshold(params),
+            # null or absent: the relative default
+            None if params.get("zero_threshold") is None else _number(params, "zero_threshold"),
         )
         fields["s"] = fac.s
         fields["F"] = fac.F

@@ -22,7 +22,10 @@ tau, starting at 1).  Safeguard: whenever the residual g(x) - x grows,
 the history is dropped and tau halved, and the loop fails explicitly if
 the residual keeps growing at the floor.  Nothing is asserted about
 rates: reports carry the whole increment history and the final tau.
-Every loop runs on plain arrays.
+Both loops keep their iterates as plain arrays; the parametrization map
+still wraps each step's source in a GridFunction for `cauchy_reflect`.
+Every solve here, like `transforms.solve_dbar`, measures its two
+boundary conditions with one helper, `transforms._trace_defects`.
 
 All three solve coarse to fine (`_descend`; Brandt 1977, for the
 starting guess only): the problem is first solved on the half grid,
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,6 +80,7 @@ from .transforms import (
     _real_part,
     _require_finite,
     _require_real,
+    _trace_defects,
     cauchy_reflect,
 )
 
@@ -103,21 +107,12 @@ _MIDPOINT_WEIGHTS = np.array([_fd_weights(np.arange(6.0) - x, 0) for x in np.ara
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    zero_threshold: float | None = None
-    p: float = 2.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
-        zt = self.zero_threshold
-        if zt is not None and not (
-            isinstance(zt, numbers.Real) and math.isfinite(zt) and zt >= 0.0
-        ):
-            raise ValueError("zero_threshold must be None or a finite number >= 0")
-        if not self.p >= 1.0:
-            raise ValueError("p must be >= 1")
 
 
 @dataclass
@@ -133,21 +128,17 @@ class SolveReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "increment_history": list(self.increment_history),
-            "residual_beltrami": self.residual_beltrami,
-            "boundary_mismatch": self.boundary_mismatch,
-            "normalization_defects": dict(self.normalization_defects),
-            "measured_constant": self.measured_constant,
-            "converged": self.converged,
-            "damping_final": self.damping_final,
-            **({"extra": dict(self.extra)} if self.extra else {}),
-        }
+        """The fields in order, copied; an empty `extra` is left out."""
+        d = asdict(self)
+        if not d["extra"]:
+            del d["extra"]
+        return d
 
 
 class SolverDivergence(RuntimeError):
-    """Fixed point not reached within max_iter at minimum damping."""
+    """A solve's last loop did not converge: GMRES ran out of max_iter
+    applications, or the fixed-point loop ran out of steps or kept
+    growing at the damping floor.  `report` is the solve's report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -309,11 +300,6 @@ def _gmres(rhs: np.ndarray, x: np.ndarray, apply, cfg: SolverConfig):
     return history, res <= target, r
 
 
-def _mismatch(values: np.ndarray, psi: BoundaryFunction, p: float) -> float:
-    """L^p(T) norm of the real boundary values less psi."""
-    return BoundaryFunction(values - psi.values.real).lp_norm(p)
-
-
 def _finish(name, loops, w, alpha, mismatch, defects, constant) -> SolveReport:
     """The report of a solve from its loops, coarsest first, each an
     (increment history, convergence flag, final damping), and the solution
@@ -378,7 +364,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
         H = A * 1j if imag else A
         with np.errstate(under="ignore"):
             Fp = np.exp(H) * Fv
-        beta = beltrami_values(Fp, av, cfg.zero_threshold)
+        beta = beltrami_values(Fp, av)
 
         def exponent(phi: np.ndarray) -> GridFunction:
             return cauchy_reflect(GridFunction(grid, beta * np.exp(-2j * phi)), sign)
@@ -398,8 +384,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
 
     tr_s = boundary_trace(s).values
     traced, free = (tr_s.imag, tr_s.real) if imag else (tr_s.real, tr_s.imag)
-    mismatch = _mismatch(traced, psi, 2.0)
-    mean_def = abs(float(np.sum(free)) * 2.0 * np.pi / grid.n_theta - lam)
+    mismatch, mean_def = _trace_defects(traced, free, psi, lam)
     keys = ("im_trace", "re_mean") if imag else ("re_trace", "im_mean")
     defects = dict(zip(keys, (mismatch, mean_def)))
     denom = lp_norm_disk(alpha, 2.0) + psi.lp_norm(2.0) + abs(lam)
@@ -532,11 +517,12 @@ def solve_riesz(
     formed as x + r, r = H - A x the residual GMRES already holds, and
     costs no application.  Every level of the descent (`_descend`) runs
     this loop, cold from x = H; where no half grid was tried, an
-    initial_s starts it from e^{initial_s} H.  SolverConfig.zero_threshold
-    does not act here.  report.iterations counts applications of A on the
-    given grid, with ||A w - H|| / ||H|| after each in increment_history;
-    extra["coarse_iterations"] holds the coarse levels' counts, coarsest
-    first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
+    initial_s starts it from e^{initial_s} H.  report.boundary_mismatch is
+    ||Re w_T - psi||_{L^2(T)} and report.measured_constant
+    ||w||_{H^2} / (||psi||_{L^2(T)} + |c|).  report.iterations counts
+    applications of A on the given grid, with ||A w - H|| / ||H|| after
+    each in increment_history; extra["coarse_iterations"] holds the
+    coarse levels' counts, coarsest first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
     generalized conjugate function.
     """
     _require_finite(c, "c")
@@ -582,14 +568,10 @@ def solve_riesz(
     w = GridFunction(grid, w)
     tr = w.values[grid.boundary_ring_index]
     psi_sharp = BoundaryFunction(tr.imag.astype(complex))
-    dtheta = 2.0 * np.pi / grid.n_theta
-    defects = {
-        "re_trace_sup": float(np.max(np.abs(tr.real - psi.values.real))),
-        "im_mean": abs(float(np.sum(tr.imag)) * dtheta - c),
-    }
-    mismatch = _mismatch(tr.real, psi, cfg.p)
-    denom = psi.lp_norm(cfg.p) + abs(c)
-    constant = hardy_norm(w, cfg.p) / denom if denom > 0 else 0.0
+    mismatch, im_mean = _trace_defects(tr.real, tr.imag, psi, c)
+    defects = {"re_trace_sup": float(np.max(np.abs(tr.real - psi.values.real))), "im_mean": im_mean}
+    denom = psi.lp_norm(2.0) + abs(c)
+    constant = hardy_norm(w, 2.0) / denom if denom > 0 else 0.0
     report = _finish("solve_riesz", loops, w, alpha, mismatch, defects, constant)
     return w, psi_sharp, report
 
@@ -624,7 +606,6 @@ def solve_conductivity(
     Returns (u, v, w, report); the report adds the PDE residual and the
     weighted boundary match of the trace-limit clause.
     """
-    cfg = cfg or SolverConfig()
     grid = sigma.grid
     psi = _require_real(psi, "psi", grid)
     sv = _real_part(sigma.require_unmasked("conductivity"), "sigma")
@@ -643,7 +624,7 @@ def solve_conductivity(
     sqrt_sigma = np.sqrt(sv)
     u = GridFunction(grid, (w.values.real / sqrt_sigma).astype(complex))
     v = GridFunction(grid, (sqrt_sigma * w.values.imag).astype(complex))
-    weighted = _mismatch(sqrt_sigma[ring] * u.values.real[ring], psi_w, cfg.p)
+    weighted, _ = _trace_defects(sqrt_sigma[ring] * u.values.real[ring], w.values.imag[ring], psi_w, 0.0)
     report.extra.update(
         pde_residual=conductivity_residual(sigma, u),
         weighted_boundary_match=weighted,

@@ -36,7 +36,7 @@ Sign and normalization conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -345,6 +345,17 @@ def _holo_with_real_trace(psi, lam_imag_integral, grid) -> np.ndarray:
     return A
 
 
+def _trace_defects(traced, free, psi, lam) -> tuple[float, float]:
+    """How far the boundary values of X meet the two conditions that
+    `_holo_with_real_trace` imposes, traced = psi and int_T free = lam,
+    with traced and free the real arrays of tr Re X and tr Im X (or the
+    other way round): (||traced - psi||_{L^2(T)}, |int_T free - lam|)."""
+    mismatch = BoundaryFunction(traced - psi.values.real).lp_norm(2.0)
+    # summed as reals: `BoundaryFunction.integral` sums complex samples,
+    # pairwise in other groups, and differs in the last bits
+    return mismatch, abs(float(np.sum(free)) * 2.0 * np.pi / psi.n_theta - lam)
+
+
 def riesz_extension(psi: BoundaryFunction, grid: DiskGrid) -> GridFunction:
     """Holomorphic g with Re tr g = psi and int_T Im tr g = 0 (psi real)."""
     return GridFunction(grid, _holo_with_real_trace(_require_real(psi, "psi", grid), 0.0, grid))
@@ -359,7 +370,7 @@ class DbarResiduals:
     mean: float
 
     def to_dict(self) -> dict:
-        return {"dbar": self.dbar, "trace": self.trace, "mean": self.mean}
+        return asdict(self)
 
 
 def solve_dbar(
@@ -389,7 +400,5 @@ def solve_dbar(
 
     _, dbar_A = wirtinger_derivatives(A)
     res_dbar = lp_norm_disk(dbar_A - a, 2.0, r_max=0.9)
-    tr_rot = boundary_trace(A * rot)
-    res_trace = BoundaryFunction(tr_rot.values.real - psi.values.real).lp_norm(2.0)
-    res_mean = abs(float(np.sum(tr_rot.values.imag)) * 2.0 * np.pi / grid.n_theta - lam)
-    return A, DbarResiduals(res_dbar, res_trace, res_mean)
+    tr_rot = boundary_trace(A * rot).values
+    return A, DbarResiduals(res_dbar, *_trace_defects(tr_rot.real, tr_rot.imag, psi, lam))

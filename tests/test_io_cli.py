@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -345,6 +346,26 @@ class TestCli:
         assert res2.returncode == 0
         assert (out1 / "w.phd1").read_bytes() == (out2 / "w.phd1").read_bytes()
 
+    def test_readme_example_config_runs(self, tmp_path, monkeypatch):
+        # the README's example, verbatim, on a small grid: its solver block
+        # used to name p, which the validator no longer knows
+        from phdisk import cli
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        cfg = json.loads(block)
+        assert cfg["command"] == "solve-riesz"
+        monkeypatch.chdir(tmp_path)
+        g = make_grid(64, 32)
+        save_phd1("alpha.phd1", GridFunction.constant(g, 0.5))
+        save_phd1("psi.phd1", BoundaryFunction.from_function(64, lambda th: np.exp(np.cos(th))))
+        Path("cfg.json").write_text(block)
+        assert cli.main(["solve-riesz", "--config", "cfg.json", "--out", "results"]) == 0
+        report = json.loads(Path("results/report.json").read_text())
+        assert report["config"] == cfg
+        assert report["solve"]["converged"] is True
+        assert Path("results/w_radius_1.csv").exists()
+
     def test_solve_conductivity_end_to_end(self, tmp_path):
         g = make_grid(256, 64)
         save_phd1(tmp_path / "sigma.phd1", GridFunction.constant(g, 1.0))
@@ -415,16 +436,23 @@ class TestCli:
         [
             ({"max_iter": 2.7}, "max_iter"),
             ({"max_iter": "2.7"}, "max_iter"),
-            ({"zero_threshold": "abc"}, "zero_threshold"),
+            ({"zero_threshold": "abc"}, "solver keys"),
+            ({"zero_threshold": 0}, "solver keys"),
+            ({"p": 2.0}, "solver keys"),
             ({"gamma": 0.7}, "solver keys"),
             ({"damping": 0.5}, "solver keys"),
         ],
-        ids=["max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc", "gamma=0.7", "damping=0.5"],
+        ids=[
+            "max_iter=2.7", "max_iter='2.7'", "zero_threshold=abc", "zero_threshold=0", "p=2.0",
+            "gamma=0.7", "damping=0.5",
+        ],
     )
     def test_solver_block_rejects_bad_values(self, tmp_path, block, key):
         # 2.7 used to run as 2 iterations; 'abc' used to fail inside the
         # solve; gamma, which no solver reads, used to be accepted; damping
-        # is gone, the fixed-point loop picks its own mixing weight
+        # is gone, the fixed-point loop picks its own mixing weight; so are
+        # p (the Riesz report is at p = 2) and zero_threshold (the
+        # parametrizations use the relative default)
         save_phd1(tmp_path / "alpha.phd1", GridFunction.constant(make_grid(16, 8), 0.5))
         save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(16, np.cos))
         cfg = {
@@ -443,7 +471,7 @@ class TestCli:
         "command, extra, message",
         [
             ("solve-riesz", {"solver": {"tol": None}}, "tol must be a number"),
-            ("solve-riesz", {"solver": {"p": [2]}}, "p must be a number"),
+            ("solve-riesz", {"solver": {"p": [2]}}, "solver keys must be among tol, max_iter; got p"),
             ("solve-riesz", {"params": {"c": "one"}}, "c must be a number"),
             ("solve-dbar", {"params": {"lambda": None}}, "lambda must be a number"),
             ("solve-dbar", {"params": {"theta0": [0.3]}}, "theta0 must be a number"),

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -73,21 +74,33 @@ class TestSolverConfig:
             {"tol": float("inf")},
             {"max_iter": 0},
             {"max_iter": 2.5},
+            # fields that are gone, whatever their value: the Riesz report
+            # is taken at p = 2, and the parametrizations use the relative
+            # zero threshold of `beltrami_values`
             {"p": 0.5},
+            {"p": 2.0},
             {"zero_threshold": -1.0},
             {"zero_threshold": float("nan")},
             {"zero_threshold": float("inf")},
             {"zero_threshold": "abc"},
+            {"zero_threshold": None},
+            {"zero_threshold": 0.0},
+            {"zero_threshold": 1e-9},
+            {"zero_threshold": 2},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
     def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+        key = next(iter(bad))
+        if key in ("p", "zero_threshold"):
+            error, message = TypeError, f"unexpected keyword argument '{key}'"
+        else:
+            error, message = ValueError, f"^{key} must"
+        with pytest.raises(error, match=message):
             SolverConfig(**bad)
 
-    @pytest.mark.parametrize("zt", [None, 0.0, 1e-9, 2])
-    def test_accepts_zero_thresholds(self, zt):
-        assert SolverConfig(zero_threshold=zt).zero_threshold == zt
+    def test_fields_are_the_stopping_rule(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "max_iter"]
 
 
 class TestParametrizeImag:
@@ -354,6 +367,20 @@ class TestSolveRiesz:
             )
             _, _, rep = solve_riesz(alpha, psi, 0.0, CFG)
             consts.append(rep.measured_constant)
+        assert max(consts) <= 2.0 * min(consts)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_riesz_estimate_at_p(self, p):
+        # the M. Riesz estimate ||w||_{H^p} <= C (||psi||_{L^p(T)} + |c|)
+        # away from p = 2, through the public norms: the measured constant
+        # settles as the grid is refined
+        c, consts = 0.3, []
+        for n in (64, 128, 256):
+            grid = make_grid(n, n)
+            psi = BoundaryFunction.from_function(n, lambda th: np.exp(np.cos(th)))
+            w, _, _ = solve_riesz(GridFunction.constant(grid, 0.5), psi, c, CFG)
+            consts.append(hardy_norm(w, p) / (psi.lp_norm(p) + abs(c)))
+        assert np.all(np.isfinite(consts))
         assert max(consts) <= 2.0 * min(consts)
 
     def test_report_scale_free(self):
