@@ -10,7 +10,10 @@ The inputs are smooth closed-form fields at 64^2 and 256^2; the engine
 tables, every transform, `cauchy_renormalized` at R = 2.5, the five
 solvers and `solve_dbar` (solution and report), `solve_riesz` and the two
 parametrizations again from a fixed smooth `initial_s`, `c2_growth_curve`
-and `exp_integrability_report` are covered.
+and `exp_integrability_report` are covered.  So are `beltrami_ratio`,
+`factorize` under both normalizations (s, F and the report) and
+`alpha_from_pair`, on a w with exact zeros and with nodes on, just under
+and just over the zero threshold 1e-12 max|w|, and one subnormal node.
 
 After the digests come the solvers' step counts on hard cases, one line
 each: "counts <n> <case> fine <k> coarse [<levels>] total <sum>", with
@@ -98,8 +101,29 @@ def outputs(n: int):
     A, res = ph.solve_dbar(ph.GridFunction(g, np.exp(-np.abs(z) ** 2)), cos, 1.0, 0.3)
     yield "solve_dbar", A
     yield "solve_dbar.residuals", np.array([res.dbar, res.trace, res.mean])
+    yield from similarity_outputs(g, x, z)
     yield "c2_growth_curve", ph.c2_growth_curve(h, (1.0, 2.5, 10.0))
     yield "exp_integrability_report", ph.exp_integrability_report(ph.GridFunction(g, x))
+
+
+def similarity_outputs(g, x, z):
+    """The similarity factorization of a w whose zeros the threshold decides."""
+    wv = np.exp(0.3 * x) * (z**2 - 0.25) + 0.1 * np.conj(z)
+    top = float(np.max(np.abs(wv)))
+    wv[::9, ::7] = 0.0
+    wv[4::13, 1::6] = 1e-12 * top  # at the threshold: zeroed
+    wv[6::13, 3::6] = 0.5e-12j * top  # under it: zeroed
+    wv[8::13, 5::6] = -2e-12 * top  # over it: kept
+    wv[10, 10] = 5e-320
+    w = ph.GridFunction(g, wv)
+    alpha = ph.GridFunction(g, 0.5 * (1.0 + 0.2 * x) + 0.1j * z.imag)
+    yield "beltrami_ratio", ph.beltrami_ratio(w, alpha)
+    for norm in ("real_on_T", "imaginary_on_T"):
+        fac = ph.factorize(w, alpha, norm)
+        yield f"factorize.{norm}.s", fac.s
+        yield f"factorize.{norm}.F", fac.F
+        yield f"factorize.{norm}.report", fac
+    yield "alpha_from_pair", ph.alpha_from_pair(ph.GridFunction(g, 0.2 * x + 0.1j * x * z.imag), w)
 
 
 def hard_cases(n: int):
