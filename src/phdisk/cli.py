@@ -97,6 +97,18 @@ def _object(cfg: dict, key: str) -> dict:
     return value
 
 
+class _Params(dict):
+    """The params object; `read` holds the keys a command asked for."""
+
+    def __init__(self, values: dict):
+        super().__init__(values)
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def _number(params: dict, key: str, default: float | None = None, integral: bool = False):
     """params[key] (`default` when absent) as a finite float, or as an int
     when `integral`, else a ConfigError naming the key.
@@ -204,7 +216,7 @@ def _run_selftest(verbose: bool) -> dict:
 def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     report: dict = {}
     fields: dict = {}
-    params = _object(cfg, "params")
+    params = _Params(_object(cfg, "params"))
     ext = _extension(cfg)
 
     if command == "selftest":
@@ -342,6 +354,10 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown command {command!r}")
 
+    unknown = sorted(set(params) - params.read)
+    if unknown:
+        known = f" (it reads {', '.join(sorted(params.read))})" if params.read else ""
+        raise ConfigError(f"{command} reads no params key {', '.join(unknown)}{known}")
     slices = _slice_plan(outdir, cfg, fields)
     written = {}
     for name, obj in fields.items():

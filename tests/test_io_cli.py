@@ -489,6 +489,8 @@ class TestCli:
             ("diagnose", {"diagnostic": "equicontinuity", "params": {"side_lengths": "x"}}, "side_lengths must be a"),
             ("factorize", {"params": {"zero_threshold": [1]}}, "zero_threshold must be a number"),
             ("factorize", {"params": {"zero_threshold": -1}}, "zero_threshold must be None or a finite number >= 0"),
+            ("solve-dbar", {"params": {"lamda": 0.3}}, "solve-dbar reads no params key lamda (it reads lambda, theta0)"),
+            ("transform", {"transform": "cauchy", "params": {"R": 2.0}}, "transform reads no params key R"),
             ("solve-riesz", {"params": [1, 2]}, "params must be a JSON object"),
             ("transform", {"transform": "cauchy2", "params": {"R": 10**400}}, "R must be a finite number"),
             ("solve-riesz", {"solver": {"max_iter": 10**400}}, "max_iter must be a finite number"),
@@ -504,15 +506,18 @@ class TestCli:
         ids=[
             "tol", "solver-p", "c", "lambda", "theta0", "ap-p", "gamma", "R", "slice-radius",
             "max_level=null", "max_level=2.7", "arc=5", "arc-of-3", "ells=ab", "ells=2",
-            "radii-null", "side_lengths=x", "zero_threshold=[1]", "zero_threshold=-1", "params-list",
+            "radii-null", "side_lengths=x", "zero_threshold=[1]", "zero_threshold=-1", "lamda", "cauchy-R",
+            "params-list",
             "R=1e400", "max_iter=1e400", "emit_slices=5", "slice-field-list", "inputs-h=5", "format=CSV",
         ],
     )
     def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, message):
         # these used to exit as "internal", with a traceback, except
         # max_level = 2.7, which ran at level 2, an arc of three numbers,
-        # which used the first two, zero_threshold = -1, accepted, and
-        # format = "CSV", which wrote PHD1
+        # which used the first two, zero_threshold = -1, accepted,
+        # format = "CSV", which wrote PHD1, and params keys the command
+        # does not read, which were ignored: the misspelt lamda ran at
+        # lambda = 0
         from phdisk import cli
 
         g = make_grid(16, 8)
