@@ -243,13 +243,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "factorize":
         data = _load_inputs(cfg, ["w", "alpha"])
-        fac = ph.similarity.factorize(
-            data["w"],
-            data["alpha"],
-            params.get("normalization", "real_on_T"),
-            # null or absent: the relative default
-            None if params.get("zero_threshold") is None else _number(params, "zero_threshold"),
-        )
+        fac = ph.similarity.factorize(data["w"], data["alpha"], params.get("normalization", "real_on_T"))
         fields["s"] = fac.s
         fields["F"] = fac.F
         report["factorization"] = fac.to_dict()

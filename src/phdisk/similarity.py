@@ -5,9 +5,10 @@ Two boundary normalizations are supported:
     real_on_T       s = C(beta) - R(beta):  s real on T, int_T Re s = 0,
     imaginary_on_T  s = C(beta) + R(beta):  s imaginary on T, int_T Im s = 0,
 
-with beta = alpha conj(w)/w and the convention conj(w)/w = 0 wherever
-|w| falls below the zero threshold.  The holomorphic factor is
-F = e^{-s} w; for the imaginary normalization |F| = |w| on T pointwise.
+with beta = alpha conj(w)/w and the convention conj(w)/w = 0 where w = 0,
+read as |w| <= 1e-12 max|w|: the threshold scales with w, so beta does
+not depend on the scale of w.  The holomorphic factor is F = e^{-s} w;
+for the imaginary normalization |F| = |w| on T pointwise.
 """
 
 from __future__ import annotations
@@ -57,31 +58,18 @@ class Factorization:
         }
 
 
-def _threshold(scale: float, zero_threshold: float | None) -> float:
-    # relative by default so the convention is scale-free
-    if zero_threshold is None:
-        return 1e-12 * scale
-    if not (math.isfinite(zero_threshold) and zero_threshold >= 0.0):
-        raise ValueError("zero_threshold must be None or a finite number >= 0")
-    return float(zero_threshold)
-
-
-def beltrami_ratio(
-    w: GridFunction, alpha: GridFunction, zero_threshold: float | None = None
-) -> GridFunction:
-    """beta = alpha conj(w)/w, set to zero below the modulus threshold."""
+def beltrami_ratio(w: GridFunction, alpha: GridFunction) -> GridFunction:
+    """beta = alpha conj(w)/w, zero where w = 0 (the module's convention)."""
     wv = w.require_unmasked("Beltrami ratio")
     av = alpha.require_unmasked("Beltrami ratio")
-    return w.with_values(beltrami_values(wv, av, zero_threshold))
+    return w.with_values(beltrami_values(wv, av))
 
 
-def beltrami_values(
-    wv: np.ndarray, av: np.ndarray, zero_threshold: float | None = None
-) -> np.ndarray:
+def beltrami_values(wv: np.ndarray, av: np.ndarray) -> np.ndarray:
     """Values of `beltrami_ratio`.
 
-    Formed in one pass as alpha (conj(w)/|w|)^2 with the threshold applied
-    to |w|, so nodes at or below it are exactly 0.  |w| is taken as
+    Formed in one pass as alpha (conj(w)/|w|)^2 with the module's threshold
+    applied to |w|, so nodes at or below it are exactly 0.  |w| is taken as
     hypot, which does not underflow and overflows only past the largest
     float, and the phase is a real division, so the result does not
     depend on the scale of w.  A non-finite |w| (an overflowed or masked
@@ -91,7 +79,7 @@ def beltrami_values(
     scale = float(np.max(mod))
     if not math.isfinite(scale):
         raise MaskedValueError("Beltrami ratio over non-finite nodes is not defined")
-    small = mod <= _threshold(scale, zero_threshold)
+    small = mod <= 1e-12 * scale
     out = np.empty(wv.shape, dtype=complex)
     np.conjugate(wv, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: 0/0
@@ -132,7 +120,6 @@ def factorize(
     w: GridFunction,
     alpha: GridFunction,
     normalization: str = REAL_ON_T,
-    zero_threshold: float | None = None,
 ) -> Factorization:
     """Factor w = e^s F with the requested boundary normalization.
 
@@ -147,7 +134,7 @@ def factorize(
         # degenerate case: F = 0, s undefined (fully masked)
         s = GridFunction(w.grid, np.zeros_like(wv), np.ones(wv.shape, bool))
         return Factorization(s, GridFunction.zeros(w.grid), normalization, 0.0, 0.0)
-    beta = beltrami_ratio(w, alpha, zero_threshold)
+    beta = beltrami_ratio(w, alpha)
     s = cauchy_reflect(beta, -1.0 if normalization == REAL_ON_T else 1.0)
     with np.errstate(over="ignore", under="ignore"):
         F = w.with_values(np.exp(-s.values) * wv)
@@ -157,9 +144,7 @@ def factorize(
     return Factorization(s, F, normalization, res_holo, res_beltrami)
 
 
-def alpha_from_pair(
-    s: GridFunction, F: GridFunction, zero_threshold: float | None = None
-) -> GridFunction:
+def alpha_from_pair(s: GridFunction, F: GridFunction) -> GridFunction:
     """Coefficient alpha = dbar s e^{s} F / (e^{conj s} conj F) of w = e^s F.
 
     Manufactured-solution generator: by the weak converse of the
@@ -169,6 +154,6 @@ def alpha_from_pair(
     if not np.any(Fv):
         raise ValueError("F must not be identically zero")
     _, dbar_s = wirtinger_derivatives(s)
-    # F/conj(F) is the Beltrami phase of conj(F), with the same threshold
+    # F/conj(F) is the Beltrami phase of conj(F), zero where F = 0
     av = dbar_s.values * np.exp(2j * s.values.imag)
-    return s.with_values(beltrami_values(np.conj(Fv), av, zero_threshold))
+    return s.with_values(beltrami_values(np.conj(Fv), av))

@@ -487,8 +487,8 @@ class TestCli:
             ("diagnose", {"diagnostic": "exp-integrability", "params": {"ells": 2}}, "ells must be a non-empty list"),
             ("diagnose", {"diagnostic": "c2-growth", "params": {"radii": [1, None]}}, "radii[1] must be a number"),
             ("diagnose", {"diagnostic": "equicontinuity", "params": {"side_lengths": "x"}}, "side_lengths must be a"),
-            ("factorize", {"params": {"zero_threshold": [1]}}, "zero_threshold must be a number"),
-            ("factorize", {"params": {"zero_threshold": -1}}, "zero_threshold must be None or a finite number >= 0"),
+            ("factorize", {"params": {"zero_threshold": [1]}}, "factorize reads no params key zero_threshold"),
+            ("factorize", {"params": {"zero_threshold": -1}}, "factorize reads no params key zero_threshold"),
             ("solve-dbar", {"params": {"lamda": 0.3}}, "solve-dbar reads no params key lamda (it reads lambda, theta0)"),
             ("transform", {"transform": "cauchy", "params": {"R": 2.0}}, "transform reads no params key R"),
             ("solve-riesz", {"params": [1, 2]}, "params must be a JSON object"),
@@ -514,10 +514,9 @@ class TestCli:
     def test_config_number_of_wrong_type_is_validation_error(self, tmp_path, capsys, command, extra, message):
         # these used to exit as "internal", with a traceback, except
         # max_level = 2.7, which ran at level 2, an arc of three numbers,
-        # which used the first two, zero_threshold = -1, accepted,
-        # format = "CSV", which wrote PHD1, and params keys the command
-        # does not read, which were ignored: the misspelt lamda ran at
-        # lambda = 0
+        # which used the first two, format = "CSV", which wrote PHD1, and
+        # params keys the command does not read, which were ignored: the
+        # misspelt lamda ran at lambda = 0, and zero_threshold is gone
         from phdisk import cli
 
         g = make_grid(16, 8)

@@ -123,40 +123,50 @@ class TestBeltramiRatio:
         wv[3, 4], wv[5, 6], wv[7, 8] = 0.0, 1e-14, 1e-11
         av = 0.5 + 0.2j * rng.standard_normal(shape)
         w, alpha = GridFunction(grid128, wv), GridFunction(grid128, av)
-        for zt, thr in ((None, 1e-12 * np.max(np.abs(wv))), (0.5, 0.5)):
-            beta = beltrami_ratio(w, alpha, zt).values
-            ref = self._reference(wv, av, thr)
-            assert np.max(np.abs(beta - ref)) <= 1e-15 * np.max(np.abs(ref))
-            assert np.all(beta[np.abs(wv) <= thr] == 0.0)
-        assert beltrami_ratio(w, alpha).values[7, 8] != 0.0
+        thr = 1e-12 * np.max(np.abs(wv))
+        beta = beltrami_ratio(w, alpha).values
+        ref = self._reference(wv, av, thr)
+        assert np.max(np.abs(beta - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.all(beta[np.abs(wv) <= thr] == 0.0)
+        assert beta[7, 8] != 0.0
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-300])
-    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
-    def test_scale_free(self, grid128, scale, relative):
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-300], ids=lambda scale: f"relative-{scale}")
+    def test_scale_free(self, grid128, scale):
         # |w|^2 overflows above about 1.3e154 and underflows below about
         # 1e-154 while conj(w)/w stays defined; the threshold scales with w
         rng = np.random.default_rng(14)
         shape = (grid128.n_r, grid128.n_theta)
         wv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         alpha = GridFunction.constant(grid128, 0.5)
-        zt = None if relative else 0.5
-        beta = beltrami_ratio(GridFunction(grid128, wv), alpha, zt).values
-        zt_scaled = None if relative else 0.5 * scale
-        scaled = beltrami_ratio(GridFunction(grid128, scale * wv), alpha, zt_scaled).values
+        beta = beltrami_ratio(GridFunction(grid128, wv), alpha).values
+        scaled = beltrami_ratio(GridFunction(grid128, scale * wv), alpha).values
         assert np.max(np.abs(scaled - beta)) <= 1e-15
 
     def test_tiny_nodes_under_zero_threshold(self, grid128):
-        # with threshold 0 only w = 0 is zeroed; a subnormal node keeps its phase
+        # the threshold is relative: among O(1) nodes w = 0, a node of
+        # 1e-200 and a subnormal one are zeroed; in a field of 1e-300
+        # nodes, which is all tiny, a subnormal node keeps its phase
         rng = np.random.default_rng(15)
         shape = (grid128.n_r, grid128.n_theta)
         wv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         wv[1, 2], wv[3, 4], wv[5, 6] = 0.0, (1 - 2j) * 1e-200, -5e-320j
         alpha = GridFunction.constant(grid128, 0.5)
-        beta = beltrami_ratio(GridFunction(grid128, wv), alpha, 0.0).values
+        beta = beltrami_ratio(GridFunction(grid128, wv), alpha).values
         assert np.all(np.isfinite(beta))
-        assert beta[1, 2] == 0.0
+        assert beta[1, 2] == beta[3, 4] == beta[5, 6] == 0.0
+        assert np.count_nonzero(beta) == beta.size - 3
+        tiny = np.full(shape, 1e-300 * (1 - 2j))
+        tiny[5, 6] = -1e-310j
+        beta = beltrami_ratio(GridFunction(grid128, tiny), alpha).values
         assert beta[3, 4] == pytest.approx(0.5 * (1 + 2j) / (1 - 2j), abs=1e-15)
         assert beta[5, 6] == pytest.approx(-0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("fn", [beltrami_ratio, factorize, alpha_from_pair], ids=lambda fn: fn.__name__)
+    def test_zero_threshold_is_not_a_keyword(self, grid128, fn):
+        # one zero convention, 1e-12 max|w|; the keyword that chose another is gone
+        one = GridFunction.constant(grid128, 1.0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'zero_threshold'"):
+            fn(one, one, zero_threshold=None)
 
     def test_masked_w_raises(self, grid128):
         vals = np.ones((grid128.n_r, grid128.n_theta), dtype=complex)
@@ -245,8 +255,14 @@ class TestAlphaFromPair:
             alpha_from_pair(GridFunction.zeros(grid256), GridFunction.zeros(grid256))
 
     def test_threshold_zeroes_quotient(self, grid256):
+        # F = z - z_k vanishes at the grid node z_k: F/conj(F) is taken as 0
+        # there, and the quotient dbar s e^{2i Im s} F/conj(F) elsewhere
         z = grid256.nodes_z()
-        F = GridFunction(grid256, z)  # |F| small near the center
-        a = alpha_from_pair(GridFunction(grid256, z.real.astype(complex)), F, zero_threshold=0.5)
-        inner = np.abs(z) <= 0.5
-        assert np.max(np.abs(a.values[inner])) == 0.0
+        F = GridFunction(grid256, z - z[40, 7])
+        assert F.values[40, 7] == 0.0
+        a = alpha_from_pair(GridFunction(grid256, z.real.astype(complex)), F)
+        assert a.values[40, 7] == 0.0
+        away = np.ones(z.shape, bool)
+        away[40, 7] = False
+        Fa = F.values[away]
+        assert np.max(np.abs(a.values[away] - 0.5 * Fa / np.conj(Fa))) < 1e-10
