@@ -109,10 +109,12 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
+        # a bool is a numbers.Integral, but True is neither a tolerance nor a count
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite positive number; got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1; got {max_iter!r}")
 
 
 @dataclass

@@ -74,6 +74,12 @@ class TestSolverConfig:
             {"tol": float("inf")},
             {"max_iter": 0},
             {"max_iter": 2.5},
+            # a boolean is not a number, nor is a numeric string: True ran
+            # one step as max_iter and was 1.0 as tol, and "1e-8" raised
+            # TypeError
+            {"max_iter": True},
+            {"tol": True},
+            {"tol": "1e-8"},
             # fields that are gone, whatever their value: the Riesz report
             # is taken at p = 2, and the parametrizations use the relative
             # zero threshold of `beltrami_values`
