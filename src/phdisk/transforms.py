@@ -4,7 +4,9 @@ All kernels (Cauchy, Beurling, reflection, Green, Poisson, conjugation)
 diagonalize over e^{in theta}; each operator reduces to the radial
 cumulative integrals provided by `radial`.  Mode n of the source feeds
 mode n-1 of the Cauchy transform (n-2 for Beurling); modes leaving the
-alias-free band |n| < n_theta/2 are dropped.
+alias-free band |n| < n_theta/2 are dropped.  The operators act on
+grids of the unit disk, whose outer ring is T, and raise a ValueError on
+any other; only `cauchy_renormalized` evaluates on a larger disk D_R.
 
 Layout: a transform reads its modes from one forward FFT,
 `np.fft.fft(values, axis=1)`, and works on them in that layout, radius-
@@ -67,7 +69,14 @@ __all__ = [
 ]
 
 
+def _require_unit_disk(grid: DiskGrid) -> None:
+    """A ValueError unless the grid's outer ring is T (outer radius 1)."""
+    if grid.outer_radius != 1.0:
+        raise ValueError(f"the operators on D need a grid of outer radius 1, not {grid.outer_radius}")
+
+
 def _engine_for(grid: DiskGrid):
+    _require_unit_disk(grid)
     return get_engine(grid.n_r, grid.n_theta // 2 + 2)
 
 
@@ -271,6 +280,7 @@ def green_potential(psi: GridFunction) -> GridFunction:
 
 def _extend(grid: DiskGrid, modes: np.ndarray) -> np.ndarray:
     """Values of sum_n modes_n r^{|n|} e^{in theta} (modes as `BoundaryFunction.modes`)."""
+    _require_unit_disk(grid)
     vals = grid.mode_powers * (modes * grid.n_theta)
     return np.fft.ifft(vals, axis=1, out=vals)
 

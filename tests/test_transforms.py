@@ -27,7 +27,37 @@ from phdisk import (
     solve_dbar,
     wirtinger_derivatives,
 )
+from phdisk.radial import RadialEngine
+from phdisk.solvers import parametrize_imag, solve_riesz
 from phdisk.transforms import cauchy_reflect
+
+UNIT_DISK_OPERATORS = {
+    "cauchy": lambda h, psi: cauchy(h),
+    "beurling": lambda h, psi: beurling(h),
+    "reflect_transform": lambda h, psi: reflect_transform(h),
+    "green_potential": lambda h, psi: green_potential(h),
+    "cauchy_reflect": lambda h, psi: cauchy_reflect(h, 1.0),
+    "poisson_extend": lambda h, psi: poisson_extend(psi, h.grid),
+    "riesz_extension": lambda h, psi: riesz_extension(psi, h.grid),
+    "solve_dbar": lambda h, psi: solve_dbar(h, psi, 0.0),
+    "solve_riesz": lambda h, psi: solve_riesz(h, psi, 0.0),
+    "parametrize_imag": lambda h, psi: parametrize_imag(h, h, psi, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_DISK_OPERATORS)
+def test_rejects_grids_off_the_unit_disk(monkeypatch, name):
+    # these read the outer ring as T: on D_2, cauchy(1) was off by 0.5 in D,
+    # poisson_extend wrote psi on r = 2, and solve_riesz diverged after
+    # 200 coarse and 200 fine applications
+    g = make_grid(64, 64, outer_radius=2.0)
+    h = GridFunction.constant(g, 0.5)
+    psi = BoundaryFunction.from_function(64, np.cos)
+    sweeps = []
+    monkeypatch.setattr(RadialEngine, "sweep", lambda *args, **kwargs: sweeps.append(args))
+    with pytest.raises(ValueError, match="outer radius 1, not 2.0"):
+        UNIT_DISK_OPERATORS[name](h, psi)
+    assert not sweeps  # raised before any C +- R pass
 
 
 class TestCauchy:
