@@ -10,7 +10,8 @@ solve-conductivity, diagnose, selftest.  Every run writes report.json
 (config echo, version stamp, solver/diagnostic report) into the output
 directory; grid outputs are PHD1 ({"format": "phd1"}, the default) or
 CSV ({"format": "csv"}), which grids on D_R (transform cauchy2) need;
-any other format is rejected.  Exit codes: 0 success, 1 validation or
+any other format is rejected, and so is a params key that the command
+does not read.  Exit codes: 0 success, 1 validation or
 internal error, 2 solver non-convergence.  Errors are machine-readable
 JSON on stderr; "error" is "validation" (a ValueError: bad config or
 input), "non-convergence", or "internal" (anything else, i.e. a bug,
