@@ -143,8 +143,8 @@ class TestBeltramiRatio:
         assert np.max(np.abs(scaled - beta)) <= 1e-15
 
     def test_tiny_nodes_under_zero_threshold(self, grid128):
-        # the threshold is relative: among O(1) nodes w = 0, a node of
-        # 1e-200 and a subnormal one are zeroed; in a field of 1e-300
+        # the threshold is relative: among O(1) nodes, w = 0, a node of
+        # 1e-200 and a subnormal node are zeroed; in a field of 1e-300
         # nodes, which is all tiny, a subnormal node keeps its phase
         rng = np.random.default_rng(15)
         shape = (grid128.n_r, grid128.n_theta)
