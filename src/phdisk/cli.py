@@ -11,8 +11,8 @@ solve-conductivity, diagnose, selftest.  Every run writes report.json
 directory; grid outputs are PHD1 ({"format": "phd1"}, the default) or
 CSV ({"format": "csv"}), which grids on D_R (transform cauchy2) need;
 any other format is rejected, and so is a params key that the command
-does not read.  Exit codes: 0 success, 1 validation or
-internal error, 2 solver non-convergence.  Errors are machine-readable
+does not read, before the command's work.  Exit codes: 0 success, 1
+validation or internal error, 2 solver non-convergence.  Errors are machine-readable
 JSON on stderr; "error" is "validation" (a ValueError: bad config or
 input), "non-convergence", or "internal" (anything else, i.e. a bug,
 reported with its traceback).
@@ -99,15 +99,27 @@ def _object(cfg: dict, key: str) -> dict:
 
 
 class _Params(dict):
-    """The params object; `read` holds the keys a command asked for."""
+    """The params object of `command`; `read` holds the keys it asked for.
 
-    def __init__(self, values: dict):
+    Each command reads its keys, then calls `check` before its work, so a
+    key it does not read fails the run before any solve or sweep.
+    """
+
+    def __init__(self, command: str, values: dict):
         super().__init__(values)
+        self.command = command
         self.read: set = set()
 
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
+
+    def check(self) -> None:
+        """A ConfigError naming the keys not read so far, if any."""
+        unknown = sorted(set(self) - self.read)
+        if unknown:
+            known = f" (it reads {', '.join(sorted(self.read))})" if self.read else ""
+            raise ConfigError(f"{self.command} reads no params key {', '.join(unknown)}{known}")
 
 
 def _number(params: dict, key: str, default: float | None = None, integral: bool = False):
@@ -217,16 +229,19 @@ def _run_selftest(verbose: bool) -> dict:
 def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     report: dict = {}
     fields: dict = {}
-    params = _Params(_object(cfg, "params"))
+    params = _Params(command, _object(cfg, "params"))
     ext = _extension(cfg)
 
     if command == "selftest":
+        params.check()
         report.update(_run_selftest(verbose))
 
     elif command == "transform":
         which = _require(cfg, "transform")
         data = _load_inputs(cfg, ["h"])
         h = data["h"]
+        R = _number(params, "R", 1.0) if which == "cauchy2" else None
+        params.check()
         if which == "cauchy":
             fields["out"] = ph.transforms.cauchy(h)
         elif which == "beurling":
@@ -236,7 +251,6 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         elif which == "green":
             fields["out"] = ph.transforms.green_potential(h)
         elif which == "cauchy2":
-            R = _number(params, "R", 1.0)
             fields["out"] = ph.transforms.cauchy_renormalized(h, R)
         else:
             raise ConfigError(f"unknown transform {which!r}")
@@ -244,17 +258,18 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
 
     elif command == "factorize":
         data = _load_inputs(cfg, ["w", "alpha"])
-        fac = ph.similarity.factorize(data["w"], data["alpha"], params.get("normalization", "real_on_T"))
+        normalization = params.get("normalization", "real_on_T")
+        params.check()
+        fac = ph.similarity.factorize(data["w"], data["alpha"], normalization)
         fields["s"] = fac.s
         fields["F"] = fac.F
         report["factorization"] = fac.to_dict()
 
     elif command == "solve-dbar":
         data = _load_inputs(cfg, ["a", "psi"])
-        A, res = ph.transforms.solve_dbar(
-            data["a"], data["psi"],
-            _number(params, "lambda", 0.0), _number(params, "theta0", 0.0),
-        )
+        lam, theta0 = _number(params, "lambda", 0.0), _number(params, "theta0", 0.0)
+        params.check()
+        A, res = ph.transforms.solve_dbar(data["a"], data["psi"], lam, theta0)
         fields["A"] = A
         report["residuals"] = res.to_dict()
 
@@ -264,9 +279,11 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         variant = params.get("normalization", ph.similarity.IMAGINARY_ON_T)
         if variant not in (ph.similarity.IMAGINARY_ON_T, ph.similarity.REAL_ON_T):
             raise ConfigError(f"unknown normalization {variant!r}")
+        lam = _number(params, "lambda", 0.0)
+        params.check()
         imag = variant == ph.similarity.IMAGINARY_ON_T
         fn = ph.solvers.parametrize_imag if imag else ph.solvers.parametrize_real
-        s, rep = fn(data["alpha"], data["F"], data["psi"], _number(params, "lambda", 0.0), scfg)
+        s, rep = fn(data["alpha"], data["F"], data["psi"], lam, scfg)
         fields["s"] = s
         fields["w"] = ph.similarity.reconstruct(s, data["F"])
         report["solve"] = rep.to_dict()
@@ -274,9 +291,9 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     elif command == "solve-riesz":
         data = _load_inputs(cfg, ["alpha", "psi"])
         scfg = _solver_config(cfg)
-        w, psi_sharp, rep = ph.solvers.solve_riesz(
-            data["alpha"], data["psi"], _number(params, "c", 0.0), scfg
-        )
+        c = _number(params, "c", 0.0)
+        params.check()
+        w, psi_sharp, rep = ph.solvers.solve_riesz(data["alpha"], data["psi"], c, scfg)
         fields["w"] = w
         fields["psi_sharp"] = psi_sharp
         report["solve"] = rep.to_dict()
@@ -284,6 +301,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     elif command == "solve-conductivity":
         data = _load_inputs(cfg, ["sigma", "psi"])
         scfg = _solver_config(cfg)
+        params.check()
         u, v, w, rep = ph.solvers.solve_conductivity(data["sigma"], data["psi"], scfg)
         fields.update({"u": u, "v": v, "w": w})
         report["solve"] = rep.to_dict()
@@ -293,6 +311,7 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         if name == "bmo":
             data = _load_inputs(cfg, ["h"])
             fam = ph.diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
+            params.check()
             seminorm, table = ph.diagnostics.bmo_oscillation(data["h"], fam)
             report["diagnostic"] = {
                 "name": "bmo_oscillation",
@@ -302,43 +321,51 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
         elif name == "ap":
             data = _load_inputs(cfg, ["weight"])
             fam = ph.diagnostics.ArcFamily(_number(params, "max_level", 5, integral=True))
+            p = _number(params, "p", 2.0)
+            params.check()
             report["diagnostic"] = {
                 "name": "ap_constant",
-                "value": ph.diagnostics.ap_constant(data["weight"], _number(params, "p", 2.0), fam),
+                "value": ph.diagnostics.ap_constant(data["weight"], p, fam),
             }
         elif name == "jn":
             data = _load_inputs(cfg, ["h"])
             arc = _numbers(params, "arc", [0.0, 2.0 * np.pi], length=2)
+            params.check()
             rep = ph.diagnostics.jn_exp_check(data["h"], arc)
             report["diagnostic"] = rep.to_dict()
         elif name == "exp-integrability":
             data = _load_inputs(cfg, ["f"])
-            rep = ph.diagnostics.exp_integrability_report(
-                data["f"], _numbers(params, "ells", (1.0, 2.0, 3.0))
-            )
+            ells = _numbers(params, "ells", (1.0, 2.0, 3.0))
+            params.check()
+            rep = ph.diagnostics.exp_integrability_report(data["f"], ells)
             report["diagnostic"] = rep.to_dict()
         elif name == "equicontinuity":
             data = _load_inputs(cfg, ["beta"])
-            rep = ph.diagnostics.equicontinuity_modulus(
-                data["beta"], _numbers(params, "side_lengths", (0.5, 0.25, 0.125, 0.0625))
-            )
+            sides = _numbers(params, "side_lengths", (0.5, 0.25, 0.125, 0.0625))
+            params.check()
+            rep = ph.diagnostics.equicontinuity_modulus(data["beta"], sides)
             report["diagnostic"] = rep.to_dict()
         elif name == "c2-growth":
             data = _load_inputs(cfg, ["h"])
-            rep = ph.diagnostics.c2_growth_curve(data["h"], _numbers(params, "radii", (1.0, 10.0, 100.0)))
+            radii = _numbers(params, "radii", (1.0, 10.0, 100.0))
+            params.check()
+            rep = ph.diagnostics.c2_growth_curve(data["h"], radii)
             report["diagnostic"] = rep.to_dict()
         elif name == "multiplier":
             data = _load_inputs(cfg, ["f", "g"])
-            rep = ph.diagnostics.multiplier_ratio(
-                data["f"], data["g"], _number(params, "p", 2.0), _number(params, "gamma", math.pi / 4)
-            )
+            p, gamma = _number(params, "p", 2.0), _number(params, "gamma", math.pi / 4)
+            params.check()
+            rep = ph.diagnostics.multiplier_ratio(data["f"], data["g"], p, gamma)
             report["diagnostic"] = rep.to_dict()
         elif name == "trace-convergence":
             data = _load_inputs(cfg, ["w"])
-            rep = ph.diagnostics.trace_convergence(data["w"], _number(params, "p", 2.0))
+            p = _number(params, "p", 2.0)
+            params.check()
+            rep = ph.diagnostics.trace_convergence(data["w"], p)
             report["diagnostic"] = rep.to_dict()
         elif name == "boundary-sobolev":
             data = _load_inputs(cfg, ["g"])
+            params.check()
             report["diagnostic"] = {
                 "name": "boundary_sobolev_seminorm",
                 "value": ph.diagnostics.boundary_sobolev_seminorm(data["g"]),
@@ -349,10 +376,6 @@ def _run(command: str, cfg: dict, outdir: Path, verbose: bool) -> dict:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown command {command!r}")
 
-    unknown = sorted(set(params) - params.read)
-    if unknown:
-        known = f" (it reads {', '.join(sorted(params.read))})" if params.read else ""
-        raise ConfigError(f"{command} reads no params key {', '.join(unknown)}{known}")
     slices = _slice_plan(outdir, cfg, fields)
     written = {}
     for name, obj in fields.items():

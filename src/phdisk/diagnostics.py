@@ -28,7 +28,7 @@ from .grid import (
     nontangential_max,
     wirtinger_derivatives,
 )
-from .transforms import cauchy, cauchy_renormalized
+from .transforms import _require_unit_disk, cauchy, cauchy_renormalized
 
 __all__ = [
     "ArcFamily",
@@ -62,10 +62,6 @@ class ArcFamily:
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
 
-    @classmethod
-    def down_to(cls, n_theta_coarse: int) -> "ArcFamily":
-        return cls(int(round(math.log2(n_theta_coarse))))
-
 
 @dataclass
 class DiagnosticReport:
@@ -75,9 +71,6 @@ class DiagnosticReport:
     satisfied: list
     slack: float
     details: dict = field(default_factory=dict)
-
-    def all_satisfied(self) -> bool:
-        return all(self.satisfied)
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +192,8 @@ def exp_integrability_report(f: GridFunction, ells=(1.0, 2.0, 3.0)) -> Diagnosti
     For the scaled family lambda*f it fits log int_D e^{ell lambda |f|}
     against a + b lambda^2 and flags at-most-quadratic exponent growth
     (quadratic fit explaining >= 0.95 of what a cubic alternative does).
-    Each ell must be finite and positive.
+    Each ell must be finite and positive.  The integrals run over the
+    grid's own disk D_R, so any outer radius R is read.
     """
     for ell in ells:
         if not (math.isfinite(ell) and ell > 0.0):
@@ -325,8 +319,11 @@ def multiplier_ratio(
     ||M_gamma g||_{L^p(T)}.
 
     Requires f real with (numerically) zero boundary trace, the class the
-    multiplier theorem covers.
+    multiplier theorem covers, on a grid of outer radius 1: the outer
+    ring is read as T.
     """
+    _require_unit_disk(f.grid)
+    _require_unit_disk(g.grid)
     fv = f.require_unmasked("multiplier ratio").real
     tr_sup = float(np.max(np.abs(boundary_trace(f).values.real)))
     if tr_sup > 1e-8:
@@ -351,9 +348,11 @@ def multiplier_ratio(
 
 def trace_convergence(w: GridFunction, p: float) -> DiagnosticReport:
     """Hardy trace convergence: ||tr w_rho - w_T||_{L^p(T)} over the top
-    quartile of interior radii, flagged when it falls by at least 2x."""
-    v = w.require_unmasked("trace convergence")
+    quartile of interior radii, flagged when it falls by at least 2x.
+    The outer ring is read as T, so the grid's outer radius must be 1."""
     grid = w.grid
+    _require_unit_disk(grid)
+    v = w.require_unmasked("trace convergence")
     j0 = int(math.ceil(0.75 * grid.n_r)) - 1
     diff = v[j0 : grid.n_r - 1] - v[grid.boundary_ring_index]
     table = (_lp_rows(diff, p) * (2.0 * np.pi / grid.n_theta) ** (1.0 / p)).tolist()

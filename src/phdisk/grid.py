@@ -256,14 +256,6 @@ class GridFunction(_Samples):
     def zeros(cls, grid: DiskGrid) -> "GridFunction":
         return cls(grid, np.zeros((grid.n_r, grid.n_theta), dtype=complex))
 
-    def is_masked(self) -> bool:
-        return self.mask is not None
-
-    def angular_modes(self) -> np.ndarray:
-        """Per-radius Fourier coefficients, shape (n_r, n_theta), FFT order."""
-        self.require_unmasked("angular transform")
-        return np.fft.fft(self.values, axis=1) / self.grid.n_theta
-
     def with_values(self, values: np.ndarray, mask=None) -> "GridFunction":
         return GridFunction(self.grid, values, mask)
 

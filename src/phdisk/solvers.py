@@ -33,7 +33,8 @@ recursively down to sides of 32, and each converged coarse solution,
 interpolated at order 6 (`_prolong`; Brandt's rule asks for an order
 above the discretization's), starts the next finer loop.  A coarse level
 that does not converge ends the descent, and the given grid starts
-cold; `initial_s` starts the level where no half grid was tried.
+cold, as the coarsest level does: each level starts from the prolonged
+coarse solution or cold.
 Reports count the given grid's steps and list the coarse levels' counts
 in extra["coarse_iterations"].  At 256^2 the Riesz fine loop then takes
 1-2 applications instead of 15, sigma = log(e/|z|)^8, where GMRES(8)
@@ -323,16 +324,7 @@ def _finish(name, loops, w, alpha, mismatch, defects, constant) -> SolveReport:
     return report
 
 
-def _initial_values(initial_s, grid):
-    """Values of the initial state on `grid`, or None."""
-    if initial_s is None:
-        return None
-    if not initial_s.grid.same_as(grid):
-        raise ValueError("grid mismatch between operands")
-    return initial_s.require_unmasked("initial state")
-
-
-def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
+def _parametrize(imag, alpha, F, psi, lam, cfg):
     """Body shared by the two parametrizations: the similarity
     factorization of `similarity.factorize`, iterated to its fixed point.
 
@@ -348,8 +340,8 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
     (C + R is pure imaginary on T).  Both have zero boundary mean, so H
     alone carries the trace and the mean, at every step.  On every level
     of the descent (`_descend`), `_picard` finds the fixed point phi of
-    phi -> Im (C + sign R)(beta e^{-2i phi}), cold from 0, or from
-    Im(s - H) for the prolonged coarse s or initial_s; then
+    phi -> Im (C + sign R)(beta e^{-2i phi}), from Im(s - H) for the
+    prolonged coarse s, or cold from 0; then
     s = H + (C + sign R)(beta e^{-2i phi}).
     """
     _require_finite(lam, "lam")
@@ -361,7 +353,7 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
         raise ValueError("F must not be identically zero")
     sign = -1.0 if imag else 1.0
 
-    def level(grid, av, Fv, pv, start, s0):
+    def level(grid, av, Fv, pv, start):
         A = _holo_with_real_trace(BoundaryFunction(pv), -lam if imag else lam, grid)
         H = A * 1j if imag else A
         with np.errstate(under="ignore"):
@@ -374,13 +366,12 @@ def _parametrize(imag, alpha, F, psi, lam, cfg, initial_s):
         def apply_map(phi: np.ndarray) -> np.ndarray:
             return exponent(phi).values.imag.copy()  # contiguous, without the complex pass
 
-        s = start if start is not None else s0
-        x0 = np.zeros(beta.shape) if s is None else (s - H).imag
+        x0 = np.zeros(beta.shape) if start is None else (start - H).imag
         phi, *loop = _picard(x0, apply_map, lambda d: w12_norm_modes(np.fft.fft(d, axis=1), grid), cfg)
         return exponent(phi).values + H, loop
 
     arrays = (alpha.require_unmasked("Beltrami ratio"), Fv, psi.require_unmasked("boundary data"))
-    s, loops = _descend(level, grid, arrays, _initial_values(initial_s, grid))
+    s, loops = _descend(level, grid, arrays)
     s = GridFunction(grid, s)
     w = reconstruct(s, F)
 
@@ -401,7 +392,6 @@ def parametrize_imag(
     psi: BoundaryFunction,
     lam: float,
     cfg: SolverConfig | None = None,
-    initial_s: GridFunction | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Sobolev factor s with w = e^s F pseudo-holomorphic, tr Im s = psi,
     int_T Re s = lam.
@@ -411,7 +401,7 @@ def parametrize_imag(
     factorization of w, beta = alpha conj(F')/F'; its imaginary part is
     iterated to the fixed point.
     """
-    return _parametrize(True, alpha, F, psi, lam, cfg, initial_s)
+    return _parametrize(True, alpha, F, psi, lam, cfg)
 
 
 def parametrize_real(
@@ -420,7 +410,6 @@ def parametrize_real(
     psi: BoundaryFunction,
     lam: float,
     cfg: SolverConfig | None = None,
-    initial_s: GridFunction | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Variant prescribing tr Re s = psi and int_T Im s = lam.
 
@@ -429,7 +418,7 @@ def parametrize_real(
     map as `parametrize_imag` with the sign of R turned, and no separate
     unknown for the boundary trace of Im s.
     """
-    return _parametrize(False, alpha, F, psi, lam, cfg, initial_s)
+    return _parametrize(False, alpha, F, psi, lam, cfg)
 
 
 def _prolong(wc: np.ndarray) -> np.ndarray:
@@ -462,37 +451,35 @@ def _prolong(wc: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out, axis=1, out=out)
 
 
-def _descend(level, grid, arrays, s0, given=True):
+def _descend(level, grid, arrays, given=True):
     """(solution values, loops) of the problem `level` solves, on `grid`,
     found coarse to fine.
 
-    `level(grid, *arrays, start, s0)` solves the problem with data
-    `arrays` on one grid, from the prolonged coarse solution `start` or
-    the initial state `s0` (at most one is given; with neither it starts
-    cold), and returns (solution values, loop), loop the (increment
-    history, convergence flag, final damping) of its iteration.  When n_r
-    is even and both halves of the grid are at least 32, the problem is
-    first solved on the half grid: the odd rows and even columns of each
-    grid array and of s0 (coarse radius (k+1)/(n_r/2) is fine row 2k+1),
-    the even samples of each boundary array, None kept.  A converged
+    `level(grid, *arrays, start)` solves the problem with data `arrays`
+    on one grid, from the prolonged coarse solution `start`, or cold when
+    `start` is None, and returns (solution values, loop), loop the
+    (increment history, convergence flag, final damping) of its
+    iteration.  When n_r is even and both halves of the grid are at least
+    32, the problem is first solved on the half grid: the odd rows and
+    even columns of each grid array (coarse radius (k+1)/(n_r/2) is fine
+    row 2k+1), the even samples of each boundary array.  A converged
     coarse solution, prolonged, starts the level here.  An unconverged
     one ends the descent: a coarse level returns (None, loops) without a
-    loop of its own, and the given grid (`given`) starts cold.  Only the
-    level where no half grid was tried starts from s0.  `loops` holds the
-    loops run, coarsest first.
+    loop of its own, and the given grid (`given`) starts cold, as the
+    level where no half grid was tried does.  `loops` holds the loops
+    run, coarsest first.
     """
     loops, start = [], None
     if grid.n_r % 2 == 0 and min(grid.n_r, grid.n_theta) >= 64:
         coarse = make_grid(grid.n_theta // 2, grid.n_r // 2, grid.outer_radius)
-        half = [None if a is None else a[::2] if a.ndim == 1 else a[1::2, ::2] for a in (*arrays, s0)]
-        sol, loops = _descend(level, coarse, half[:-1], half[-1], given=False)
+        half = [a[::2] if a.ndim == 1 else a[1::2, ::2] for a in arrays]
+        sol, loops = _descend(level, coarse, half, given=False)
         if loops[-1][1]:
             start = _prolong(sol)
         elif not given:
             return None, loops
         del sol
-        s0 = None
-    sol, loop = level(grid, *arrays, start, s0)
+    sol, loop = level(grid, *arrays, start)
     return sol, loops + [loop]
 
 
@@ -501,7 +488,6 @@ def solve_riesz(
     psi: BoundaryFunction,
     c: float,
     cfg: SolverConfig | None = None,
-    initial_s: GridFunction | None = None,
 ) -> tuple[GridFunction, BoundaryFunction, SolveReport]:
     """Generalized M. Riesz problem: w with Re w_T = psi, int_T Im w_T = c.
 
@@ -518,13 +504,13 @@ def solve_riesz(
     iterate x then puts both boundary conditions at rounding.  It is
     formed as x + r, r = H - A x the residual GMRES already holds, and
     costs no application.  Every level of the descent (`_descend`) runs
-    this loop, cold from x = H; where no half grid was tried, an
-    initial_s starts it from e^{initial_s} H.  report.boundary_mismatch is
-    ||Re w_T - psi||_{L^2(T)} and report.measured_constant
-    ||w||_{H^2} / (||psi||_{L^2(T)} + |c|).  report.iterations counts
-    applications of A on the given grid, with ||A w - H|| / ||H|| after
-    each in increment_history; extra["coarse_iterations"] holds the
-    coarse levels' counts, coarsest first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
+    this loop, from the prolonged coarse solution, or cold from x = H.
+    report.boundary_mismatch is ||Re w_T - psi||_{L^2(T)} and
+    report.measured_constant ||w||_{H^2} / (||psi||_{L^2(T)} + |c|).
+    report.iterations counts applications of A on the given grid, with
+    ||A w - H|| / ||H|| after each in increment_history;
+    extra["coarse_iterations"] holds the coarse levels' counts, coarsest
+    first.  Returns (w, psi_sharp, report) with psi_sharp = Im w_T the
     generalized conjugate function.
     """
     _require_finite(c, "c")
@@ -532,10 +518,10 @@ def solve_riesz(
     grid = alpha.grid
     psi = _require_real(psi, "psi", grid)
 
-    def level(grid, av, pv, start, s0):
+    def level(grid, av, pv, start):
         """w on one grid: H scaled to max |H| = 1, GMRES from the start
-        (x = H when cold, e^{s0} H from s0) and the closing x + r, w
-        scaled back; H = 0 gives w = 0 without an application."""
+        (x = H when cold) and the closing x + r, w scaled back; H = 0
+        gives w = 0 without an application."""
         H = _holo_with_real_trace(BoundaryFunction(pv), c, grid)
         scale = float(np.max(np.abs(H)))
         if scale == 0.0:
@@ -545,7 +531,7 @@ def solve_riesz(
             x = start
             x /= scale
         else:
-            x = H.copy() if s0 is None else H * np.exp(s0)
+            x = H.copy()
         modes = np.empty((grid.n_r, grid.n_theta + 1), dtype=complex)
 
         def reflect(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -565,7 +551,7 @@ def solve_riesz(
         return w, (history, converged, 1.0)
 
     arrays = (alpha.require_unmasked("coefficient"), psi.require_unmasked("boundary data"))
-    w, loops = _descend(level, grid, arrays, _initial_values(initial_s, grid))
+    w, loops = _descend(level, grid, arrays)
 
     w = GridFunction(grid, w)
     tr = w.values[grid.boundary_ring_index]

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 
-from phdisk import GridFunction, w12_norm
+from phdisk import GridFunction, make_grid, solvers, w12_norm
 
 
 def random_smooth_bandlimited(grid, rng, max_mode, real=False, amplitude=1.0):
@@ -33,6 +33,29 @@ def random_initial_s(grid, rng, scale=0.1):
     """Small random band-limited field, ||s||_{W^{1,2}} = scale."""
     f = random_smooth_bandlimited(grid, rng, 6)
     return f * (scale / w12_norm(f))
+
+
+def perturb_starts(monkeypatch, rng):
+    """Start the loop of every level of the solves that follow away from
+    the descent's start: s = random_initial_s on the level's grid, drawn
+    from `rng`, multiplies GMRES's start x by e^s in place (`solve_riesz`)
+    or adds Im s to the fixed-point loop's start (the parametrizations).
+    A uniquely solvable problem then ends at the same solution."""
+    gmres, picard = solvers._gmres, solvers._picard
+
+    def level_s(x):
+        n_r, n_theta = x.shape
+        return random_initial_s(make_grid(n_theta, n_r), rng).values
+
+    def perturbed_gmres(rhs, x, *args):
+        x *= np.exp(level_s(x))
+        return gmres(rhs, x, *args)
+
+    def perturbed_picard(state, *args):
+        return picard(state + level_s(state).imag, *args)
+
+    monkeypatch.setattr(solvers, "_gmres", perturbed_gmres)
+    monkeypatch.setattr(solvers, "_picard", perturbed_picard)
 
 
 @functools.cache

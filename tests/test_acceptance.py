@@ -16,7 +16,7 @@ angular grid of 8b resolves the rim distance 1/512 (see circle_norm).
 
 import numpy as np
 import pytest
-from helpers import ellipk, exw_F, exw_w, loglog_mean, random_initial_s, random_smooth_bandlimited
+from helpers import ellipk, exw_F, exw_w, loglog_mean, perturb_starts, random_smooth_bandlimited
 
 from phdisk import (
     ArcFamily,
@@ -188,7 +188,7 @@ def test_criterion_06_parametrization(grid, parametrize_outputs):
     )
 
 
-def test_criterion_07_generalized_riesz(grid, riesz_manufactured):
+def test_criterion_07_generalized_riesz(grid, riesz_manufactured, monkeypatch):
     z = grid.nodes_z()
     psi0 = BoundaryFunction.from_function(256, lambda th: np.cos(2 * th) - 0.5 * np.sin(5 * th))
     c = 1.7
@@ -204,7 +204,8 @@ def test_criterion_07_generalized_riesz(grid, riesz_manufactured):
     rng = np.random.default_rng(102)
     alpha = GridFunction.constant(grid, 0.5)
     psi = BoundaryFunction.from_function(256, lambda th: np.exp(np.cos(th)))
-    w2, _, _ = solve_riesz(alpha, psi, 0.0, CFG, initial_s=random_initial_s(grid, rng))
+    perturb_starts(monkeypatch, rng)
+    w2, _, _ = solve_riesz(alpha, psi, 0.0, CFG)
     e_uniq = hardy_norm(GridFunction(grid, w.values - w2.values), 2.0)
     ok = e_classical <= 1e-12 and e_exp <= 1e-4 and e_uniq <= 1e-6
     assert _line("07", ok, f"classical {e_classical:.2e}, exp {e_exp:.2e}, uniqueness {e_uniq:.2e}")
@@ -348,7 +349,7 @@ def test_criterion_09_conductivity(grid, conductivity_exp):
 
 
 def test_criterion_10_weight_diagnostics():
-    fam = ArcFamily.down_to(64)
+    fam = ArcFamily(6)
     const = BoundaryFunction.from_function(256, lambda th: 2.0 + 0 * th)
     ap_ok = ap_constant(const, 2.0, fam) == 1.0
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -656,6 +657,104 @@ class TestCli:
         code = cli.main(["diagnose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d")])
         assert code == 0
         assert seen == [math.pi / 4]
+
+    def test_misspelt_params_key_fails_before_the_solve(self, tmp_path, monkeypatch, capsys):
+        # the check ran after the command: this exited 2, "non-convergence",
+        # after a C + R pass on each level, without naming C
+        from phdisk import cli, solvers
+
+        g = make_grid(64, 64)
+        z = g.nodes_z()
+        L = np.log(np.e / np.abs(z))
+        alpha = GridFunction(g, 4.0 * np.exp(1j * np.angle(z)) / (np.abs(z) * L**0.75))
+        save_phd1(tmp_path / "alpha.phd1", alpha)
+        save_phd1(tmp_path / "psi.phd1", BoundaryFunction.from_function(64, lambda th: np.exp(np.cos(th))))
+        cfg = {
+            "inputs": {"alpha": str(tmp_path / "alpha.phd1"), "psi": str(tmp_path / "psi.phd1")},
+            "params": {"C": 0.3},
+            "solver": {"max_iter": 1},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        calls = []
+        modes = solvers._cauchy_reflect_modes
+
+        def counted(*args):
+            calls.append(None)
+            return modes(*args)
+
+        monkeypatch.setattr(solvers, "_cauchy_reflect_modes", counted)
+        assert cli.main(["solve-riesz", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"] == "solve-riesz reads no params key C (it reads c)"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "command, extra, target",
+        [
+            ("selftest", {}, "cli._run_selftest"),
+            ("transform", {"transform": "cauchy"}, "transforms.cauchy"),
+            ("transform", {"transform": "cauchy2", "params": {"R": 2.0}}, "transforms.cauchy_renormalized"),
+            ("factorize", {}, "similarity.factorize"),
+            ("solve-dbar", {}, "transforms.solve_dbar"),
+            ("solve-beltrami", {}, "solvers.parametrize_imag"),
+            ("solve-riesz", {}, "solvers.solve_riesz"),
+            ("solve-conductivity", {}, "solvers.solve_conductivity"),
+            ("diagnose", {"diagnostic": "bmo"}, "diagnostics.bmo_oscillation"),
+            ("diagnose", {"diagnostic": "ap"}, "diagnostics.ap_constant"),
+            ("diagnose", {"diagnostic": "jn"}, "diagnostics.jn_exp_check"),
+            ("diagnose", {"diagnostic": "exp-integrability"}, "diagnostics.exp_integrability_report"),
+            ("diagnose", {"diagnostic": "equicontinuity"}, "diagnostics.equicontinuity_modulus"),
+            ("diagnose", {"diagnostic": "c2-growth"}, "diagnostics.c2_growth_curve"),
+            ("diagnose", {"diagnostic": "multiplier"}, "diagnostics.multiplier_ratio"),
+            ("diagnose", {"diagnostic": "trace-convergence"}, "diagnostics.trace_convergence"),
+            ("diagnose", {"diagnostic": "boundary-sobolev"}, "diagnostics.boundary_sobolev_seminorm"),
+        ],
+        ids=[
+            "selftest", "cauchy", "cauchy2", "factorize", "solve-dbar", "solve-beltrami", "solve-riesz",
+            "solve-conductivity", "bmo", "ap", "jn", "exp-integrability", "equicontinuity", "c2-growth",
+            "multiplier", "trace-convergence", "boundary-sobolev",
+        ],
+    )
+    def test_unread_params_key_fails_before_the_work(self, tmp_path, monkeypatch, capsys, command, extra, target):
+        # every command checks its params once it has read them, before
+        # the library call it runs
+        from phdisk import cli
+
+        module, name = target.split(".")
+        calls = []
+        monkeypatch.setattr(importlib.import_module(f"phdisk.{module}"), name, lambda *a: calls.append(a))
+        g = make_grid(16, 8)
+        inputs = {}
+        for key in ("alpha", "a", "h", "f", "g", "w", "beta", "F", "sigma"):
+            inputs[key] = str(tmp_path / f"{key}.phd1")
+            save_phd1(inputs[key], GridFunction.constant(g, 0.5))
+        for key in ("psi", "weight"):
+            inputs[key] = str(tmp_path / f"{key}.phd1")
+            save_phd1(inputs[key], BoundaryFunction.from_function(16, lambda th: 2.0 + np.cos(th)))
+        if command == "diagnose" and extra["diagnostic"] in ("bmo", "jn", "boundary-sobolev"):
+            inputs["h"] = inputs["g"] = inputs["psi"]
+        params = {**extra.get("params", {}), "nope": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps({**extra, "inputs": inputs, "params": params}))
+        assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"{command} reads no params key nope")
+        assert calls == []
+
+    def test_diagnostic_on_a_grid_off_the_unit_disk(self, tmp_path, capsys):
+        # trace_convergence read the ring r = 2 as T and reported satisfied
+        from phdisk import cli
+
+        g = make_grid(64, 64, outer_radius=2.0)
+        save_csv(tmp_path / "w.csv", GridFunction(g, g.nodes_z()))
+        cfg = {"diagnostic": "trace-convergence", "inputs": {"w": str(tmp_path / "w.csv")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["diagnose", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "outer radius 1, not 2.0" in err["message"]
+        assert not (tmp_path / "d" / "report.json").exists()
 
     def test_thread_cap_precedes_numpy(self):
         # a meta-path finder records the pool setting when numpy is first imported

@@ -68,7 +68,7 @@ class TestFactorize:
     def test_degenerate_zero_input(self, grid256):
         fac = factorize(GridFunction.zeros(grid256), GridFunction.constant(grid256, 0.5))
         assert np.max(np.abs(fac.F.values)) == 0.0
-        assert fac.s.is_masked()
+        assert fac.s.mask is not None
 
     def test_sum_of_normalizations(self, grid256, exp_pair):
         # s^r + s^i = 2 C(beta)

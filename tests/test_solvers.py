@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import exw_F, random_initial_s
+from helpers import exw_F, perturb_starts
 
 from phdisk import (
     BoundaryFunction,
@@ -142,14 +142,15 @@ class TestParametrizeImag:
         assert w12_norm(s - GridFunction(grid256, 1j * z)) <= 1e-8
         assert rep.normalization_defects["re_mean"] <= 1e-10
 
-    def test_empirical_uniqueness(self, grid256):
+    def test_empirical_uniqueness(self, grid256, monkeypatch):
         rng = np.random.default_rng(21)
         z = grid256.nodes_z()
         alpha = GridFunction(grid256, -0.5 * np.exp(2j * z.imag))
         F = GridFunction.constant(grid256, 1.0)
         psi = BoundaryFunction.from_function(256, np.sin)
         s1, _ = parametrize_imag(alpha, F, psi, 0.0, CFG)
-        s2, _ = parametrize_imag(alpha, F, psi, 0.0, CFG, initial_s=random_initial_s(grid256, rng))
+        perturb_starts(monkeypatch, rng)
+        s2, _ = parametrize_imag(alpha, F, psi, 0.0, CFG)
         assert w12_norm(s1 - s2) <= 10 * CFG.tol
 
     def test_non_harmonic_exponent(self, grid256):
@@ -223,13 +224,14 @@ class TestParametrizeReal:
         assert lp_norm_disk(GridFunction(grid256, defect), 2.0, r_max=0.9) <= 1e-6
         assert np.max(np.abs(boundary_trace(s).values.real)) <= 1e-8
 
-    def test_empirical_uniqueness(self, grid256):
+    def test_empirical_uniqueness(self, grid256, monkeypatch):
         rng = np.random.default_rng(22)
         alpha = GridFunction.constant(grid256, 0.5)
         F = GridFunction.constant(grid256, 1.0)
         psi = BoundaryFunction.from_function(256, np.cos)
         s1, _ = parametrize_real(alpha, F, psi, 0.0, CFG)
-        s2, _ = parametrize_real(alpha, F, psi, 0.0, CFG, initial_s=random_initial_s(grid256, rng))
+        perturb_starts(monkeypatch, rng)
+        s2, _ = parametrize_real(alpha, F, psi, 0.0, CFG)
         assert w12_norm(s1 - s2) <= 10 * CFG.tol
 
 
@@ -341,12 +343,13 @@ class TestSolveRiesz:
         assert np.max(np.abs(w.values)) == 0.0
         assert rep.converged
 
-    def test_empirical_uniqueness(self, grid256):
+    def test_empirical_uniqueness(self, grid256, monkeypatch):
         rng = np.random.default_rng(23)
         alpha = GridFunction.constant(grid256, 0.5)
         psi = BoundaryFunction.from_function(256, lambda th: np.exp(np.cos(th)))
         w1, _, _ = solve_riesz(alpha, psi, 0.0, CFG)
-        w2, _, _ = solve_riesz(alpha, psi, 0.0, CFG, initial_s=random_initial_s(grid256, rng))
+        perturb_starts(monkeypatch, rng)
+        w2, _, _ = solve_riesz(alpha, psi, 0.0, CFG)
         assert hardy_norm(GridFunction(grid256, w1.values - w2.values), 2.0) <= 1e-6
 
     def test_real_linearity(self, grid256):
@@ -632,21 +635,19 @@ class TestDescent:
     @pytest.mark.parametrize("entry", ["solve_riesz", "parametrize_imag", "parametrize_real"])
     def test_unconverged_coarse_level_ends_the_descent(self, monkeypatch, entry):
         # two steps cannot reach tol on 32^2: the descent ends there, and
-        # 64^2 starts cold (from H, or phi = 0), not from initial_s, which
-        # only the level with no half grid uses
+        # 64^2 starts cold (from H, or phi = 0), as 32^2 did, not from the
+        # unconverged prolongation
         g = make_grid(64, 64)
-        z = g.nodes_z()
         cfg = SolverConfig(tol=1e-12, max_iter=2)
         alpha = GridFunction.constant(g, 0.5)
         psi = BoundaryFunction.from_function(64, np.cos)
-        initial_s = GridFunction(g, 0.1 * z.real + 0.2j * z.real * z.imag)
         if entry == "solve_riesz":
             name, is_cold = "_gmres", lambda rhs, x, *_: np.array_equal(x, rhs)
-            run = lambda: solve_riesz(alpha, psi, 0.0, cfg, initial_s)
+            run = lambda: solve_riesz(alpha, psi, 0.0, cfg)
         else:
             name, is_cold = "_picard", lambda x, *_: not np.any(x)
             fn = parametrize_imag if entry == "parametrize_imag" else parametrize_real
-            run = lambda: fn(alpha, GridFunction.constant(g, 1.0), psi, 0.0, cfg, initial_s)
+            run = lambda: fn(alpha, GridFunction.constant(g, 1.0), psi, 0.0, cfg)
         loop, cold = getattr(solvers, name), []
 
         def spy(*args):
@@ -658,7 +659,18 @@ class TestDescent:
             run()
         rep = err.value.report
         assert rep.iterations == 2 and rep.extra["coarse_iterations"] == [2]
-        assert cold == [False, True]
+        assert cold == [True, True]
+
+    @pytest.mark.parametrize("entry", ["solve_riesz", "parametrize_imag", "parametrize_real"])
+    def test_initial_s_is_not_a_keyword(self, entry):
+        # no solver takes a start from its caller: every level starts from
+        # the prolonged coarse solution or cold
+        g = make_grid(64, 64)
+        one = GridFunction.constant(g, 1.0)
+        psi = BoundaryFunction.from_function(64, np.cos)
+        args = (one, psi, 0.0) if entry == "solve_riesz" else (one, one, psi, 0.0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'initial_s'"):
+            getattr(solvers, entry)(*args, initial_s=one)
 
 
 class TestPicardLoop:

@@ -8,9 +8,8 @@ The digests do not depend on the BLAS thread count; CI checks that at
 one and two threads.
 The inputs are smooth closed-form fields at 64^2 and 256^2; the engine
 tables, every transform, `cauchy_renormalized` at R = 2.5, the five
-solvers and `solve_dbar` (solution and report), `solve_riesz` and the two
-parametrizations again from a fixed smooth `initial_s`, `c2_growth_curve`
-and `exp_integrability_report` are covered.  So are `beltrami_ratio`,
+solvers and `solve_dbar` (solution and report), `c2_growth_curve` and
+`exp_integrability_report` are covered.  So are `beltrami_ratio`,
 `factorize` under both normalizations (s, F and the report) and
 `alpha_from_pair`, on a w with exact zeros and with nodes on, just under
 and just over the zero threshold 1e-12 max|w|, and one subnormal node.
@@ -89,15 +88,6 @@ def outputs(n: int):
         s, rep = fn(beltrami, F, cos, 0.4, cfg)
         yield fn.__name__, s
         yield f"{fn.__name__}.report", rep
-    # the same solves from a smooth initial state
-    s0 = ph.GridFunction(g, 0.1 * x + 0.2j * x * y)
-    w, _, rep = ph.solve_riesz(alpha, psi, 0.3, cfg, initial_s=s0)
-    yield "solve_riesz.initial_s", w
-    yield "solve_riesz.initial_s.report", rep
-    for fn in (ph.parametrize_imag, ph.parametrize_real):
-        s, rep = fn(beltrami, F, cos, 0.4, cfg, initial_s=s0)
-        yield f"{fn.__name__}.initial_s", s
-        yield f"{fn.__name__}.initial_s.report", rep
     A, res = ph.solve_dbar(ph.GridFunction(g, np.exp(-np.abs(z) ** 2)), cos, 1.0, 0.3)
     yield "solve_dbar", A
     yield "solve_dbar.residuals", np.array([res.dbar, res.trace, res.mean])
